@@ -152,26 +152,13 @@ func BenchmarkSweep(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md) ---
 
-// BenchmarkAblationDelayBoxPerEvent compares the two DelayShell queue
-// implementations: per-packet event scheduling (DelayBox) versus a single
-// armed timer over a FIFO (FIFODelayBox, Mahimahi's structure).
-func BenchmarkAblationDelayBoxPerEvent(b *testing.B) {
-	benchDelayImpl(b, func(loop *sim.Loop) netem.Box {
-		return netem.NewDelayBox(loop, 10*sim.Millisecond)
-	})
-}
-
-func BenchmarkAblationDelayBoxFIFO(b *testing.B) {
-	benchDelayImpl(b, func(loop *sim.Loop) netem.Box {
-		return netem.NewFIFODelayBox(loop, 10*sim.Millisecond)
-	})
-}
-
-func benchDelayImpl(b *testing.B, mk func(*sim.Loop) netem.Box) {
+// BenchmarkDelayBox measures DelayShell's queue: 1000 packets, one per
+// microsecond, through a 10 ms DelayBox on a fresh loop.
+func BenchmarkDelayBox(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		loop := sim.NewLoop()
-		box := mk(loop)
+		box := netem.NewDelayBox(loop, 10*sim.Millisecond)
 		delivered := 0
 		box.SetSink(func(*netem.Packet) { delivered++ })
 		for j := 0; j < 1000; j++ {
@@ -430,41 +417,38 @@ func BenchmarkPageLoad(b *testing.B) {
 // are expected to stay at (or very near) zero allocs/op in steady state.
 
 // BenchmarkLoopSchedule measures the scheduling primitive every simulated
-// packet, timer, and browser event goes through, under each scheduler
-// (sub-benchmark wheel = default calendar queue, heap = PR2 ablation).
+// packet, timer, and browser event goes through.
 //
 // What one "op" covers: scheduling 64 events onto a warmed loop that
-// already holds a standing population of 1200 future events spread over
-// 100 distinct timestamps (the queue depth and ~12-events-per-timestamp
-// clustering a replayed page load sustains; see mm-bench -schedstats) —
-// 32 clustered onto 8 distinct future timestamps (the packet-train shape:
-// bursts share a box exit instant) and 32 at distinct timestamps (the
-// timer/CPU-task shape) — then firing exactly those 64. One op is
-// therefore 64 schedule+fire round trips including clock advances, and
-// ns/event (reported via ReportMetric) is the comparable per-event cost:
-// elapsed / (64 * N). Compare ns/event across -sched ablations and PRs,
-// not ns/op, which also absorbs loop-warmup effects.
+// already holds a standing population of future events — 32 clustered
+// onto 8 distinct future timestamps (the packet-train shape: bursts share
+// a box exit instant) and 32 at distinct timestamps (the timer/CPU-task
+// shape) — then firing exactly those 64. One op is therefore 64
+// schedule+fire round trips including clock advances, and ns/event
+// (reported via ReportMetric) is the comparable per-event cost:
+// elapsed / (64 * N). Compare ns/event across revisions, not ns/op, which
+// also absorbs loop-warmup effects.
 func BenchmarkLoopSchedule(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			benchLoopSchedule(b, kind, 1200, 100)
-		})
-	}
+	// 1200 events over 100 timestamps is the queue depth and
+	// ~12-events-per-timestamp clustering a replayed page load sustains
+	// (see mm-bench -schedstats).
+	b.Run("standing1200", func(b *testing.B) {
+		benchLoopSchedule(b, 1200, 100)
+	})
 	// The many-flow regime: a 10k-flow contention cell keeps an order of
 	// magnitude more timers and in-flight packets queued than a single page
-	// load. ns/event here versus the wheel row above is the "flat at depth"
-	// check — the calendar queue's per-event cost must not grow with the
-	// standing population.
-	b.Run("wheel-standing12k", func(b *testing.B) {
-		benchLoopSchedule(b, sim.SchedWheel, 12000, 1000)
+	// load. The heap's per-event cost grows with log(depth); this row shows
+	// by how much.
+	b.Run("standing12k", func(b *testing.B) {
+		benchLoopSchedule(b, 12000, 1000)
 	})
 }
 
 // benchLoopSchedule runs the schedule+fire workload described above against
 // a loop pre-loaded with a standing population of future events spread over
 // the given number of distinct timestamps.
-func benchLoopSchedule(b *testing.B, kind sim.SchedulerKind, standing, spread int) {
-	loop := sim.NewLoopSched(kind)
+func benchLoopSchedule(b *testing.B, standing, spread int) {
+	loop := sim.NewLoop()
 	h := func(sim.Time) {}
 	// Standing population at far-future deadlines: present in the
 	// queue for every measured operation, never fired.

@@ -53,21 +53,12 @@ func main() {
 	reps := flag.Int("reps", 0, "scaling: repetitions per arm, oracle-primed after the first (0 = default 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
-	sched := flag.String("sched", "wheel", "event scheduler: wheel (calendar queue of same-deadline runs) or heap (binary min-heap ablation); output is identical under both")
 	schedstats := flag.String("schedstats", "", "write event-queue depth/occupancy counters aggregated over the run to this file")
 	flag.Parse()
 
-	switch *sched {
-	case "wheel":
-		sim.SetDefaultScheduler(sim.SchedWheel)
-	case "heap":
-		sim.SetDefaultScheduler(sim.SchedHeap)
-	default:
-		fatalf("mm-bench: unknown -sched %q (want wheel|heap)", *sched)
-	}
 	if *schedstats != "" {
 		sim.EnableSchedStats(true)
-		defer writeSchedStats(*schedstats, *sched)
+		defer writeSchedStats(*schedstats)
 	}
 
 	if *cpuprofile != "" {
@@ -313,11 +304,8 @@ func fatalf(format string, args ...any) {
 }
 
 // writeSchedStats renders the aggregated event-queue counters collected
-// across every simulation loop in the run (-schedstats). The clustering
-// ratio is the figure that grounds the scheduler choice: the fraction of
-// future events that found an existing timestamp bucket and scheduled in
-// O(1) rather than paying a heap operation.
-func writeSchedStats(path, sched string) {
+// across every simulation loop in the run (-schedstats).
+func writeSchedStats(path string) {
 	c, loops := sim.SchedStatsSnapshot()
 	f, err := os.Create(path)
 	if err != nil {
@@ -332,15 +320,10 @@ func writeSchedStats(path, sched string) {
 		}
 		return 100 * float64(n) / float64(d)
 	}
-	fmt.Fprintf(f, "scheduler: %s\n", sched)
 	fmt.Fprintf(f, "loops (drains):        %d\n", loops)
 	fmt.Fprintf(f, "events scheduled:      %d\n", c.Scheduled)
 	fmt.Fprintf(f, "events fired:          %d\n", c.Fired)
 	fmt.Fprintf(f, "now-queue fast path:   %d (%.1f%% of scheduled)\n", c.NowFast, pct(c.NowFast, c.Scheduled))
 	fmt.Fprintf(f, "future events:         %d\n", future)
-	fmt.Fprintf(f, "  run joins (O(1)):    %d (%.1f%% clustering ratio)\n", c.BucketHit, pct(c.BucketHit, future))
-	fmt.Fprintf(f, "  run opens:           %d\n", c.BucketNew)
-	fmt.Fprintf(f, "  heap pushes:         %d\n", c.HeapPush)
 	fmt.Fprintf(f, "max queue depth:       %d\n", c.MaxPending)
-	fmt.Fprintf(f, "max concurrent runs:   %d\n", c.MaxBuckets)
 }

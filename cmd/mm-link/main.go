@@ -47,8 +47,8 @@ func main() {
 	delayMS := flag.Int("delay", 0, "additional DelayShell one-way delay, ms")
 	queue := flag.Int("queue", 0, "queue limit in packets (0 = unlimited)")
 	queueBytes := flag.Int("queue-bytes", 0, "queue limit in bytes (0 = unlimited)")
-	upQueue := flag.String("uplink-queue", "droptail", "uplink queue discipline: droptail|infinite|codel|pie")
-	downQueue := flag.String("downlink-queue", "droptail", "downlink queue discipline: droptail|infinite|codel|pie")
+	upQueue := flag.String("uplink-queue", "droptail", "uplink queue discipline: droptail|infinite|codel|pie|fq_codel")
+	downQueue := flag.String("downlink-queue", "droptail", "downlink queue discipline: droptail|infinite|codel|pie|fq_codel")
 	codelTarget := flag.Int("codel-target", 5, "codel sojourn-time target, ms")
 	codelInterval := flag.Int("codel-interval", 100, "codel control interval, ms")
 	codelECN := flag.Bool("codel-ecn", false, "codel marks ECT packets instead of dropping (RFC 8289 §4.1)")

@@ -16,7 +16,7 @@
 // cell's result landing in its own slot of the output slice. Results
 // therefore merge order-free: an artifact assembled from the index-aligned
 // output is byte-identical at any shard count, which the determinism suite
-// verifies at 1, 2 and 8 shards under both schedulers.
+// verifies at 1, 2 and 8 shards.
 //
 // Placement is two-level. Level 1 plans: with a cost oracle (per-label event
 // counts retained from the engine's previous Run, or primed via Prime) the
@@ -73,6 +73,7 @@ func newShard(index int) *Shard {
 	return &Shard{
 		index:  index,
 		labels: pprof.Labels("shard", strconv.Itoa(index)),
+		loop:   sim.NewLoop(),
 		pools:  &nsim.PoolSet{},
 		segs:   &tcpsim.SegmentPool{},
 		conns:  tcpsim.NewConnPool(),
@@ -82,14 +83,8 @@ func newShard(index int) *Shard {
 // Index is the shard's position in its engine, 0-based.
 func (sh *Shard) Index() int { return sh.index }
 
-// Loop returns a reset, warmed event loop for the next cell, replacing it
-// only when the process-default scheduler kind changed since the last cell
-// (Reset would otherwise keep the stale kind alive across an ablation run).
+// Loop returns the shard's event loop, reset and warmed, for the next cell.
 func (sh *Shard) Loop() *sim.Loop {
-	if sh.loop == nil || sh.loop.Scheduler() != sim.DefaultScheduler() {
-		sh.loop = sim.NewLoop()
-		return sh.loop
-	}
 	sh.loop.Reset()
 	return sh.loop
 }
@@ -620,23 +615,11 @@ func (e *Engine) stealCell(self int) int {
 
 // runCell executes one claimed cell on sh and records its result and load.
 func (e *Engine) runCell(job Job, out []any, sh *Shard, ci int) {
-	// Event attribution must survive Shard.Loop replacing the loop mid-cell
-	// (scheduler-kind change): Fired accumulates across Reset but a fresh
-	// loop starts at zero, so the baseline only applies if the pointer is
-	// unchanged.
-	prevLoop := sh.loop
-	var base uint64
-	if prevLoop != nil {
-		base = prevLoop.Fired()
-	}
+	// Fired accumulates across Loop resets, so the cell's events are the
+	// growth over its run.
+	base := sh.loop.Fired()
 	out[ci] = job.Run(sh, ci, job.Cells[ci])
 	c := &e.placement.Cells[ci]
 	c.Ran = sh.index
-	if sh.loop != nil {
-		if sh.loop == prevLoop {
-			c.Events = sh.loop.Fired() - base
-		} else {
-			c.Events = sh.loop.Fired()
-		}
-	}
+	c.Events = sh.loop.Fired() - base
 }

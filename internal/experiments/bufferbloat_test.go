@@ -184,8 +184,8 @@ func TestBufferbloatOrdering(t *testing.T) {
 
 // TestBufferbloatDeterministicAcrossParallelism: the bufferbloat artifact
 // — codel control law included — must be byte-identical at any engine
-// parallelism. (The cross-scheduler sweep in sched_determinism_test.go
-// also covers this artifact; this is the fast standalone check.)
+// parallelism. (TestParallelDeterminism also covers this artifact; this
+// is the fast standalone check.)
 func TestBufferbloatDeterministicAcrossParallelism(t *testing.T) {
 	cfg := bufferbloatTestConfig()
 	cfg.BulkBytes = 2 << 20

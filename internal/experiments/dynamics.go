@@ -289,7 +289,7 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 
 // String renders the artifact: one block per cell — the verdict line, the
 // transition transcript, the per-phase queue table. Byte-identical at any
-// shard count and under both schedulers.
+// shard count.
 func (r DynamicsResult) String() string {
 	var b strings.Builder
 	b.WriteString("dynamics: scripted link faults x AQM, page-load recovery\n")

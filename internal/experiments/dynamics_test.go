@@ -103,8 +103,8 @@ func TestDynamicsRecoveryContracts(t *testing.T) {
 // TestDynamicsShardInvariance is the tentpole's determinism claim in its
 // sharpest local form: the artifact — transition instants, drain
 // accounting, epoch counters, PLTs — is byte-identical at 1, 3 and 8
-// shards. (The cross-scheduler × parallelism matrix re-checks this under
-// -race in the determinism suite.)
+// shards. (TestParallelDeterminism re-checks this under -race in the
+// determinism suite.)
 func TestDynamicsShardInvariance(t *testing.T) {
 	cfg := DefaultDynamics()
 	golden := Dynamics(cfg).String()

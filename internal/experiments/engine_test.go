@@ -106,10 +106,13 @@ func TestCellSeedStable(t *testing.T) {
 // parallelLevels are the engine widths every artifact must agree across.
 var parallelLevels = []int{1, 2, 8}
 
-// TestFig2ParallelDeterminism: the formatted Figure 2 artifact must be
-// byte-identical at -parallel 1, 2 and 8.
-func TestFig2ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
+// parallelArtifacts renders a subsampled version of every experiment
+// artifact at a given engine parallelism.
+var parallelArtifacts = []struct {
+	name   string
+	render func(parallel int) string
+}{
+	{"fig2", func(parallel int) string {
 		cfg := Fig2Config{
 			Sites: 12, Seed: 1,
 			DelayForwarding: 30 * sim.Microsecond,
@@ -117,26 +120,15 @@ func TestFig2ParallelDeterminism(t *testing.T) {
 			Parallel:        parallel,
 		}
 		return Fig2(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestTable1ParallelDeterminism: Table 1 (which draws per-load host-noise
-// jitter, the hard case) must be byte-identical at every parallelism.
-func TestTable1ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
+	}},
+	// Table 1 draws per-load host-noise jitter, the hard case.
+	{"table1", func(parallel int) string {
 		cfg := DefaultTable1()
 		cfg.Loads = 6
 		cfg.Parallel = parallel
 		return Table1(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestTable2ParallelDeterminism: the Table 2 grid must be byte-identical
-// at every parallelism.
-func TestTable2ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
+	}},
+	{"table2", func(parallel int) string {
 		cfg := Table2Config{
 			Sites: 8, Seed: 2,
 			Delays:   []sim.Time{30 * sim.Millisecond},
@@ -144,34 +136,112 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 			Parallel: parallel,
 		}
 		return Table2(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestFig3ParallelDeterminism: Figure 3 (shared per-trial RTT draws plus
-// jitter) must be byte-identical at every parallelism.
-func TestFig3ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
+	}},
+	// Figure 3 shares per-trial RTT draws and adds jitter.
+	{"fig3", func(parallel int) string {
 		cfg := Fig3Config{
 			Loads: 6, Seed: 3,
 			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
 			Parallel: parallel,
 		}
 		return Fig3(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestSweepParallelDeterminism: the open-ended sweep (jitter and loss
-// streams derived per cell) must be byte-identical at every parallelism.
-func TestSweepParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
+	}},
+	{"isolation", func(parallel int) string {
+		return Isolation(5, parallel).String()
+	}},
+	// The sweep derives its jitter and loss streams per cell.
+	{"sweep", func(parallel int) string {
 		cfg := DefaultSweep()
 		cfg.Sites = 6
 		cfg.Parallel = parallel
 		return Sweep(cfg).String()
+	}},
+	// The codel cells put the RFC 8289 control law — drop spacing, count
+	// decay, sojourn arithmetic — under the same byte-identity contract as
+	// every droptail artifact; the codel-ecn, pie and pie-ecn cells extend
+	// the contract over the marking state machine, PIE's probability
+	// controller with its deterministic draw stream, the ECN negotiation
+	// and echo in tcpsim, and the per-flow fairness attribution. The
+	// fq_codel and fq_codel-ecn cells (part of the default grid) add the
+	// RFC 8290 machinery: flow hashing, DRR rotation with new/old lists,
+	// per-bucket CoDel state, and the fattest-bucket overflow law — plus
+	// the per-flow sojourn histograms behind the fairness table's
+	// median-of-flow-p95 column, which is exactly the statistic that
+	// caught a map-iteration nondeterminism aggregate counters missed.
+	{"bufferbloat", func(parallel int) string {
+		cfg := DefaultBufferbloat()
+		cfg.BulkBytes = 2 << 20
+		cfg.HeadStart = 500 * sim.Millisecond
+		cfg.Parallel = parallel
+		return Bufferbloat(cfg).String()
+	}},
+	// The contention cells run the many-flow engine workload — hundreds of
+	// pooled tcpsim conns, Pareto web sizes, per-class Poisson arrivals,
+	// per-flow sojourn attribution — under the same contract. Parallelism
+	// here is engine shards (run-to-completion cells on private loops and
+	// pools), not matrix workers, so this also checks the sharded engine
+	// itself.
+	{"contention", func(parallel int) string {
+		cfg := DefaultContention()
+		cfg.Flows = 24
+		cfg.BulkBytes = 64 << 10
+		cfg.Shards = parallel
+		return Contention(cfg).String()
+	}},
+	// The affinity variant pins cells to their ShardFor shard with stealing
+	// disabled. Each variant is internally byte-identical across shard
+	// counts here; the golden tests additionally pin both variants to the
+	// same pre-stealing bytes, closing the cross-mode loop.
+	{"contention-affinity", func(parallel int) string {
+		cfg := DefaultContention()
+		cfg.Flows = 24
+		cfg.BulkBytes = 64 << 10
+		cfg.Shards = parallel
+		cfg.Affinity = true
+		return Contention(cfg).String()
+	}},
+	// The dynamics cells run the chaos scheduler: scripted mid-load link
+	// faults (outage, handover, rate step, loss burst, AQM hot-swap) whose
+	// transition transcripts and per-phase queue epochs are part of the
+	// artifact. Byte-identity here pins every transition instant, every
+	// drain accounting number, and the recovery behaviour of the endpoint
+	// stacks (RTO backoff ladders, browser response deadlines) across
+	// shard counts.
+	{"dynamics", func(parallel int) string {
+		cfg := DefaultDynamics()
+		cfg.Shards = parallel
+		return Dynamics(cfg).String()
+	}},
+	{"dynamics-affinity", func(parallel int) string {
+		cfg := DefaultDynamics()
+		cfg.Shards = parallel
+		cfg.Affinity = true
+		return Dynamics(cfg).String()
+	}},
+	// The linkchar cells put the impairment vocabulary — reorder holds on
+	// the virtual clock, pooled duplication clones, corruption flags, the
+	// 4-state Markov chain, and a scripted mid-run reorder episode — under
+	// the byte-identity contract, over the synthesized link-character
+	// corpus. Every impairment box's one-draw-per-packet stream and the
+	// tcpsim goodput accounting (DupBytesRcvd, ChecksumDrops) are pinned
+	// here across parallelism.
+	{"linkchar", func(parallel int) string {
+		cfg := DefaultLinkchar()
+		cfg.Parallel = parallel
+		return Linkchar(cfg).String()
+	}},
+}
+
+// TestParallelDeterminism: every experiment artifact must be byte-identical
+// at engine parallelism 1, 2 and 8 (run with -race in CI). This is what
+// licenses -parallel and -shards as pure performance knobs, and packet
+// trains as a pure event-count optimization: none may move a number.
+func TestParallelDeterminism(t *testing.T) {
+	for _, a := range parallelArtifacts {
+		t.Run(a.name, func(t *testing.T) {
+			assertIdenticalAcrossParallelism(t, a.render)
+		})
 	}
-	assertIdenticalAcrossParallelism(t, render)
 }
 
 // assertIdenticalAcrossParallelism renders an artifact at each engine

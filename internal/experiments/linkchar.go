@@ -134,7 +134,7 @@ type LinkcharResult struct {
 // Linkchar runs the grid through the scenario-matrix engine. Cells are
 // fully deterministic: the corpus is synthesized once from the root seed,
 // and each cell's boxes draw from streams forked off the cell seed, so the
-// artifact is byte-identical at any parallelism under either scheduler.
+// artifact is byte-identical at any parallelism.
 func Linkchar(cfg LinkcharConfig) LinkcharResult {
 	corpus, err := trace.Corpus(sim.DeriveSeed(cfg.Seed, "corpus"), cfg.PeriodMS)
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // is virtual time, and math.Sqrt is correctly rounded per IEEE 754, so the
 // drop sequence for a given arrival schedule is fully deterministic: the
 // same property that makes every other artifact byte-identical across
-// schedulers and parallelism levels holds for CoDel cells for free. (A
+// parallelism levels holds for CoDel cells for free. (A
 // kernel CoDel is only approximately reproducible because its clock reads
 // race with packet arrivals.)
 //

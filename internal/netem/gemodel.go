@@ -9,11 +9,12 @@ import (
 // LossModel decides, per packet, whether a LossBox drops it. Models draw
 // from the box's dedicated sim.Rand stream and nothing else, so a loss
 // pattern is a pure function of (model parameters, seed, packet count) and
-// every artifact built on one is byte-identical across runs, schedulers and
+// every artifact built on one is byte-identical across runs and
 // parallelism. A model must consume a fixed number of draws per Drop call
 // for given parameters (Bernoulli: one draw when p > 0, none otherwise;
-// Gilbert-Elliott: always two), so swapping models mid-run at a scripted
-// instant leaves the draw stream aligned deterministically.
+// Markov4State, and so Gilbert-Elliott: always two), so swapping models
+// mid-run at a scripted instant leaves the draw stream aligned
+// deterministically.
 type LossModel interface {
 	// Drop reports whether the current packet is lost, advancing the
 	// model's state and consuming its draws from rng.
@@ -48,74 +49,23 @@ func (m *Bernoulli) Drop(rng *sim.Rand) bool {
 // String implements LossModel.
 func (m *Bernoulli) String() string { return fmt.Sprintf("bernoulli-%g", m.P) }
 
-// GilbertElliott is the 2-state Markov loss model of tc-netem's
-// `loss gemodel` (pumba's netem vocabulary): the channel alternates between
-// a Good state and a Bad (burst) state. Each packet first draws a state
-// transition — Good→Bad with probability P, Bad→Good with probability R —
-// and is then lost with the new state's loss probability: 1-K in Good
-// (K is the Good state's delivery probability, usually 1) and 1-H in Bad
-// (H is the Bad state's delivery probability, 0 for the classic Gilbert
-// burst). Exactly two draws are consumed per packet regardless of state or
-// outcome, so the stream position after n packets is 2n and scripted model
-// swaps stay deterministic.
-//
-// Mean burst length is 1/R packets; stationary loss rate is
-// P/(P+R)·(1-H) + R/(P+R)·(1-K).
-type GilbertElliott struct {
-	P float64 // P(Good→Bad) per packet
-	R float64 // P(Bad→Good) per packet
-	H float64 // delivery probability in Bad (loss 1-H)
-	K float64 // delivery probability in Good (loss 1-K)
-
-	bad bool // current state
-}
-
-// NewGilbertElliott returns the classic Gilbert model: transition
-// probabilities p (Good→Bad) and r (Bad→Good), every Bad-state packet lost
-// (H = 0), no Good-state loss (K = 1). Start state is Good.
-func NewGilbertElliott(p, r float64) *GilbertElliott {
+// NewGilbertElliott returns the classic Gilbert model of tc-netem's
+// `loss gemodel`: the channel alternates between a Good state and a Bad
+// (burst) state, moving Good→Bad with probability p and Bad→Good with
+// probability r per packet, and every Bad-state packet is lost. Start state
+// is Good. Mean burst length is 1/r packets; the stationary loss rate is
+// p/(p+r).
+func NewGilbertElliott(p, r float64) *Markov4State {
 	return NewGilbertElliottFull(p, r, 0, 1)
 }
 
 // NewGilbertElliottFull returns the 4-parameter Gilbert-Elliott model with
-// explicit per-state delivery probabilities h (Bad) and k (Good).
-func NewGilbertElliottFull(p, r, h, k float64) *GilbertElliott {
-	for _, v := range [4]float64{p, r, h, k} {
-		if v < 0 || v > 1 {
-			panic(fmt.Sprintf("netem: gemodel parameter %v outside [0,1]", v))
-		}
-	}
-	return &GilbertElliott{P: p, R: r, H: h, K: k}
-}
-
-// Bad reports whether the channel is currently in the burst state.
-func (m *GilbertElliott) Bad() bool { return m.bad }
-
-// Drop implements LossModel: one transition draw, one loss draw, always.
-func (m *GilbertElliott) Drop(rng *sim.Rand) bool {
-	flip := rng.Float64()
-	if m.bad {
-		if flip < m.R {
-			m.bad = false
-		}
-	} else {
-		if flip < m.P {
-			m.bad = true
-		}
-	}
-	loss := rng.Float64()
-	if m.bad {
-		return loss >= m.H
-	}
-	return loss >= m.K
-}
-
-// String implements LossModel.
-func (m *GilbertElliott) String() string {
-	if m.H == 0 && m.K == 1 {
-		return fmt.Sprintf("gemodel-p%g-r%g", m.P, m.R)
-	}
-	return fmt.Sprintf("gemodel-p%g-r%g-h%g-k%g", m.P, m.R, m.H, m.K)
+// explicit per-state delivery probabilities h (Bad) and k (Good); its
+// stationary loss rate is p/(p+r)·(1-h) + r/(p+r)·(1-k). It is the 4-state
+// chain with Good as state 1 and Bad as state 3: P32 and P14 are zero, so
+// states 2 and 4 are unreachable.
+func NewGilbertElliottFull(p, r, h, k float64) *Markov4State {
+	return NewMarkov4StateFull(p, r, 0, 0, 0, [4]float64{k, 1, h, 0})
 }
 
 // Markov4State states, numbered as in tc-netem's `loss state` model.
@@ -142,12 +92,12 @@ const (
 //	     P31                 P23
 //	1 ─────────▶ 4 ─────────▶ 1   (P14; return is certain)
 //
-// Like GilbertElliott, exactly two draws are consumed per packet — one
-// transition flip, one loss draw against the new state's delivery
-// probability — so the stream position after n packets is 2n and scripted
-// swaps between any two-draw models stay aligned. The classic model fixes
-// delivery at (1, 1, 0, 0): states 1 and 2 deliver, states 3 and 4 lose;
-// Deliver lets a cell soften that per state.
+// Exactly two draws are consumed per packet — one transition flip, one
+// loss draw against the new state's delivery probability — so the stream
+// position after n packets is 2n and scripted swaps between any two-draw
+// models stay aligned. The classic model fixes delivery at (1, 1, 0, 0):
+// states 1 and 2 deliver, states 3 and 4 lose; Deliver lets a cell soften
+// that per state.
 type Markov4State struct {
 	P13 float64 // P(gap-tx → burst-loss): burst begins
 	P31 float64 // P(burst-loss → gap-tx): burst ends
@@ -224,8 +174,16 @@ func (m *Markov4State) Drop(rng *sim.Rand) bool {
 	return rng.Float64() >= m.Deliver[m.state-1]
 }
 
-// String implements LossModel.
+// String implements LossModel. A chain that cannot leave states 1 and 3
+// is a Gilbert-Elliott model and takes tc-netem's gemodel spelling.
 func (m *Markov4State) String() string {
+	if m.P32 == 0 && m.P14 == 0 {
+		p, r, h, k := m.P13, m.P31, m.Deliver[2], m.Deliver[0]
+		if h == 0 && k == 1 {
+			return fmt.Sprintf("gemodel-p%g-r%g", p, r)
+		}
+		return fmt.Sprintf("gemodel-p%g-r%g-h%g-k%g", p, r, h, k)
+	}
 	s := fmt.Sprintf("4state-p13:%g-p31:%g-p32:%g-p23:%g-p14:%g",
 		m.P13, m.P31, m.P32, m.P23, m.P14)
 	if m.Deliver != [4]float64{1, 1, 0, 0} {

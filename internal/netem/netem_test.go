@@ -572,80 +572,6 @@ func TestPacketString(t *testing.T) {
 	}
 }
 
-func TestFIFODelayBoxMatchesDelayBox(t *testing.T) {
-	// The two DelayShell implementations must produce identical delivery
-	// schedules for any arrival pattern (fixed delay => FIFO order).
-	run := func(mk func(*sim.Loop) Box) []sim.Time {
-		loop := sim.NewLoop()
-		box := mk(loop)
-		var at []sim.Time
-		box.SetSink(func(*Packet) { at = append(at, loop.Now()) })
-		rng := sim.NewRand(31)
-		for i := 0; i < 500; i++ {
-			loop.Schedule(rng.Duration(50*sim.Millisecond), func(sim.Time) {
-				box.Send(&Packet{Size: MTU})
-			})
-		}
-		loop.Run()
-		return at
-	}
-	a := run(func(l *sim.Loop) Box { return NewDelayBox(l, 7*sim.Millisecond) })
-	b := run(func(l *sim.Loop) Box { return NewFIFODelayBox(l, 7*sim.Millisecond) })
-	if len(a) != len(b) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delivery %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestFIFODelayBoxStats(t *testing.T) {
-	loop := sim.NewLoop()
-	d := NewFIFODelayBox(loop, 5*sim.Millisecond)
-	d.SetSink(func(*Packet) {})
-	loop.Schedule(0, func(sim.Time) {
-		for i := 0; i < 10; i++ {
-			d.Send(&Packet{Size: 100})
-		}
-	})
-	loop.RunUntil(sim.Millisecond)
-	if st := d.Stats(); st.QueueLen != 10 || st.Arrived != 10 {
-		t.Fatalf("mid-flight stats = %+v", st)
-	}
-	loop.Run()
-	st := d.Stats()
-	if st.Delivered != 10 || st.QueueLen != 0 || st.DeliveredBytes != 1000 {
-		t.Fatalf("final stats = %+v", st)
-	}
-}
-
-func TestFIFODelayBoxNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
-		}
-	}()
-	NewFIFODelayBox(sim.NewLoop(), -1)
-}
-
-func TestFIFODelayBoxCompaction(t *testing.T) {
-	loop := sim.NewLoop()
-	d := NewFIFODelayBox(loop, sim.Microsecond)
-	n := 0
-	d.SetSink(func(*Packet) { n++ })
-	for i := 0; i < 5000; i++ {
-		loop.Schedule(sim.Time(i)*sim.Microsecond, func(sim.Time) {
-			d.Send(&Packet{Size: 1})
-		})
-	}
-	loop.Run()
-	if n != 5000 {
-		t.Fatalf("delivered %d/5000", n)
-	}
-}
-
 func TestGateBoxPassesWhileOn(t *testing.T) {
 	loop := sim.NewLoop()
 	g := NewGateBox(loop, 100*sim.Millisecond, 50*sim.Millisecond, 0, nil, nil)

@@ -2,31 +2,20 @@ package sim
 
 import "sync/atomic"
 
-// SchedCounters are per-loop event-queue occupancy and scheduler counters,
-// maintained unconditionally (they are a handful of integer updates on
-// paths that already touch the same cache lines). They ground scheduler
-// ablations in data: BucketHit/BucketNew give the wheel's clustering ratio
-// — the fraction of events that found an existing timestamp bucket and
-// scheduled in O(1) — while NowFast counts the zero-delay fast path common
-// to both schedulers.
+// SchedCounters are per-loop event-queue occupancy counters, maintained
+// unconditionally (they are a handful of integer updates on paths that
+// already touch the same cache lines). Scheduled − NowFast is the number of
+// events that went through the heap.
 type SchedCounters struct {
 	// Scheduled counts events entered into the queue (including later
-	// canceled ones); Fired counts events that executed.
+	// canceled ones and Timer.Reset rearms); Fired counts events that
+	// executed.
 	Scheduled uint64
 	Fired     uint64
 	// NowFast counts events taking the same-instant FIFO fast path.
 	NowFast uint64
-	// BucketHit counts wheel events that joined the cached same-deadline
-	// run (O(1), no heap work); BucketNew counts events that opened a run
-	// (one run-heap push each).
-	BucketHit uint64
-	BucketNew uint64
-	// HeapPush counts heap-scheduler insertions (zero under the wheel).
-	HeapPush uint64
-	// MaxPending is the event queue's high-water mark; MaxBuckets the
-	// wheel's concurrent-run high-water mark.
+	// MaxPending is the event queue's high-water mark.
 	MaxPending int
-	MaxBuckets int
 }
 
 // Counters returns a snapshot of the loop's scheduler counters.
@@ -46,11 +35,7 @@ var statsSink struct {
 	scheduled  atomic.Uint64
 	fired      atomic.Uint64
 	nowFast    atomic.Uint64
-	bucketHit  atomic.Uint64
-	bucketNew  atomic.Uint64
-	heapPush   atomic.Uint64
 	maxPending atomic.Int64
-	maxBuckets atomic.Int64
 }
 
 // EnableSchedStats turns the process-wide scheduler-stats sink on or off.
@@ -66,11 +51,7 @@ func SchedStatsSnapshot() (SchedCounters, uint64) {
 		Scheduled:  statsSink.scheduled.Load(),
 		Fired:      statsSink.fired.Load(),
 		NowFast:    statsSink.nowFast.Load(),
-		BucketHit:  statsSink.bucketHit.Load(),
-		BucketNew:  statsSink.bucketNew.Load(),
-		HeapPush:   statsSink.heapPush.Load(),
 		MaxPending: int(statsSink.maxPending.Load()),
-		MaxBuckets: int(statsSink.maxBuckets.Load()),
 	}, statsSink.loops.Load()
 }
 
@@ -80,11 +61,7 @@ func ResetSchedStats() {
 	statsSink.scheduled.Store(0)
 	statsSink.fired.Store(0)
 	statsSink.nowFast.Store(0)
-	statsSink.bucketHit.Store(0)
-	statsSink.bucketNew.Store(0)
-	statsSink.heapPush.Store(0)
 	statsSink.maxPending.Store(0)
-	statsSink.maxBuckets.Store(0)
 }
 
 func atomicMax(a *atomic.Int64, v int64) {
@@ -108,10 +85,6 @@ func (l *Loop) flushStats() {
 	statsSink.scheduled.Add(c.Scheduled - l.flushed.Scheduled)
 	statsSink.fired.Add(c.Fired - l.flushed.Fired)
 	statsSink.nowFast.Add(c.NowFast - l.flushed.NowFast)
-	statsSink.bucketHit.Add(c.BucketHit - l.flushed.BucketHit)
-	statsSink.bucketNew.Add(c.BucketNew - l.flushed.BucketNew)
-	statsSink.heapPush.Add(c.HeapPush - l.flushed.HeapPush)
 	atomicMax(&statsSink.maxPending, int64(c.MaxPending))
-	atomicMax(&statsSink.maxBuckets, int64(c.MaxBuckets))
 	l.flushed = c
 }

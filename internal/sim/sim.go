@@ -15,19 +15,15 @@
 // value-typed slots recycled through a free list, so scheduling costs no
 // heap allocation and firing order never depends on memory layout.
 //
-// Future events are ordered by one of two interchangeable schedulers (see
-// SchedulerKind): the default timing-wheel-style calendar queue, which
-// exploits the workload's heavily clustered deadlines (fixed box delays,
-// millisecond-quantized trace opportunities) by keeping one FIFO bucket per
-// distinct timestamp, and the PR2 inlined indexed binary min-heap, retained
-// behind an ablation switch. Both fire events in exactly the same
-// (time, priority, sequence) order, so artifacts are scheduler-independent.
+// Future events are ordered by an inlined indexed binary min-heap of slot
+// indices. Events scheduled for the current instant at default priority
+// skip the heap through a FIFO now-queue; Step merge-compares the two
+// heads, so firing order is exactly (time, priority, sequence).
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -80,55 +76,11 @@ type eventSlot struct {
 	arg      any
 	priority int32
 	gen      uint32
-	// heapIdx locates the slot in the active scheduler: the heap position
-	// (SchedHeap) or the bucket index (SchedWheel); -1 when the slot is in
-	// the now-queue or free.
-	heapIdx int32
-	// next and prev link the slot into its bucket's (priority, seq)-ordered
-	// list (SchedWheel only).
-	next, prev int32
-	canceled   bool
+	// heapIdx is the slot's heap position; -1 when the slot is in the
+	// now-queue or free.
+	heapIdx  int32
+	canceled bool
 }
-
-// SchedulerKind selects the Loop's future-event priority structure. Both
-// kinds fire events in identical (time, priority, sequence) order; they
-// differ only in cost profile, and the heap is kept for ablation benches
-// (mm-bench -sched=heap).
-type SchedulerKind int32
-
-const (
-	// SchedWheel is the default: a calendar queue of same-deadline FIFO
-	// runs under a small binary heap keyed by each run's earliest event.
-	// Consecutive schedules onto one deadline — a burst filling a packet
-	// train, per-ACK timer rearms onto one RTO — append to a cached run in
-	// O(1) with no heap work, so heap operations are paid per run rather
-	// than per event, which is where clustered-deadline workloads spend
-	// their scheduling budget.
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the PR2 inlined indexed binary min-heap over all future
-	// events: O(log n) per event, insensitive to deadline clustering.
-	SchedHeap
-)
-
-// String names the scheduler kind as accepted by mm-bench -sched.
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// defaultScheduler is the kind NewLoop uses; settable process-wide (e.g.
-// by mm-bench -sched) and read atomically so parallel experiment workers
-// creating loops race-cleanly observe it.
-var defaultScheduler atomic.Int32
-
-// SetDefaultScheduler selects the scheduler NewLoop gives out. Call it
-// before simulations start; loops already created keep their scheduler.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the process-wide scheduler kind.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
 
 // Event is a cancelable handle to a scheduled callback, returned by the
 // scheduling methods (e.g. so a test can cancel a pending event). It is a
@@ -199,26 +151,9 @@ func (t *Timer) Reset(delay Time) {
 		s := &l.slots[t.slot]
 		if s.gen == t.gen && !s.canceled && s.heapIdx >= 0 {
 			l.counters.Scheduled++ // a rearm is a cancel-plus-reschedule
-			if l.kind == SchedWheel {
-				// Unlink from the old timestamp's bucket and re-enter the
-				// scheduler exactly as a fresh schedule would.
-				l.wheelUnlink(t.slot)
-				s.at = l.now + delay
-				s.seq = l.nextSeq
-				l.nextSeq++
-				if s.at == l.now && s.priority == 0 {
-					s.heapIdx = -1
-					l.nowq = append(l.nowq, t.slot)
-					l.counters.NowFast++
-				} else {
-					l.wheelInsert(t.slot)
-				}
-				return
-			}
 			s.at = l.now + delay
 			s.seq = l.nextSeq
 			l.nextSeq++
-			l.counters.HeapPush++
 			// Restore heap order from the slot's current position: one of
 			// the two sifts moves it, the other is a no-op.
 			l.siftDown(int(s.heapIdx))
@@ -244,47 +179,13 @@ func (t *Timer) Stop() {
 	}
 }
 
-// bucket is one same-timestamp FIFO run of the wheel scheduler. Its slot
-// list is ordered by (priority, seq); with the default priority that is
-// plain FIFO append order. Buckets live in a slab recycled through a free
-// list and are indexed into a small binary heap ordered by
-// (time, head priority, head seq) — i.e. by each run's earliest event —
-// so a whole burst costs one heap node instead of one per event.
-type bucket struct {
-	at         Time
-	headSeq    uint64 // head slot's seq, inlined so heap compares stay in the bucket slab
-	head, tail int32  // slot-list endpoints; head == -1 only transiently
-	heapIdx    int32  // position in bheap; -1 when free
-	headPrio   int32  // head slot's priority, inlined like headSeq
-}
-
-// syncHeadKey refreshes the bucket's inlined copy of its head's sort key.
-func (l *Loop) syncHeadKey(b *bucket) {
-	s := &l.slots[b.head]
-	b.headPrio = s.priority
-	b.headSeq = s.seq
-}
-
 // Loop is the discrete-event loop. The zero value is not usable; create one
 // with NewLoop.
 type Loop struct {
 	now   Time
-	kind  SchedulerKind
 	slots []eventSlot
-	heap  []int32 // SchedHeap: slot indices ordered by (at, priority, seq)
+	heap  []int32 // slot indices ordered by (at, priority, seq)
 	free  []int32 // recycled slot indices
-	// Wheel scheduler state (SchedWheel): same-deadline runs share one
-	// bucket, ordered by a small heap over the runs' earliest events.
-	// wheelCount tracks slots currently held in buckets.
-	buckets []bucket
-	bfree   []int32 // recycled bucket indices
-	bheap   []int32 // bucket indices ordered by (at, head priority, head seq)
-	// lastBucket makes run formation O(1): the dominant pattern is a burst
-	// of schedules onto one deadline (packets filling a train, per-ACK
-	// timer rearms onto one RTO), and each joins the cached bucket without
-	// touching the heap. -1 when invalid.
-	lastBucket int32
-	wheelCount int
 	// nowq is the fast path for events scheduled at exactly the current
 	// time with default priority — the zero-delay deliveries that dominate
 	// packet-forwarding workloads. Entries are in seq order by
@@ -292,8 +193,7 @@ type Loop struct {
 	// the queue is a FIFO ring consumed from nowHead; it is provably empty
 	// whenever the clock advances, because its entries sort before any
 	// later-timed heap event. Step merge-compares the ring head with the
-	// scheduler's minimum, so firing order remains exactly
-	// (at, priority, seq).
+	// heap's minimum, so firing order remains exactly (at, priority, seq).
 	nowq     []int32
 	nowHead  int
 	nextSeq  uint64
@@ -303,25 +203,14 @@ type Loop struct {
 	flushed  SchedCounters // portion already pushed to the global stats sink
 }
 
-// NewLoop returns an empty event loop positioned at virtual time zero,
-// using the process-default scheduler (see SetDefaultScheduler).
-func NewLoop() *Loop {
-	return NewLoopSched(DefaultScheduler())
-}
-
-// NewLoopSched returns an empty event loop using the given scheduler kind.
-func NewLoopSched(kind SchedulerKind) *Loop {
-	return &Loop{kind: kind, lastBucket: -1}
-}
-
-// Scheduler reports the loop's scheduler kind.
-func (l *Loop) Scheduler() SchedulerKind { return l.kind }
+// NewLoop returns an empty event loop positioned at virtual time zero.
+func NewLoop() *Loop { return &Loop{} }
 
 // Reset returns the loop to its initial state — virtual time zero, empty
-// queue — while keeping every allocated capacity (slot slab, heaps,
-// buckets, timestamp map), so a driver running many sequential simulations
-// can reuse one warmed loop instead of regrowing these structures per run
-// (see experiments.Scratch). Any events still pending are discarded.
+// queue — while keeping every allocated capacity (slot slab, heap,
+// now-queue), so a driver running many sequential simulations can reuse
+// one warmed loop instead of regrowing these structures per run (see
+// experiments.Scratch). Any events still pending are discarded.
 // Event/Timer handles issued before the reset must not be used afterwards:
 // slot generations advance, which makes stale handles inert.
 func (l *Loop) Reset() {
@@ -342,11 +231,6 @@ func (l *Loop) Reset() {
 	l.heap = l.heap[:0]
 	l.nowq = l.nowq[:0]
 	l.nowHead = 0
-	l.buckets = l.buckets[:0]
-	l.bfree = l.bfree[:0]
-	l.bheap = l.bheap[:0]
-	l.lastBucket = -1
-	l.wheelCount = 0
 	l.now = 0
 	l.nextSeq = 0
 	// counters and fired accumulate across resets; the stats sink flushes
@@ -358,16 +242,7 @@ func (l *Loop) Now() Time { return l.now }
 
 // Pending reports the number of events currently queued (including canceled
 // events that have not yet been discarded).
-func (l *Loop) Pending() int { return l.futureLen() + len(l.nowq) - l.nowHead }
-
-// futureLen reports the number of events held by the future-event
-// scheduler (excluding the now-queue).
-func (l *Loop) futureLen() int {
-	if l.kind == SchedWheel {
-		return l.wheelCount
-	}
-	return len(l.heap)
-}
+func (l *Loop) Pending() int { return len(l.heap) + len(l.nowq) - l.nowHead }
 
 // SeqMark returns an opaque marker that changes whenever a new event is
 // scheduled. Batching layers (netem's packet trains) use it to detect
@@ -460,214 +335,15 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 		s.heapIdx = -1
 		l.nowq = append(l.nowq, idx)
 		l.counters.NowFast++
-	} else if l.kind == SchedWheel {
-		l.wheelInsert(idx)
 	} else {
 		s.heapIdx = int32(len(l.heap))
 		l.heap = append(l.heap, idx)
 		l.siftUp(len(l.heap) - 1)
-		l.counters.HeapPush++
 	}
 	if p := l.Pending(); p > l.counters.MaxPending {
 		l.counters.MaxPending = p
 	}
 	return idx, s.gen
-}
-
-// wheelInsert places a slot in a same-deadline bucket. The cached bucket
-// catches the dominant pattern — consecutive schedules onto one deadline —
-// in O(1) with no heap work (a tail append never changes the bucket's
-// earliest event); everything else opens a fresh bucket. Two buckets may
-// share a timestamp (a run interrupted by other deadlines, then resumed):
-// their seq ranges are disjoint and the heap orders them by head event, so
-// firing order stays exactly (at, priority, seq).
-//
-// Within a bucket slots are kept in (priority, seq) order; the inserting
-// slot always has the highest seq, so it appends at the tail unless a
-// higher-priority-value (later-firing) entry sits there — the rare
-// SchedulePriority case, handled by a scan.
-func (l *Loop) wheelInsert(idx int32) {
-	s := &l.slots[idx]
-	s.next, s.prev = -1, -1
-	bi := l.lastBucket
-	if bi < 0 || l.buckets[bi].at != s.at {
-		l.counters.BucketNew++
-		if n := len(l.bfree); n > 0 {
-			bi = l.bfree[n-1]
-			l.bfree = l.bfree[:n-1]
-		} else {
-			l.buckets = append(l.buckets, bucket{})
-			bi = int32(len(l.buckets) - 1)
-		}
-		b := &l.buckets[bi]
-		b.at = s.at
-		b.head, b.tail = idx, idx
-		b.headPrio = s.priority
-		b.headSeq = s.seq
-		s.heapIdx = bi
-		l.lastBucket = bi
-		l.bheapPush(bi)
-		l.wheelCount++
-		if n := len(l.bheap); n > l.counters.MaxBuckets {
-			l.counters.MaxBuckets = n
-		}
-		return
-	}
-	l.counters.BucketHit++
-	b := &l.buckets[bi]
-	s.heapIdx = bi
-	if l.slots[b.tail].priority <= s.priority {
-		// FIFO fast path: new event fires after everything queued for this
-		// deadline; the bucket's heap position is untouched.
-		s.prev = b.tail
-		l.slots[b.tail].next = idx
-		b.tail = idx
-	} else {
-		// A lower-priority value fires earlier: walk to the first entry
-		// that must fire after the new one and insert before it.
-		cur := b.head
-		for cur != -1 && l.slots[cur].priority <= s.priority {
-			cur = l.slots[cur].next
-		}
-		s.next = cur
-		s.prev = l.slots[cur].prev
-		l.slots[cur].prev = idx
-		if s.prev != -1 {
-			l.slots[s.prev].next = idx
-		} else {
-			// New bucket minimum: restore heap order.
-			b.head = idx
-			b.headPrio = s.priority
-			b.headSeq = s.seq
-			l.bheapUp(int(b.heapIdx))
-		}
-	}
-	l.wheelCount++
-}
-
-// wheelPop removes and returns the wheel's earliest slot. The caller must
-// ensure the wheel is non-empty.
-func (l *Loop) wheelPop() int32 {
-	bi := l.bheap[0]
-	b := &l.buckets[bi]
-	idx := b.head
-	s := &l.slots[idx]
-	b.head = s.next
-	if b.head != -1 {
-		l.slots[b.head].prev = -1
-		l.syncHeadKey(b)
-		// The run's earliest event grew; re-sink among equal-time runs.
-		l.bheapDown(0)
-	} else {
-		l.freeBucket(bi, 0)
-	}
-	s.heapIdx = -1
-	l.wheelCount--
-	return idx
-}
-
-// wheelUnlink removes a slot from its bucket without firing it (Timer.Reset
-// repositioning). The caller must know the slot is bucket-resident
-// (heapIdx >= 0 in wheel mode).
-func (l *Loop) wheelUnlink(idx int32) {
-	s := &l.slots[idx]
-	bi := s.heapIdx
-	b := &l.buckets[bi]
-	if s.prev != -1 {
-		l.slots[s.prev].next = s.next
-	} else {
-		b.head = s.next
-	}
-	if s.next != -1 {
-		l.slots[s.next].prev = s.prev
-	} else {
-		b.tail = s.prev
-	}
-	s.heapIdx = -1
-	l.wheelCount--
-	if b.head == -1 {
-		l.freeBucket(bi, int(b.heapIdx))
-	} else if s.prev == -1 {
-		// The head changed; the run sinks (its key can only grow).
-		l.syncHeadKey(b)
-		l.bheapDown(int(b.heapIdx))
-	}
-}
-
-// freeBucket detaches an emptied bucket from the run heap (at heap
-// position hi) and recycles it.
-func (l *Loop) freeBucket(bi int32, hi int) {
-	if l.lastBucket == bi {
-		l.lastBucket = -1
-	}
-	l.buckets[bi].heapIdx = -1
-	n := len(l.bheap) - 1
-	l.bheap[hi] = l.bheap[n]
-	l.bheap = l.bheap[:n]
-	if hi < n {
-		l.buckets[l.bheap[hi]].heapIdx = int32(hi)
-		l.bheapDown(hi)
-		l.bheapUp(hi)
-	}
-	l.bfree = append(l.bfree, bi)
-}
-
-// bucketLess orders buckets by their earliest event: (at, priority, seq)
-// of the head slot, read from the inlined key copy. Equal-time buckets
-// hold disjoint seq ranges, so the comparison reproduces the global firing
-// order exactly.
-func (l *Loop) bucketLess(a, b int32) bool {
-	ba, bb := &l.buckets[a], &l.buckets[b]
-	if ba.at != bb.at {
-		return ba.at < bb.at
-	}
-	if ba.headPrio != bb.headPrio {
-		return ba.headPrio < bb.headPrio
-	}
-	return ba.headSeq < bb.headSeq
-}
-
-// bheapPush inserts a bucket index into the run heap.
-func (l *Loop) bheapPush(bi int32) {
-	l.buckets[bi].heapIdx = int32(len(l.bheap))
-	l.bheap = append(l.bheap, bi)
-	l.bheapUp(len(l.bheap) - 1)
-}
-
-func (l *Loop) bheapUp(i int) {
-	h := l.bheap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !l.bucketLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		l.buckets[h[i]].heapIdx = int32(i)
-		i = parent
-	}
-	l.buckets[h[i]].heapIdx = int32(i)
-}
-
-func (l *Loop) bheapDown(i int) {
-	h := l.bheap
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && l.bucketLess(h[right], h[left]) {
-			child = right
-		}
-		if !l.bucketLess(h[child], h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		l.buckets[h[i]].heapIdx = int32(i)
-		i = child
-	}
-	l.buckets[h[i]].heapIdx = int32(i)
 }
 
 // less orders slots by (at, priority, seq) — the documented firing order.
@@ -745,38 +421,20 @@ func (l *Loop) popNow() int32 {
 	return idx
 }
 
-// futureMin returns the slot index of the scheduler's earliest event. The
-// caller must ensure futureLen() > 0.
-func (l *Loop) futureMin() int32 {
-	if l.kind == SchedWheel {
-		return l.buckets[l.bheap[0]].head
-	}
-	return l.heap[0]
-}
-
-// futurePop removes and returns the scheduler's earliest event's slot
-// index. The caller must ensure futureLen() > 0.
-func (l *Loop) futurePop() int32 {
-	if l.kind == SchedWheel {
-		return l.wheelPop()
-	}
-	return l.popRoot()
-}
-
 // peekNext returns the slot index of the globally earliest event without
 // removing it; ok is false when no events remain.
 func (l *Loop) peekNext() (int32, bool) {
 	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.futureLen() > 0
+	hasFuture := len(l.heap) > 0
 	switch {
 	case !hasNow && !hasFuture:
 		return 0, false
 	case hasNow && !hasFuture:
 		return l.nowq[l.nowHead], true
 	case hasFuture && !hasNow:
-		return l.futureMin(), true
+		return l.heap[0], true
 	}
-	if min := l.futureMin(); l.less(min, l.nowq[l.nowHead]) {
+	if min := l.heap[0]; l.less(min, l.nowq[l.nowHead]) {
 		return min, true
 	}
 	return l.nowq[l.nowHead], true
@@ -785,17 +443,17 @@ func (l *Loop) peekNext() (int32, bool) {
 // popNext removes and returns the globally earliest event's slot index.
 func (l *Loop) popNext() (int32, bool) {
 	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.futureLen() > 0
+	hasFuture := len(l.heap) > 0
 	switch {
 	case !hasNow && !hasFuture:
 		return 0, false
 	case hasNow && !hasFuture:
 		return l.popNow(), true
 	case hasFuture && !hasNow:
-		return l.futurePop(), true
+		return l.popRoot(), true
 	}
-	if l.less(l.futureMin(), l.nowq[l.nowHead]) {
-		return l.futurePop(), true
+	if l.less(l.heap[0], l.nowq[l.nowHead]) {
+		return l.popRoot(), true
 	}
 	return l.popNow(), true
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCorpusDeterministic: the corpus is a pure function of its seed — the
-// property the linkchar experiment's cross-scheduler golden rests on.
+// property the linkchar experiment's golden rests on.
 func TestCorpusDeterministic(t *testing.T) {
 	render := func() string {
 		traces, err := Corpus(42, 10_000)
