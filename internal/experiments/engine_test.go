@@ -107,12 +107,14 @@ func TestCellSeedStable(t *testing.T) {
 var parallelLevels = []int{1, 2, 8}
 
 // parallelArtifacts renders a subsampled version of every experiment
-// artifact at a given engine parallelism.
+// artifact at a given engine parallelism. A non-empty golden names the
+// testdata file the sequential render must equal byte for byte.
 var parallelArtifacts = []struct {
 	name   string
+	golden string
 	render func(parallel int) string
 }{
-	{"fig2", func(parallel int) string {
+	{"fig2", "fig2.golden", func(parallel int) string {
 		cfg := Fig2Config{
 			Sites: 12, Seed: 1,
 			DelayForwarding: 30 * sim.Microsecond,
@@ -122,13 +124,13 @@ var parallelArtifacts = []struct {
 		return Fig2(cfg).String()
 	}},
 	// Table 1 draws per-load host-noise jitter, the hard case.
-	{"table1", func(parallel int) string {
+	{"table1", "table1.golden", func(parallel int) string {
 		cfg := DefaultTable1()
 		cfg.Loads = 6
 		cfg.Parallel = parallel
 		return Table1(cfg).String()
 	}},
-	{"table2", func(parallel int) string {
+	{"table2", "table2.golden", func(parallel int) string {
 		cfg := Table2Config{
 			Sites: 8, Seed: 2,
 			Delays:   []sim.Time{30 * sim.Millisecond},
@@ -138,7 +140,7 @@ var parallelArtifacts = []struct {
 		return Table2(cfg).String()
 	}},
 	// Figure 3 shares per-trial RTT draws and adds jitter.
-	{"fig3", func(parallel int) string {
+	{"fig3", "fig3.golden", func(parallel int) string {
 		cfg := Fig3Config{
 			Loads: 6, Seed: 3,
 			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
@@ -146,11 +148,11 @@ var parallelArtifacts = []struct {
 		}
 		return Fig3(cfg).String()
 	}},
-	{"isolation", func(parallel int) string {
+	{"isolation", "isolation.golden", func(parallel int) string {
 		return Isolation(5, parallel).String()
 	}},
 	// The sweep derives its jitter and loss streams per cell.
-	{"sweep", func(parallel int) string {
+	{"sweep", "sweep.golden", func(parallel int) string {
 		cfg := DefaultSweep()
 		cfg.Sites = 6
 		cfg.Parallel = parallel
@@ -168,7 +170,7 @@ var parallelArtifacts = []struct {
 	// the per-flow sojourn histograms behind the fairness table's
 	// median-of-flow-p95 column, which is exactly the statistic that
 	// caught a map-iteration nondeterminism aggregate counters missed.
-	{"bufferbloat", func(parallel int) string {
+	{"bufferbloat", "bufferbloat.golden", func(parallel int) string {
 		cfg := DefaultBufferbloat()
 		cfg.BulkBytes = 2 << 20
 		cfg.HeadStart = 500 * sim.Millisecond
@@ -181,7 +183,7 @@ var parallelArtifacts = []struct {
 	// here is engine shards (run-to-completion cells on private loops and
 	// pools), not matrix workers, so this also checks the sharded engine
 	// itself.
-	{"contention", func(parallel int) string {
+	{"contention", "", func(parallel int) string {
 		cfg := DefaultContention()
 		cfg.Flows = 24
 		cfg.BulkBytes = 64 << 10
@@ -192,7 +194,7 @@ var parallelArtifacts = []struct {
 	// disabled. Each variant is internally byte-identical across shard
 	// counts here; the golden tests additionally pin both variants to the
 	// same pre-stealing bytes, closing the cross-mode loop.
-	{"contention-affinity", func(parallel int) string {
+	{"contention-affinity", "", func(parallel int) string {
 		cfg := DefaultContention()
 		cfg.Flows = 24
 		cfg.BulkBytes = 64 << 10
@@ -207,12 +209,12 @@ var parallelArtifacts = []struct {
 	// drain accounting number, and the recovery behaviour of the endpoint
 	// stacks (RTO backoff ladders, browser response deadlines) across
 	// shard counts.
-	{"dynamics", func(parallel int) string {
+	{"dynamics", "", func(parallel int) string {
 		cfg := DefaultDynamics()
 		cfg.Shards = parallel
 		return Dynamics(cfg).String()
 	}},
-	{"dynamics-affinity", func(parallel int) string {
+	{"dynamics-affinity", "", func(parallel int) string {
 		cfg := DefaultDynamics()
 		cfg.Shards = parallel
 		cfg.Affinity = true
@@ -225,7 +227,7 @@ var parallelArtifacts = []struct {
 	// corpus. Every impairment box's one-draw-per-packet stream and the
 	// tcpsim goodput accounting (DupBytesRcvd, ChecksumDrops) are pinned
 	// here across parallelism.
-	{"linkchar", func(parallel int) string {
+	{"linkchar", "", func(parallel int) string {
 		cfg := DefaultLinkchar()
 		cfg.Parallel = parallel
 		return Linkchar(cfg).String()
@@ -233,20 +235,30 @@ var parallelArtifacts = []struct {
 }
 
 // TestParallelDeterminism: every experiment artifact must be byte-identical
-// at engine parallelism 1, 2 and 8 (run with -race in CI). This is what
-// licenses -parallel and -shards as pure performance knobs, and packet
-// trains as a pure event-count optimization: none may move a number.
+// at engine parallelism 1, 2 and 8 (run with -race in CI), and the
+// sequential render must equal its golden where one is pinned. This is
+// what licenses -parallel and -shards as pure performance knobs, and
+// packet trains as a pure event-count optimization: none may move a
+// number.
 func TestParallelDeterminism(t *testing.T) {
 	for _, a := range parallelArtifacts {
 		t.Run(a.name, func(t *testing.T) {
-			assertIdenticalAcrossParallelism(t, a.render)
+			got := assertIdenticalAcrossParallelism(t, a.render)
+			if a.golden == "" {
+				return
+			}
+			if want := readGolden(t, a.golden); got != want {
+				t.Errorf("artifact drifted from testdata/%s\n got: %q\nwant: %q",
+					a.golden, clip(got), clip(want))
+			}
 		})
 	}
 }
 
 // assertIdenticalAcrossParallelism renders an artifact at each engine
-// width and requires byte equality with the sequential rendering.
-func assertIdenticalAcrossParallelism(t *testing.T, render func(parallel int) string) {
+// width, requires byte equality with the sequential rendering, and
+// returns that rendering.
+func assertIdenticalAcrossParallelism(t *testing.T, render func(parallel int) string) string {
 	t.Helper()
 	want := render(parallelLevels[0])
 	if want == "" {
@@ -258,6 +270,7 @@ func assertIdenticalAcrossParallelism(t *testing.T, render func(parallel int) st
 				p, parallelLevels[0], want, p, got)
 		}
 	}
+	return want
 }
 
 // TestSweepShape sanity-checks the sweep driver itself: the grid size and
