@@ -91,7 +91,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkServersPerSite(b *testing.B) {
 	var last experiments.ServersResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.ServersPerSite(1, 500, 1)
+		last = experiments.ServersPerSite(1, 500)
 	}
 	b.ReportMetric(last.Counts.Median(), "median-servers")
 	b.ReportMetric(last.Counts.Percentile(95), "p95-servers")
@@ -116,20 +116,20 @@ func BenchmarkIsolation(b *testing.B) {
 // --- Parallel engine benches ---
 
 // benchFig2Parallel regenerates a subsampled Figure 2 at a fixed engine
-// parallelism. Comparing the Sequential/Parallel4/Parallel8 variants
-// measures the scenario-matrix engine's wall-clock scaling; on a
+// shard count. Comparing the Sequential/Parallel4/Parallel8 variants
+// measures the engine's wall-clock scaling on page-load cells; on a
 // multi-core host Parallel4 should run Figure 2 at least 2x faster than
 // Sequential (on a single-core host the variants tie, since every cell is
 // CPU-bound simulation).
-func benchFig2Parallel(b *testing.B, parallel int) {
+func benchFig2Parallel(b *testing.B, shards int) {
 	cfg := experiments.DefaultFig2()
 	cfg.Sites = 40
-	cfg.Parallel = parallel
+	cfg.Shards = shards
 	var last experiments.Fig2Result
 	for i := 0; i < b.N; i++ {
 		last = experiments.Fig2(cfg)
 	}
-	b.ReportMetric(float64(parallel), "parallel")
+	b.ReportMetric(float64(shards), "parallel")
 	b.ReportMetric(last.OverheadD*100, "delay0-overhead-%")
 }
 
@@ -138,10 +138,10 @@ func BenchmarkFigure2Parallel4(b *testing.B)  { benchFig2Parallel(b, 4) }
 func BenchmarkFigure2Parallel8(b *testing.B)  { benchFig2Parallel(b, 8) }
 
 // BenchmarkSweep measures the scenario-sweep driver (the open-ended
-// site x stack x seed grid) at GOMAXPROCS parallelism.
+// site x stack x seed grid) at GOMAXPROCS shards.
 func BenchmarkSweep(b *testing.B) {
 	cfg := experiments.DefaultSweep()
-	cfg.Parallel = 0 // GOMAXPROCS
+	cfg.Shards = 0 // GOMAXPROCS
 	var last experiments.SweepResult
 	for i := 0; i < b.N; i++ {
 		last = experiments.Sweep(cfg)
@@ -566,12 +566,11 @@ func BenchmarkContention(b *testing.B) {
 // BenchmarkEngine measures the two-level scheduler itself on a synthetic
 // power-law workload: 32 cells whose event counts span ~30x — the
 // adversarial shape for static hash placement, where one heavy cell can
-// hold a whole run hostage. The steal rows run the default scheduler (a
-// cold run primes the cost oracle, so measured iterations plan LPT and
-// steal at runtime); the affinity rows pin cells to their hash shard. The
-// planskew/postskew metrics report event imbalance before and after
-// stealing — the machine-independent evidence that the scheduler levels
-// the load even where wall clock ties (single-core hosts).
+// hold a whole run hostage. A cold run primes the cost oracle, so measured
+// iterations plan LPT and steal at runtime. The planskew/postskew metrics
+// report event imbalance before and after stealing — the
+// machine-independent evidence that the scheduler levels the load even
+// where wall clock ties (single-core hosts).
 func BenchmarkEngine(b *testing.B) {
 	noop := func(sim.Time) {}
 	cells := make([]string, 32)
@@ -580,34 +579,29 @@ func BenchmarkEngine(b *testing.B) {
 		cells[i] = fmt.Sprintf("skew/%d", i)
 		weights[i] = 2000 / (i + 1) // power law: 2000, 1000, 666, ..., 62
 	}
-	job := func(affinity bool) engine.Job {
-		return engine.Job{Cells: cells, Affinity: affinity, Run: func(sh *engine.Shard, cell int, label string) any {
-			loop := sh.Loop()
-			for k := 0; k < weights[cell]; k++ {
-				loop.Schedule(sim.Time(k)*sim.Microsecond, noop)
-			}
-			loop.Run()
-			return loop.Now()
-		}}
-	}
-	for _, mode := range []string{"steal", "affinity"} {
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s-shards%d", mode, shards), func(b *testing.B) {
-				e := engine.New(shards)
-				j := job(mode == "affinity")
-				e.Run(j) // cold hash plan; primes the oracle for the steal rows
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Run(j)
-				}
-				b.StopTimer()
-				p := e.Placement()
-				b.ReportMetric(p.PlannedEventSkew(), "planskew")
-				b.ReportMetric(p.EventSkew(), "postskew")
-				b.ReportMetric(float64(p.Steals()), "steals")
-			})
+	job := engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
+		loop := sh.Loop()
+		for k := 0; k < weights[cell]; k++ {
+			loop.Schedule(sim.Time(k)*sim.Microsecond, noop)
 		}
+		loop.Run()
+		return loop.Now()
+	}}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("steal-shards%d", shards), func(b *testing.B) {
+			e := engine.New(shards)
+			e.Run(job) // cold hash plan; primes the oracle
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(job)
+			}
+			b.StopTimer()
+			p := e.Placement()
+			b.ReportMetric(p.PlannedEventSkew(), "planskew")
+			b.ReportMetric(p.EventSkew(), "postskew")
+			b.ReportMetric(float64(p.Steals()), "steals")
+		})
 	}
 }
 

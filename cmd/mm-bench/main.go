@@ -2,7 +2,7 @@
 //
 //	mm-bench -exp all                  # everything (several minutes)
 //	mm-bench -exp fig2 -sites 50       # one artifact, subsampled corpus
-//	mm-bench -exp all -parallel 8      # fan cells across 8 workers
+//	mm-bench -exp all -shards 8        # fan cells across 8 engine shards
 //	mm-bench -exp sweep -delays 30,120,300 -rates 1,14,25 -trials 3
 //	mm-bench -exp contention -flows 1000 -shards 8 -mix 6:1:3
 //	mm-bench -exp dynamics -shards 4   # scripted link faults x AQM grid
@@ -14,10 +14,9 @@
 // Results print in the paper's layout with the paper's numbers alongside;
 // EXPERIMENTS.md records a reference run.
 //
-// Every experiment runs through the parallel scenario-matrix engine
-// (internal/experiments): -parallel N fans the site x shell-stack x seed
-// cells across N workers, and per-cell seeds are derived from cell
-// coordinates, so output is byte-identical at every N.
+// Every experiment grid runs on the sharded engine (internal/engine):
+// -shards N fans its cells across N shards, and per-cell seeds are derived
+// from cell labels, so output is byte-identical at every N.
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig2|table1|table2|fig3|servers|isolation|bufferbloat|linkchar|contention|dynamics|scaling|sweep|all")
 	sites := flag.Int("sites", 0, "override corpus size (0 = experiment default)")
 	loads := flag.Int("loads", 0, "override load count (0 = experiment default)")
-	parallel := flag.Int("parallel", 1, "engine workers (0 = GOMAXPROCS); output is identical at any value")
 	seed := flag.Uint64("seed", 0, "override root seed (0 = experiment default)")
 	delays := flag.String("delays", "", "sweep: comma-separated one-way delays in ms (default 30,120)")
 	rates := flag.String("rates", "", "sweep: comma-separated link rates in Mbit/s (default 14)")
@@ -47,9 +45,8 @@ func main() {
 	trials := flag.Int("trials", 0, "sweep: jittered loads per (site, stack) cell (0 = default)")
 	bulkMB := flag.Int("bulk-mb", 0, "bufferbloat/linkchar: bulk flow size in MB (0 = experiment default)")
 	flows := flag.Int("flows", 0, "contention: flows per cell (0 = default 96)")
-	shards := flag.Int("shards", 0, "contention/dynamics: engine shards (0 = default 1, -1 = GOMAXPROCS); output is identical at any value")
+	shards := flag.Int("shards", 1, "engine shards for every experiment grid (0 = GOMAXPROCS; scaling's parallel arm defaults to 4); output is identical at any value")
 	mix := flag.String("mix", "", "contention: web:bulk:rpc flow ratio (default 6:1:3)")
-	affinity := flag.Bool("affinity", false, "contention/dynamics/scaling: pin cells to their hash shard and disable work stealing")
 	reps := flag.Int("reps", 0, "scaling: repetitions per arm, oracle-primed after the first (0 = default 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
@@ -104,11 +101,11 @@ func main() {
 		if *sites > 0 {
 			n = *sites
 		}
-		fmt.Println(experiments.ServersPerSite(rootSeed(*seed, 1), n, *parallel))
+		fmt.Println(experiments.ServersPerSite(rootSeed(*seed, 1), n))
 	})
 	run("fig2", func() {
 		cfg := experiments.DefaultFig2()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *sites > 0 {
 			cfg.Sites = *sites
@@ -117,7 +114,7 @@ func main() {
 	})
 	run("table1", func() {
 		cfg := experiments.DefaultTable1()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		if *seed != 0 {
 			// Derive both simulated machines' host-noise seeds from the
 			// override so -seed re-draws Table 1 like every other artifact.
@@ -133,7 +130,7 @@ func main() {
 	})
 	run("table2", func() {
 		cfg := experiments.DefaultTable2()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *sites > 0 {
 			cfg.Sites = *sites
@@ -142,7 +139,7 @@ func main() {
 	})
 	run("fig3", func() {
 		cfg := experiments.DefaultFig3()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *loads > 0 {
 			cfg.Loads = *loads
@@ -150,11 +147,11 @@ func main() {
 		fmt.Println(experiments.Fig3(cfg))
 	})
 	run("isolation", func() {
-		fmt.Println(experiments.Isolation(rootSeed(*seed, 5), *parallel))
+		fmt.Println(experiments.Isolation(rootSeed(*seed, 5), *shards))
 	})
 	run("bufferbloat", func() {
 		cfg := experiments.DefaultBufferbloat()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *bulkMB > 0 {
 			cfg.BulkBytes = *bulkMB << 20
@@ -163,7 +160,7 @@ func main() {
 	})
 	run("linkchar", func() {
 		cfg := experiments.DefaultLinkchar()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *bulkMB > 0 {
 			cfg.BulkBytes = *bulkMB << 20
@@ -176,9 +173,7 @@ func main() {
 		if *flows > 0 {
 			cfg.Flows = *flows
 		}
-		if *shards != 0 {
-			cfg.Shards = *shards // -1 maps to <=0: engine.New uses GOMAXPROCS
-		}
+		cfg.Shards = *shards
 		if *mix != "" {
 			m, err := engine.ParseMix(*mix)
 			if err != nil {
@@ -186,7 +181,6 @@ func main() {
 			}
 			cfg.Mix = m
 		}
-		cfg.Affinity = *affinity
 		res := experiments.Contention(cfg)
 		fmt.Println(res)
 		// The placement report depends on the shard count, so it prints
@@ -196,10 +190,7 @@ func main() {
 	run("dynamics", func() {
 		cfg := experiments.DefaultDynamics()
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
-		if *shards != 0 {
-			cfg.Shards = *shards // -1 maps to <=0: engine.New uses GOMAXPROCS
-		}
-		cfg.Affinity = *affinity
+		cfg.Shards = *shards
 		res := experiments.Dynamics(cfg)
 		fmt.Println(res)
 		fmt.Println(res.Placement)
@@ -217,13 +208,14 @@ func main() {
 			}
 			cfg.Contention.Mix = m
 		}
-		if *shards != 0 {
-			cfg.Shards = *shards
-		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				cfg.Shards = *shards
+			}
+		})
 		if *reps > 0 {
 			cfg.Reps = *reps
 		}
-		cfg.Affinity = *affinity
 		res := experiments.Scaling(cfg)
 		fmt.Println(res)
 		if !res.ArtifactsMatch {
@@ -232,7 +224,7 @@ func main() {
 	})
 	run("sweep", func() {
 		cfg := experiments.DefaultSweep()
-		cfg.Parallel = *parallel
+		cfg.Shards = *shards
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
 		if *sites > 0 {
 			cfg.Sites = *sites

@@ -11,7 +11,9 @@
 // ns/op depends on the host, so its tolerance (-tolerance, default 150%)
 // only catches catastrophic regressions on CI hardware; for a meaningful
 // time comparison run on the host that recorded the baseline with
-// -tolerance 10 (see EXPERIMENTS.md, "Benchmark baselines").
+// -tolerance 10 (see EXPERIMENTS.md, "Benchmark baselines"). A baseline row
+// the run did not measure fails the gate too, so a deleted or renamed
+// benchmark cannot drop out of it silently.
 //
 //	mm-benchgate -record BENCH_PR3.json bench.txt   # write a new baseline
 package main
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -73,12 +76,25 @@ func main() {
 		fatalf("mm-benchgate: need -baseline or -record")
 	}
 	base := readBaseline(*baseline)
+	if compare(os.Stdout, base.Benchmarks, measured, order, *tolerance, *allocTol) {
+		fmt.Printf("mm-benchgate: regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%) or baseline rows gone vs %s\n",
+			*tolerance, *allocTol, *baseline)
+		os.Exit(1)
+	}
+	fmt.Printf("mm-benchgate: all benchmarks within tolerance of %s\n", *baseline)
+}
+
+// compare writes one line per measured benchmark (in order) and one per
+// baseline row the run did not measure to w, and reports whether the gate
+// failed: a measured row beyond either tolerance (in percent), or a gone
+// baseline row. Measured rows without a baseline print as new and pass.
+func compare(w io.Writer, base, measured map[string]baselineEntry, order []string, tolerance, allocTol float64) bool {
 	failed := false
 	for _, name := range order {
 		short := strings.TrimPrefix(name, "Benchmark")
-		b, ok := base.Benchmarks[name]
+		b, ok := base[name]
 		if !ok {
-			fmt.Printf("  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)\n",
+			fmt.Fprintf(w, "  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)\n",
 				short, measured[name].NsPerOp, measured[name].AllocsPerOp)
 			continue
 		}
@@ -86,23 +102,29 @@ func main() {
 		nsDelta := pctDelta(m.NsPerOp, b.NsPerOp)
 		allocDelta := pctDelta(float64(m.AllocsPerOp), float64(b.AllocsPerOp))
 		status := "ok"
-		if nsDelta > *tolerance {
+		if nsDelta > tolerance {
 			status = "FAIL ns/op"
 			failed = true
 		}
-		if allocDelta > *allocTol {
+		if allocDelta > allocTol {
 			status = "FAIL allocs/op"
 			failed = true
 		}
-		fmt.Printf("  %-5s %-40s ns/op %+7.1f%% (%.0f vs %.0f)  allocs/op %+6.1f%% (%d vs %d)\n",
+		fmt.Fprintf(w, "  %-5s %-40s ns/op %+7.1f%% (%.0f vs %.0f)  allocs/op %+6.1f%% (%d vs %d)\n",
 			status, short, nsDelta, m.NsPerOp, b.NsPerOp, allocDelta, m.AllocsPerOp, b.AllocsPerOp)
 	}
-	if failed {
-		fmt.Printf("mm-benchgate: regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%) vs %s\n",
-			*tolerance, *allocTol, *baseline)
-		os.Exit(1)
+	gone := make([]string, 0, len(base))
+	for name := range base {
+		if _, ok := measured[name]; !ok {
+			gone = append(gone, name)
+		}
 	}
-	fmt.Printf("mm-benchgate: all benchmarks within tolerance of %s\n", *baseline)
+	sort.Strings(gone)
+	for _, name := range gone {
+		fmt.Fprintf(w, "  gone  %-40s in the baseline, not measured\n", strings.TrimPrefix(name, "Benchmark"))
+		failed = true
+	}
+	return failed
 }
 
 // parseBench extracts per-benchmark result lists from a bench output file,

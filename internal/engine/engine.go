@@ -3,20 +3,19 @@
 // event loop and private object pools, and runs every shard to completion
 // with zero cross-shard locking on the packet/event path.
 //
-// The experiments package's Runner already parallelizes scenario matrices,
-// but its unit of state reuse is a sync.Pool'd Scratch: which warmed pools a
-// cell draws is scheduling-dependent, and a cell's work cannot be pinned to
-// a core. The engine makes the partitioning itself deterministic, in the
-// style NetChain assigns keys to chain replicas by consistent hashing: a
-// cell's shard is a pure function of its label and the shard count, never of
-// execution timing. Within a shard, cells run sequentially (run to
-// completion) on the shard's own sim.Loop, nsim.PoolSet, tcpsim.SegmentPool
-// and tcpsim.ConnPool, so the hot path touches no shared mutable state and
-// needs no synchronization; the only cross-shard communication is each
-// cell's result landing in its own slot of the output slice. Results
-// therefore merge order-free: an artifact assembled from the index-aligned
-// output is byte-identical at any shard count, which the determinism suite
-// verifies at 1, 2 and 8 shards.
+// Every experiment grid runs on the engine: the page-load drivers park their
+// load scratch on the shard (Shard.Scratch), and the hand-built networks and
+// many-flow cells take the shard's loop and pools directly. The partitioning
+// is deterministic, in the style NetChain assigns keys to chain replicas by
+// consistent hashing: a cold plan places a cell by a pure function of its
+// label and the shard count, never of execution timing. Within a shard,
+// cells run sequentially (run to completion) on the shard's own sim.Loop,
+// nsim.PoolSet, tcpsim.SegmentPool and tcpsim.ConnPool, so the hot path
+// touches no shared mutable state and needs no synchronization; the only
+// cross-shard communication is each cell's result landing in its own slot
+// of the output slice. Results therefore merge order-free: an artifact
+// assembled from the index-aligned output is byte-identical at any shard
+// count, which the determinism suite verifies at 1, 2 and 8 shards.
 //
 // Placement is two-level. Level 1 plans: with a cost oracle (per-label event
 // counts retained from the engine's previous Run, or primed via Prime) the
@@ -27,8 +26,7 @@
 // with the most unclaimed weight. Because a cell's seed derives from its
 // label and never from the shard that happens to execute it, any steal
 // interleaving produces the identical output; stealing moves only wall-clock
-// time and pool warmth. Jobs that thread per-label state through a shard opt
-// out with Affinity, which restores strict ShardFor pinning.
+// time and pool warmth.
 package engine
 
 import (
@@ -127,8 +125,7 @@ func (sh *Shard) Scratch(key string, mk func() any) any {
 	return v
 }
 
-// Engine is a fixed set of shards. The zero shard count convention follows
-// Runner.Parallel: <= 0 means GOMAXPROCS(0).
+// Engine is a fixed set of shards, made by New.
 type Engine struct {
 	shards    []*Shard
 	placement Placement
@@ -375,12 +372,10 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // Shard returns shard i, for callers driving a single cell directly.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
-// ShardFor maps a cell label to its owning shard: a consistent, timing-free
-// partition by hash of the label alone. Cells with the same label always
-// land on the same shard of an n-shard engine, so any per-label state a
-// workload threads through its shard stays shard-local; which shard that is
-// has no effect on results (each cell's seed derives from its label, not
-// its shard), only on which warmed pools serve it.
+// ShardFor maps a cell label to its planned shard under a cold cost oracle:
+// a consistent, timing-free partition by hash of the label alone. Which
+// shard that is has no effect on results (each cell's seed derives from its
+// label, not its shard), only on which warmed pools serve it.
 func ShardFor(label string, n int) int {
 	return int(sim.DeriveSeed(0x51a4d, "shard", label) % uint64(n))
 }
@@ -396,20 +391,15 @@ type Job struct {
 	// Run executes one cell on sh. cell is the index into Cells and label
 	// is Cells[cell]. The returned value lands in slot cell of Run's output.
 	Run func(sh *Shard, cell int, label string) any
-	// Affinity pins every cell to ShardFor(label, n) and disables stealing,
-	// for workloads that thread per-label state through a specific shard.
-	// The default (false) lets the engine rebalance: LPT planning when the
-	// cost oracle is warm, plus runtime cell stealing.
-	Affinity bool
 }
 
 // Run executes the job and returns the results index-aligned with job.Cells.
 //
-// Cells are first planned onto shards: by ShardFor hash when job.Affinity is
-// set or the cost oracle is cold, by weight-aware LPT bin-packing otherwise.
-// Each shard's worker goroutine (pprof-labelled "shard=i") then drains its
-// own queue through an atomic cursor; unless job.Affinity is set, a worker
-// whose queue empties steals unclaimed cells from the most-loaded victim.
+// Cells are first planned onto shards: by ShardFor hash when the cost oracle
+// is cold, by weight-aware LPT bin-packing otherwise. Each shard's worker
+// goroutine (pprof-labelled "shard=i") then drains its own queue through an
+// atomic cursor, and a worker whose queue empties steals unclaimed cells
+// from the most-loaded victim.
 // Results land in index-aligned slots and every cell's behaviour is a pure
 // function of its label, so the output is byte-identical for every shard
 // count, plan and steal interleaving. The run's per-shard and per-cell load
@@ -423,20 +413,16 @@ func (e *Engine) Run(job Job) []any {
 		Cells:  make([]CellLoad, len(job.Cells)),
 	}
 	e.plan(job)
-	steal := !job.Affinity && n > 1
 	if n == 1 || len(job.Cells) == 0 {
-		e.runWorker(job, out, e.shards[0], false)
+		e.runWorker(job, out, e.shards[0])
 	} else {
 		var wg sync.WaitGroup
-		for s := range e.shards {
-			if !steal && len(e.queues[s].cells) == 0 {
-				continue
-			}
+		for _, sh := range e.shards {
 			wg.Add(1)
 			go func(sh *Shard) {
 				defer wg.Done()
-				e.runWorker(job, out, sh, steal)
-			}(e.shards[s])
+				e.runWorker(job, out, sh)
+			}(sh)
 		}
 		wg.Wait()
 	}
@@ -459,10 +445,9 @@ func (e *Engine) Run(job Job) []any {
 }
 
 // plan fills the per-shard queues and the per-cell Planned slots. With a
-// warm oracle (and stealing allowed) it LPT bin-packs: cells sorted by
-// estimated weight descending, each placed on the currently lightest shard.
-// Affinity jobs and cold starts use the ShardFor hash, which preserves
-// label→shard pinning and index order within each shard.
+// warm oracle it LPT bin-packs: cells sorted by estimated weight
+// descending, each placed on the currently lightest shard. Cold starts use
+// the ShardFor hash, which preserves index order within each shard.
 func (e *Engine) plan(job Job) {
 	n := len(e.shards)
 	if len(e.queues) != n {
@@ -475,7 +460,7 @@ func (e *Engine) plan(job Job) {
 		q.cursor.Store(0)
 	}
 	wts, oracle := e.cellWeights(job)
-	if oracle && !job.Affinity {
+	if oracle {
 		// LPT: heaviest cell first onto the least-loaded shard. Ties break
 		// on the lower cell index / lower shard index, so the plan is a
 		// pure function of (labels, weights, n).
@@ -563,25 +548,21 @@ func (e *Engine) cellWeights(job Job) ([]uint64, bool) {
 	return wts, true
 }
 
-// runWorker drains shard sh's queue, then — when steal is set — other
-// shards' queues, one claimed cell at a time. The per-cell loads are
-// written to disjoint Placement.Cells slots, so workers never share a
-// counter; per-shard totals are folded after the join (a shared
-// ShardLoad row per claim would put every worker's hot stores on the same
-// cache lines).
-func (e *Engine) runWorker(job Job, out []any, sh *Shard, steal bool) {
+// runWorker drains shard sh's queue, then other shards' queues, one claimed
+// cell at a time. The per-cell loads are written to disjoint
+// Placement.Cells slots, so workers never share a counter; per-shard totals
+// are folded after the join (a shared ShardLoad row per claim would put
+// every worker's hot stores on the same cache lines).
+func (e *Engine) runWorker(job Job, out []any, sh *Shard) {
 	start := time.Now()
 	pprof.Do(context.Background(), sh.labels, func(context.Context) {
 		for {
 			ci := e.queues[sh.index].claim()
 			if ci < 0 {
-				if !steal {
-					break
-				}
 				ci = e.stealCell(sh.index)
-				if ci < 0 {
-					break
-				}
+			}
+			if ci < 0 {
+				break
 			}
 			e.runCell(job, out, sh, ci)
 		}

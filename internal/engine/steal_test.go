@@ -154,7 +154,7 @@ func TestPlacementMetricsStealEverythingOrNothing(t *testing.T) {
 		t.Fatal("empty placement report")
 	}
 
-	// Nothing stolen: a perfectly level affinity run.
+	// Nothing stolen: a perfectly level run.
 	level := Placement{
 		Shards: []ShardLoad{
 			{Cells: 1, Events: 50, WallNs: 100},

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -30,10 +31,10 @@ import (
 // fairness table's web-flow delay no longer depends on the bulk flow's
 // standing queue at all.
 type BufferbloatConfig struct {
-	// Seed roots the scenario matrix and the cellular trace synthesis.
+	// Seed roots the scenario grid and the cellular trace synthesis.
 	Seed uint64
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 	// BulkBytes is the competing long flow's payload size.
 	BulkBytes int
 	// HeadStart is how long the bulk flow runs before the page load
@@ -67,7 +68,7 @@ func DefaultBufferbloat() BufferbloatConfig {
 		HeadStart:   3 * sim.Second,
 		DeepPackets: 600, ShallowPackets: 32,
 		OneWayDelay: 20 * sim.Millisecond,
-		Parallel:    1,
+		Shards:      1,
 	}
 }
 
@@ -161,11 +162,11 @@ func bufferbloatQdiscs(cfg BufferbloatConfig) []netem.QdiscSpec {
 	}
 }
 
-// Bufferbloat runs the grid through the scenario-matrix engine. Cells are
-// fully deterministic (the only randomness, the cellular trace, is
-// synthesized once from the root seed), so results are byte-identical at
-// any parallelism — including the codel cells, whose control law runs
-// entirely on the virtual clock.
+// Bufferbloat runs the grid on the sharded engine. Cells are fully
+// deterministic (the only randomness, the cellular trace, is synthesized
+// once from the root seed), so results are byte-identical at any shard
+// count — including the codel cells, whose control law runs entirely on
+// the virtual clock.
 func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 	page := webgen.GeneratePage(sim.NewRand(sim.DeriveSeed(cfg.Seed, "page")), webgen.WikiHowLike())
 	site := webgen.Materialize(page)
@@ -194,18 +195,17 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 	}
 	qdiscs := bufferbloatQdiscs(cfg)
 
-	m := &Matrix{Name: "bufferbloat", RootSeed: cfg.Seed}
+	var cells []Cell
 	for _, l := range links {
 		for _, spec := range qdiscs {
-			m.Cells = append(m.Cells, Cell{Site: "bloat", Shell: l.name + "+" + spec.String()})
+			cells = append(cells, Cell{Site: "bloat", Shell: l.name + "+" + spec.String()})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) []float64 {
 		l := links[i/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
-		return bufferbloatCell(cfg, page, site, payload, l.up, l.down, spec)
-	}
-	results := NewRunner(cfg.Parallel).Run(m)
+		return bufferbloatCell(sh, cfg, page, site, payload, l.up, l.down, spec)
+	})
 
 	target := cfg.Target
 	if target <= 0 {
@@ -243,13 +243,13 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 	return out
 }
 
-// bufferbloatCell runs one cell: a page load over a shaped link whose
-// downlink qdisc is spec, while a bulk flow from a sink namespace behind
-// the replay servers saturates the same link.
-func bufferbloatCell(cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
+// bufferbloatCell runs one cell on sh: a page load over a shaped link
+// whose downlink qdisc is spec, while a bulk flow from a sink namespace
+// behind the replay servers saturates the same link.
+func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
 	payload []byte, up, down *trace.Trace, spec netem.QdiscSpec) []float64 {
-	loop := sim.NewLoop()
-	network := nsim.NewNetwork(loop)
+	loop := sh.Loop()
+	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	replay, err := replayshell.New(network, replayshell.Config{
 		Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 	})

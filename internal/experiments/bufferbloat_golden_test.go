@@ -46,7 +46,7 @@ func TestBufferbloatGoldenPR5Cells(t *testing.T) {
 	cfg := DefaultBufferbloat()
 	cfg.BulkBytes = 2 << 20
 	cfg.HeadStart = 500 * sim.Millisecond
-	cfg.Parallel = 2
+	cfg.Shards = 2
 	res := Bufferbloat(cfg)
 	var got []string
 	for _, row := range res.Rows {

@@ -184,17 +184,17 @@ func TestBufferbloatOrdering(t *testing.T) {
 
 // TestBufferbloatDeterministicAcrossParallelism: the bufferbloat artifact
 // — codel control law included — must be byte-identical at any engine
-// parallelism. (TestParallelDeterminism also covers this artifact; this
+// shard count. (TestParallelDeterminism also covers this artifact; this
 // is the fast standalone check.)
 func TestBufferbloatDeterministicAcrossParallelism(t *testing.T) {
 	cfg := bufferbloatTestConfig()
 	cfg.BulkBytes = 2 << 20
-	cfg.Parallel = 1
+	cfg.Shards = 1
 	want := Bufferbloat(cfg).String()
-	for _, p := range []int{2, 8} {
-		cfg.Parallel = p
+	for _, n := range []int{2, 8} {
+		cfg.Shards = n
 		if got := Bufferbloat(cfg).String(); got != want {
-			t.Fatalf("artifact differs at parallelism %d:\n%s\nvs\n%s", p, got, want)
+			t.Fatalf("artifact differs at %d shards:\n%s\nvs\n%s", n, got, want)
 		}
 	}
 }

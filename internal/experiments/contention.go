@@ -27,11 +27,6 @@ type ContentionConfig struct {
 	Mix   engine.Mix
 	// Shards is the engine shard count (<= 0: GOMAXPROCS).
 	Shards int
-	// Affinity pins cells to their ShardFor shard and disables the engine's
-	// work stealing; off, the engine rebalances cells freely (the artifact
-	// is byte-identical either way — only wall-clock and the placement
-	// diagnostic move).
-	Affinity bool
 	// Profile primes the engine's cost oracle with per-label event counts
 	// from an earlier run (Placement.Profile()), so even the first fan-out
 	// plans weight-aware LPT instead of the cold label hash.
@@ -84,8 +79,9 @@ type ContentionSweepResult struct {
 
 // Contention runs the grid on the sharded engine. Each cell's spec derives
 // its seed from the root seed and the cell label alone, and each cell runs
-// to completion on whichever shard ShardFor assigns it; results land
-// index-aligned, so the rendered artifact does not depend on Shards.
+// to completion on whichever shard the engine places or steals it onto;
+// results land index-aligned, so the rendered artifact does not depend on
+// Shards.
 func Contention(cfg ContentionConfig) ContentionSweepResult {
 	bbcfg := BufferbloatConfig{
 		DeepPackets: cfg.DeepPackets, ShallowPackets: cfg.ShallowPackets,
@@ -120,7 +116,7 @@ func Contention(cfg ContentionConfig) ContentionSweepResult {
 	}
 	e := engine.New(cfg.Shards)
 	e.Prime(cfg.Profile)
-	out := e.Run(engine.Job{Cells: cells, Affinity: cfg.Affinity, Run: func(sh *engine.Shard, cell int, label string) any {
+	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		l := links[cell/len(qdiscs)]
 		spec := engine.ContentionSpec{
 			Seed:               sim.DeriveSeed(cfg.Seed, "contention", label),

@@ -18,23 +18,15 @@ type ServersResult struct {
 }
 
 // ServersPerSite computes the distribution over a freshly generated
-// corpus. The per-site server count is a one-cell-per-site scenario
-// matrix — trivial work, but it keeps every artifact on the same engine
-// and the same fixed merge order.
-func ServersPerSite(seed uint64, sites, parallel int) ServersResult {
+// corpus. It counts each page's origins and runs no simulation.
+func ServersPerSite(seed uint64, sites int) ServersResult {
 	pages := corpusPages(seed, sites)
-	m := &Matrix{Name: "servers", RootSeed: seed}
-	for i := range pages {
-		m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: "none"})
-	}
-	m.Run = func(i int, c Cell, _ uint64) []float64 {
-		return []float64{float64(pages[i].ServerCount())}
-	}
 	counts := stats.NewAccumulator()
 	single := 0
-	for _, vals := range NewRunner(parallel).Run(m) {
-		counts.Add(vals...)
-		if vals[0] == 1 {
+	for _, p := range pages {
+		n := p.ServerCount()
+		counts.Add(float64(n))
+		if n == 1 {
 			single++
 		}
 	}

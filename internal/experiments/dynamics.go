@@ -29,11 +29,6 @@ type DynamicsConfig struct {
 	Seed uint64
 	// Shards is the sharded engine's lane count (<= 0 = GOMAXPROCS).
 	Shards int
-	// Affinity pins cells to ShardFor and disables work stealing; Profile
-	// primes the cost oracle with an earlier run's Placement.Profile().
-	// Neither can move a number in the artifact.
-	Affinity bool
-	Profile  engine.Profile
 	// LinkRate is the shaped link's base rate; StepRate is what the
 	// ratestep scenario drops it to mid-load.
 	LinkRate, StepRate int64
@@ -110,10 +105,10 @@ func dynamicsQdiscs(cfg DynamicsConfig) []netem.QdiscSpec {
 	}
 }
 
-// Dynamics runs the grid on the sharded engine. Cell placement is a pure
-// function of the cell label (engine.ShardFor), each cell's simulation is
-// closed over its own loop, and rows merge index-aligned, so the artifact
-// is byte-identical at any shard count and parallelism.
+// Dynamics runs the grid on the sharded engine. Each cell's simulation is
+// a pure function of its label, closed over its shard's loop, and rows
+// merge index-aligned, so the artifact is byte-identical at any shard
+// count and under any placement.
 func Dynamics(cfg DynamicsConfig) DynamicsResult {
 	if cfg.ResponseTimeout <= 0 {
 		panic("experiments: Dynamics requires a browser ResponseTimeout (the no-hang contract)")
@@ -148,8 +143,7 @@ func Dynamics(cfg DynamicsConfig) DynamicsResult {
 	)
 
 	e := engine.New(cfg.Shards)
-	e.Prime(cfg.Profile)
-	out := e.Run(engine.Job{Cells: cells, Affinity: cfg.Affinity, Run: func(sh *engine.Shard, cell int, label string) any {
+	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		scenario := label[:strings.IndexByte(label, '+')]
 		var spec netem.QdiscSpec
 		switch {

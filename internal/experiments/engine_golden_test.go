@@ -27,10 +27,9 @@ func readGolden(t *testing.T, name string) string {
 
 // TestContentionGoldenAcrossSchedulingModes pins the contention artifact to
 // the bytes captured before the work-stealing scheduler existed, across
-// every scheduling mode the engine now has: hash placement (cold), LPT
-// placement (oracle-primed), affinity pinning, and stealing at several
-// shard counts. Placement is a performance knob; none of these may move a
-// byte.
+// every scheduling mode the engine has: hash placement (cold) and LPT
+// placement (oracle-primed), with stealing at several shard counts.
+// Placement is a performance knob; none of these may move a byte.
 func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 	want := readGolden(t, "contention_pr8.golden")
 	base := goldenContention()
@@ -46,8 +45,6 @@ func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 		cfg := base
 		cfg.Shards = shards
 		run("steal-cold", cfg)
-		cfg.Affinity = true
-		run("affinity", cfg)
 	}
 	// Oracle-primed LPT run: profile from a cold run feeds the next one.
 	cold := base
@@ -61,7 +58,7 @@ func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 
 // TestDynamicsGoldenAcrossSchedulingModes does the same for the chaos
 // scheduler grid: scripted fault transcripts and queue epochs are pinned to
-// the pre-stealing bytes under hash, LPT, affinity and stealing placement.
+// the pre-stealing bytes under hash placement with stealing.
 // (The golden file was re-captured once after duplicate-ACK counting was
 // tightened to RFC 6675 — the chaos grid's loss epochs exercise fast
 // retransmit, so its transcript moved with the fix.)
@@ -79,16 +76,7 @@ func TestDynamicsGoldenAcrossSchedulingModes(t *testing.T) {
 		cfg := DefaultDynamics()
 		cfg.Shards = shards
 		run("steal-cold", cfg)
-		cfg.Affinity = true
-		run("affinity", cfg)
 	}
-	cold := DefaultDynamics()
-	cold.Shards = 4
-	profiled := Dynamics(cold)
-	primed := DefaultDynamics()
-	primed.Shards = 4
-	primed.Profile = profiled.Placement.Profile()
-	run("steal-primed", primed)
 }
 
 // clip truncates a long artifact for failure output.

@@ -6,63 +6,64 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
-// TestRunnerIndexAlignment checks results land in the slot of the cell
+// TestRunCellsIndexAlignment checks results land in the slot of the cell
 // that produced them, not in completion order.
-func TestRunnerIndexAlignment(t *testing.T) {
-	m := &Matrix{Name: "align", RootSeed: 1}
+func TestRunCellsIndexAlignment(t *testing.T) {
+	var cells []Cell
 	for i := 0; i < 64; i++ {
-		m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: "s", Trial: i})
+		cells = append(cells, Cell{Site: siteLabel(i), Shell: "s", Trial: i})
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	run := func(_ *engine.Shard, i int, c Cell, _ uint64) []float64 {
 		return []float64{float64(i), float64(c.Trial)}
 	}
-	for _, parallel := range []int{1, 3, 8, 100} {
-		results := NewRunner(parallel).Run(m)
-		if len(results) != len(m.Cells) {
-			t.Fatalf("parallel=%d: %d results for %d cells", parallel, len(results), len(m.Cells))
+	for _, shards := range []int{1, 3, 8, 100} {
+		results := runCells(shards, 1, cells, run)
+		if len(results) != len(cells) {
+			t.Fatalf("shards=%d: %d results for %d cells", shards, len(results), len(cells))
 		}
 		for i, vals := range results {
 			if vals[0] != float64(i) || vals[1] != float64(i) {
-				t.Fatalf("parallel=%d: slot %d holds cell %v/%v", parallel, i, vals[0], vals[1])
+				t.Fatalf("shards=%d: slot %d holds cell %v/%v", shards, i, vals[0], vals[1])
 			}
 		}
 	}
 }
 
-// TestRunnerSeedsMatchCells checks the engine hands each Run call exactly
-// Cells[i].Seed(RootSeed), at every parallelism.
-func TestRunnerSeedsMatchCells(t *testing.T) {
-	m := &Matrix{Name: "seeds", RootSeed: 99}
+// TestRunCellsSeedsMatchCells checks the engine hands each run call exactly
+// cells[i].Seed(root), at every shard count.
+func TestRunCellsSeedsMatchCells(t *testing.T) {
+	var cells []Cell
 	for i := 0; i < 32; i++ {
-		m.Cells = append(m.Cells, Cell{Site: "site", Shell: "shell", Trial: i})
+		cells = append(cells, Cell{Site: "site", Shell: "shell", Trial: i})
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	run := func(_ *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		if want := c.Seed(99); seed != want {
 			t.Errorf("cell %d: engine seed %#x, want %#x", i, seed, want)
 		}
 		return nil
 	}
-	for _, parallel := range []int{1, 4} {
-		NewRunner(parallel).Run(m)
+	for _, shards := range []int{1, 4} {
+		runCells(shards, 99, cells, run)
 	}
 }
 
-// TestRunnerActuallyFansOut checks that with Parallel > 1 more than one
-// worker goroutine participates (the workers draw from a shared channel,
-// so under the race of a fast first worker this could in principle flake;
-// the barrier cell forces overlap).
-func TestRunnerActuallyFansOut(t *testing.T) {
+// TestRunCellsFansOut checks that with more than one shard more than one
+// worker goroutine runs cells at once: the first cells block until two are
+// in flight, which only a second worker (running its own cells or stealing
+// the rest) can bring about.
+func TestRunCellsFansOut(t *testing.T) {
 	var inflight, peak atomic.Int64
 	var release sync.Once
 	block := make(chan struct{})
-	m := &Matrix{Name: "fanout"}
+	var cells []Cell
 	for i := 0; i < 4; i++ {
-		m.Cells = append(m.Cells, Cell{Site: siteLabel(i)})
+		cells = append(cells, Cell{Site: siteLabel(i)})
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	runCells(4, 0, cells, func(*engine.Shard, int, Cell, uint64) []float64 {
 		n := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -77,8 +78,7 @@ func TestRunnerActuallyFansOut(t *testing.T) {
 		<-block
 		inflight.Add(-1)
 		return nil
-	}
-	NewRunner(4).Run(m)
+	})
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrent cells = %d, want >= 2", peak.Load())
 	}
@@ -103,59 +103,59 @@ func TestCellSeedStable(t *testing.T) {
 	}
 }
 
-// parallelLevels are the engine widths every artifact must agree across.
-var parallelLevels = []int{1, 2, 8}
+// shardLevels are the engine shard counts every artifact must agree across.
+var shardLevels = []int{1, 2, 8}
 
 // parallelArtifacts renders a subsampled version of every experiment
-// artifact at a given engine parallelism. A non-empty golden names the
-// testdata file the sequential render must equal byte for byte.
+// artifact at a given engine shard count. A non-empty golden names the
+// testdata file the single-shard render must equal byte for byte.
 var parallelArtifacts = []struct {
 	name   string
 	golden string
-	render func(parallel int) string
+	render func(shards int) string
 }{
-	{"fig2", "fig2.golden", func(parallel int) string {
+	{"fig2", "fig2.golden", func(shards int) string {
 		cfg := Fig2Config{
 			Sites: 12, Seed: 1,
 			DelayForwarding: 30 * sim.Microsecond,
 			LinkForwarding:  250 * sim.Microsecond,
-			Parallel:        parallel,
+			Shards:          shards,
 		}
 		return Fig2(cfg).String()
 	}},
 	// Table 1 draws per-load host-noise jitter, the hard case.
-	{"table1", "table1.golden", func(parallel int) string {
+	{"table1", "table1.golden", func(shards int) string {
 		cfg := DefaultTable1()
 		cfg.Loads = 6
-		cfg.Parallel = parallel
+		cfg.Shards = shards
 		return Table1(cfg).String()
 	}},
-	{"table2", "table2.golden", func(parallel int) string {
+	{"table2", "table2.golden", func(shards int) string {
 		cfg := Table2Config{
 			Sites: 8, Seed: 2,
-			Delays:   []sim.Time{30 * sim.Millisecond},
-			Rates:    []int64{1_000_000, 25_000_000},
-			Parallel: parallel,
+			Delays: []sim.Time{30 * sim.Millisecond},
+			Rates:  []int64{1_000_000, 25_000_000},
+			Shards: shards,
 		}
 		return Table2(cfg).String()
 	}},
 	// Figure 3 shares per-trial RTT draws and adds jitter.
-	{"fig3", "fig3.golden", func(parallel int) string {
+	{"fig3", "fig3.golden", func(shards int) string {
 		cfg := Fig3Config{
 			Loads: 6, Seed: 3,
 			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-			Parallel: parallel,
+			Shards: shards,
 		}
 		return Fig3(cfg).String()
 	}},
-	{"isolation", "isolation.golden", func(parallel int) string {
-		return Isolation(5, parallel).String()
+	{"isolation", "isolation.golden", func(shards int) string {
+		return Isolation(5, shards).String()
 	}},
 	// The sweep derives its jitter and loss streams per cell.
-	{"sweep", "sweep.golden", func(parallel int) string {
+	{"sweep", "sweep.golden", func(shards int) string {
 		cfg := DefaultSweep()
 		cfg.Sites = 6
-		cfg.Parallel = parallel
+		cfg.Shards = shards
 		return Sweep(cfg).String()
 	}},
 	// The codel cells put the RFC 8289 control law — drop spacing, count
@@ -170,36 +170,21 @@ var parallelArtifacts = []struct {
 	// the per-flow sojourn histograms behind the fairness table's
 	// median-of-flow-p95 column, which is exactly the statistic that
 	// caught a map-iteration nondeterminism aggregate counters missed.
-	{"bufferbloat", "bufferbloat.golden", func(parallel int) string {
+	{"bufferbloat", "bufferbloat.golden", func(shards int) string {
 		cfg := DefaultBufferbloat()
 		cfg.BulkBytes = 2 << 20
 		cfg.HeadStart = 500 * sim.Millisecond
-		cfg.Parallel = parallel
+		cfg.Shards = shards
 		return Bufferbloat(cfg).String()
 	}},
 	// The contention cells run the many-flow engine workload — hundreds of
 	// pooled tcpsim conns, Pareto web sizes, per-class Poisson arrivals,
-	// per-flow sojourn attribution — under the same contract. Parallelism
-	// here is engine shards (run-to-completion cells on private loops and
-	// pools), not matrix workers, so this also checks the sharded engine
-	// itself.
-	{"contention", "", func(parallel int) string {
+	// per-flow sojourn attribution — under the same contract.
+	{"contention", "", func(shards int) string {
 		cfg := DefaultContention()
 		cfg.Flows = 24
 		cfg.BulkBytes = 64 << 10
-		cfg.Shards = parallel
-		return Contention(cfg).String()
-	}},
-	// The affinity variant pins cells to their ShardFor shard with stealing
-	// disabled. Each variant is internally byte-identical across shard
-	// counts here; the golden tests additionally pin both variants to the
-	// same pre-stealing bytes, closing the cross-mode loop.
-	{"contention-affinity", "", func(parallel int) string {
-		cfg := DefaultContention()
-		cfg.Flows = 24
-		cfg.BulkBytes = 64 << 10
-		cfg.Shards = parallel
-		cfg.Affinity = true
+		cfg.Shards = shards
 		return Contention(cfg).String()
 	}},
 	// The dynamics cells run the chaos scheduler: scripted mid-load link
@@ -209,15 +194,9 @@ var parallelArtifacts = []struct {
 	// drain accounting number, and the recovery behaviour of the endpoint
 	// stacks (RTO backoff ladders, browser response deadlines) across
 	// shard counts.
-	{"dynamics", "", func(parallel int) string {
+	{"dynamics", "", func(shards int) string {
 		cfg := DefaultDynamics()
-		cfg.Shards = parallel
-		return Dynamics(cfg).String()
-	}},
-	{"dynamics-affinity", "", func(parallel int) string {
-		cfg := DefaultDynamics()
-		cfg.Shards = parallel
-		cfg.Affinity = true
+		cfg.Shards = shards
 		return Dynamics(cfg).String()
 	}},
 	// The linkchar cells put the impairment vocabulary — reorder holds on
@@ -226,24 +205,23 @@ var parallelArtifacts = []struct {
 	// the byte-identity contract, over the synthesized link-character
 	// corpus. Every impairment box's one-draw-per-packet stream and the
 	// tcpsim goodput accounting (DupBytesRcvd, ChecksumDrops) are pinned
-	// here across parallelism.
-	{"linkchar", "", func(parallel int) string {
+	// here across shard counts.
+	{"linkchar", "", func(shards int) string {
 		cfg := DefaultLinkchar()
-		cfg.Parallel = parallel
+		cfg.Shards = shards
 		return Linkchar(cfg).String()
 	}},
 }
 
 // TestParallelDeterminism: every experiment artifact must be byte-identical
-// at engine parallelism 1, 2 and 8 (run with -race in CI), and the
-// sequential render must equal its golden where one is pinned. This is
-// what licenses -parallel and -shards as pure performance knobs, and
-// packet trains as a pure event-count optimization: none may move a
-// number.
+// at 1, 2 and 8 engine shards (run with -race in CI), and the single-shard
+// render must equal its golden where one is pinned. This is what licenses
+// -shards as a pure performance knob, and packet trains as a pure
+// event-count optimization: neither may move a number.
 func TestParallelDeterminism(t *testing.T) {
 	for _, a := range parallelArtifacts {
 		t.Run(a.name, func(t *testing.T) {
-			got := assertIdenticalAcrossParallelism(t, a.render)
+			got := assertIdenticalAcrossShards(t, a.render)
 			if a.golden == "" {
 				return
 			}
@@ -255,19 +233,19 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// assertIdenticalAcrossParallelism renders an artifact at each engine
-// width, requires byte equality with the sequential rendering, and
-// returns that rendering.
-func assertIdenticalAcrossParallelism(t *testing.T, render func(parallel int) string) string {
+// assertIdenticalAcrossShards renders an artifact at each shard count,
+// requires byte equality with the single-shard rendering, and returns that
+// rendering.
+func assertIdenticalAcrossShards(t *testing.T, render func(shards int) string) string {
 	t.Helper()
-	want := render(parallelLevels[0])
+	want := render(shardLevels[0])
 	if want == "" {
 		t.Fatal("empty artifact")
 	}
-	for _, p := range parallelLevels[1:] {
-		if got := render(p); got != want {
-			t.Errorf("artifact differs at parallel=%d:\n--- parallel=%d ---\n%s\n--- parallel=%d ---\n%s",
-				p, parallelLevels[0], want, p, got)
+	for _, n := range shardLevels[1:] {
+		if got := render(n); got != want {
+			t.Errorf("artifact differs at shards=%d:\n--- shards=%d ---\n%s\n--- shards=%d ---\n%s",
+				n, shardLevels[0], want, n, got)
 		}
 	}
 	return want

@@ -156,7 +156,7 @@ func TestFig3SmallShape(t *testing.T) {
 }
 
 func TestServersPerSiteShape(t *testing.T) {
-	r := ServersPerSite(1, 500, 1)
+	r := ServersPerSite(1, 500)
 	if r.SingleServer != 9 {
 		t.Errorf("single-server = %d, want 9", r.SingleServer)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/archive"
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -30,8 +31,8 @@ type Fig2Config struct {
 	// millisecond quantization of delivery opportunities that TraceBox
 	// already models.
 	LinkForwarding sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 }
 
 // DefaultFig2 uses the paper's corpus size.
@@ -40,7 +41,7 @@ func DefaultFig2() Fig2Config {
 		Sites: 500, Seed: 1,
 		DelayForwarding: 30 * sim.Microsecond,
 		LinkForwarding:  250 * sim.Microsecond,
-		Parallel:        1,
+		Shards:          1,
 	}
 }
 
@@ -58,9 +59,8 @@ var fig2Arms = []string{"replay", "delay0", "link1000"}
 
 // Fig2 loads every corpus site once under each of the three stacks and
 // reports the PLT CDFs plus median overheads (paper: 0.15% and 1.5%). The
-// site × stack grid is declared as a scenario matrix and fanned out by the
-// engine; loads are jitter-free, so the distributions are bit-identical at
-// any Parallel level.
+// site × stack grid is fanned out as engine cells; loads are jitter-free,
+// so the distributions are bit-identical at any shard count.
 func Fig2(cfg Fig2Config) Fig2Result {
 	pages := corpusPages(cfg.Seed, cfg.Sites)
 	t1000, err := trace.Constant(1_000_000_000, 1000)
@@ -84,28 +84,29 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	// archive.Site is immutable once built and only read during loads.
 	sites := materializeAll(pages)
 
-	m := &Matrix{Name: "fig2", RootSeed: cfg.Seed}
+	var cells []Cell
 	for i := range pages {
 		for _, arm := range fig2Arms {
-			m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: arm})
+			cells = append(cells, Cell{Site: siteLabel(i), Shell: arm})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, c Cell, _ uint64) []float64 {
 		si := i / len(fig2Arms)
 		return []float64{PLTms(LoadSpec{
 			Page: pages[si], Site: sites[si],
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-			Shells: armShells[c.Shell](),
+			Shells:  armShells[c.Shell](),
+			Scratch: scratchFor(sh),
 		})}
-	}
+	})
 
-	// Merge per-cell PLTs into per-arm distributions in matrix order.
+	// Merge per-cell PLTs into per-arm distributions in cell order.
 	acc := map[string]*stats.Accumulator{}
 	for _, arm := range fig2Arms {
 		acc[arm] = stats.NewAccumulator()
 	}
-	for i, vals := range NewRunner(cfg.Parallel).Run(m) {
-		acc[m.Cells[i].Shell].Add(vals...)
+	for i, vals := range results {
+		acc[cells[i].Shell].Add(vals...)
 	}
 	r := Fig2Result{
 		Replay:   acc["replay"].Sample(),
@@ -136,7 +137,7 @@ func (r Fig2Result) String() string {
 func siteLabel(i int) string { return fmt.Sprintf("site%03d", i) }
 
 // materializeAll builds each page's replay archive up front so concurrent
-// matrix cells share the immutable sites instead of rebuilding them.
+// cells share the immutable sites instead of rebuilding them.
 func materializeAll(pages []*webgen.Page) []*archive.Site {
 	sites := make([]*archive.Site, len(pages))
 	for i, p := range pages {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/inet"
 	"repro/internal/nsim"
 	"repro/internal/shells"
@@ -18,15 +19,15 @@ import (
 type Fig3Config struct {
 	// Loads per arm (paper: 100 loads of www.nytimes.com).
 	Loads int
-	// Seed roots the scenario matrix: the live web's variability and the
+	// Seed roots the scenario grid: the live web's variability and the
 	// per-load RTT draws all derive from it per trial.
 	Seed uint64
 	// MinRTTBase/MinRTTSpread: each load's path minimum RTT is drawn
 	// uniformly from [Base, Base+Spread]; as in the paper, the same
 	// per-load minimum RTT is fed to DelayShell for the replay arms.
 	MinRTTBase, MinRTTSpread sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 }
 
 // DefaultFig3 mirrors the paper's setup.
@@ -34,7 +35,7 @@ func DefaultFig3() Fig3Config {
 	return Fig3Config{
 		Loads: 100, Seed: 3,
 		MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-		Parallel: 1,
+		Shards: 1,
 	}
 }
 
@@ -50,36 +51,37 @@ type Fig3Result struct {
 // Fig3 measures a nytimes-like page 100 times on the live-web model and
 // inside ReplayShell with and without multi-origin preservation, matching
 // each web load's minimum RTT in the replay arms via DelayShell. Each
-// matrix cell is one trial and runs all three arms together, because the
+// cell is one trial and runs all three arms together, because the
 // arms share the trial's minimum-RTT draw; the trial's generator is seeded
 // from the cell coordinates, so draws are independent of execution order.
 func Fig3(cfg Fig3Config) Fig3Result {
 	page := webgen.GeneratePage(sim.NewRand(11), webgen.NYTimesLike())
 	site := webgen.Materialize(page)
 
-	m := &Matrix{Name: "fig3", RootSeed: cfg.Seed}
-	for i := 0; i < cfg.Loads; i++ {
-		m.Cells = append(m.Cells, Cell{Site: "nytimes-like", Shell: "web+multi+single", Trial: i})
+	cells := make([]Cell, cfg.Loads)
+	for i := range cells {
+		cells[i] = Cell{Site: "nytimes-like", Shell: "web+multi+single", Trial: i}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, _ int, _ Cell, seed uint64) []float64 {
 		rng := sim.NewRand(seed)
 		minRTT := cfg.MinRTTBase + rng.Duration(cfg.MinRTTSpread+1)
 		webSeed := rng.Uint64()
-		web := liveLoad(page, minRTT/2, webSeed)
-		sh := []shells.Shell{shells.NewDelayShell(minRTT / 2)}
+		web := liveLoad(sh, page, minRTT/2, webSeed)
+		stack := []shells.Shell{shells.NewDelayShell(minRTT / 2)}
+		sc := scratchFor(sh)
 		multi := PLTms(LoadSpec{
-			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: sh,
-			CPUJitterSigma: 0.015, Rand: rng,
+			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: stack,
+			CPUJitterSigma: 0.015, Rand: rng, Scratch: sc,
 		})
 		single := PLTms(LoadSpec{
-			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: sh,
-			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng,
+			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: stack,
+			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng, Scratch: sc,
 		})
 		return []float64{web, multi, single}
-	}
+	})
 
 	web, multi, single := stats.NewAccumulator(), stats.NewAccumulator(), stats.NewAccumulator()
-	for _, vals := range NewRunner(cfg.Parallel).Run(m) {
+	for _, vals := range results {
 		web.Add(vals[0])
 		multi.Add(vals[1])
 		single.Add(vals[2])
@@ -94,11 +96,12 @@ func Fig3(cfg Fig3Config) Fig3Result {
 	return r
 }
 
-// liveLoad runs one load against the live-web model behind a DelayShell
-// contributing the path's minimum RTT, returning PLT in milliseconds.
-func liveLoad(page *webgen.Page, oneWay sim.Time, seed uint64) float64 {
-	loop := sim.NewLoop()
-	network := nsim.NewNetwork(loop)
+// liveLoad runs one load on sh against the live-web model behind a
+// DelayShell contributing the path's minimum RTT, returning PLT in
+// milliseconds.
+func liveLoad(sh *engine.Shard, page *webgen.Page, oneWay sim.Time, seed uint64) float64 {
+	loop := sh.Loop()
+	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	web, err := inet.New(network, inet.DefaultConfig(page, seed))
 	if err != nil {
 		panic("experiments: " + err.Error())

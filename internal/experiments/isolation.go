@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -33,35 +34,31 @@ func (r IsolationResult) Identical() bool { return r.SoloPLT == r.ConcurrentPLT 
 
 // Isolation loads a page alone, then again while a second namespace pair
 // blasts bulk traffic over its own emulated link in the same Network. The
-// two arms are declared as a two-cell scenario matrix ("solo" and
-// "concurrent" shell coordinates) so they run through the same engine as
-// every other experiment — and may themselves run concurrently, which is
-// itself an isolation statement: two whole simulations sharing a process
-// must not perturb each other either.
-func Isolation(seed uint64, parallel int) IsolationResult {
+// two arms are declared as two cells ("solo" and "concurrent" shell
+// coordinates) so they run on the same engine as every other experiment —
+// and, at two or more shards, concurrently, which is itself an isolation
+// statement: two whole simulations sharing a process must not perturb each
+// other either.
+func Isolation(seed uint64, shards int) IsolationResult {
 	page := webgen.GeneratePage(sim.NewRand(seed), webgen.WikiHowLike())
 	site := webgen.Materialize(page)
 	mkShells := func() []shells.Shell {
 		return []shells.Shell{shells.NewDelayShell(30 * sim.Millisecond)}
 	}
 
-	m := &Matrix{
-		Name:     "isolation",
-		RootSeed: seed,
-		Cells: []Cell{
-			{Site: "wikihow-like", Shell: "solo"},
-			{Site: "wikihow-like", Shell: "concurrent"},
-		},
+	cells := []Cell{
+		{Site: "wikihow-like", Shell: "solo"},
+		{Site: "wikihow-like", Shell: "concurrent"},
 	}
-	m.Run = func(i int, c Cell, _ uint64) []float64 {
+	results := runCells(shards, seed, cells, func(sh *engine.Shard, _ int, c Cell, _ uint64) []float64 {
 		if c.Shell == "solo" {
-			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells()}).PLT
+			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells(),
+				Scratch: scratchFor(sh)}).PLT
 			return []float64{float64(plt)}
 		}
-		plt, cross := isolationConcurrent(page, site, mkShells())
+		plt, cross := isolationConcurrent(sh, page, site, mkShells())
 		return []float64{float64(plt), float64(cross)}
-	}
-	results := NewRunner(parallel).Run(m)
+	})
 	return IsolationResult{
 		SoloPLT:       sim.Time(results[0][0]),
 		ConcurrentPLT: sim.Time(results[1][0]),
@@ -69,12 +66,13 @@ func Isolation(seed uint64, parallel int) IsolationResult {
 	}
 }
 
-// isolationConcurrent runs the measured load while a noisy neighbour in
-// the same Network (same event loop) continuously saturates its own link,
-// returning the measured PLT and the neighbour's delivered datagram count.
-func isolationConcurrent(page *webgen.Page, site *archive.Site, shellList []shells.Shell) (sim.Time, uint64) {
-	loop := sim.NewLoop()
-	network := nsim.NewNetwork(loop)
+// isolationConcurrent runs the measured load on sh while a noisy neighbour
+// in the same Network (same event loop) continuously saturates its own
+// link, returning the measured PLT and the neighbour's delivered datagram
+// count.
+func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site, shellList []shells.Shell) (sim.Time, uint64) {
+	loop := sh.Loop()
+	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	replay, err := replayshell.New(network, replayshell.Config{
 		Site: site, DNSLatency: sim.Millisecond,
 	})

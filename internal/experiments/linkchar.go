@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/sim"
@@ -22,11 +23,11 @@ import (
 // duplication, checksum losses under corruption — measured as goodput, not
 // raw delivered bytes, via the DupBytesRcvd accounting.
 type LinkcharConfig struct {
-	// Seed roots the scenario matrix, the corpus synthesis and every
+	// Seed roots the scenario grid, the corpus synthesis and every
 	// impairment box's draw stream.
 	Seed uint64
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 	// BulkBytes is the downloaded payload size per cell.
 	BulkBytes int
 	// PeriodMS is the synthesized corpus trace length.
@@ -40,7 +41,7 @@ type LinkcharConfig struct {
 func DefaultLinkchar() LinkcharConfig {
 	return LinkcharConfig{
 		Seed:        23,
-		Parallel:    1,
+		Shards:      1,
 		BulkBytes:   1 << 20,
 		PeriodMS:    30_000,
 		OneWayDelay: 20 * sim.Millisecond,
@@ -131,10 +132,10 @@ type LinkcharResult struct {
 	Rows []LinkcharRow
 }
 
-// Linkchar runs the grid through the scenario-matrix engine. Cells are
-// fully deterministic: the corpus is synthesized once from the root seed,
-// and each cell's boxes draw from streams forked off the cell seed, so the
-// artifact is byte-identical at any parallelism.
+// Linkchar runs the grid on the sharded engine. Cells are fully
+// deterministic: the corpus is synthesized once from the root seed, and
+// each cell's boxes draw from streams forked off the cell seed, so the
+// artifact is byte-identical at any shard count.
 func Linkchar(cfg LinkcharConfig) LinkcharResult {
 	corpus, err := trace.Corpus(sim.DeriveSeed(cfg.Seed, "corpus"), cfg.PeriodMS)
 	if err != nil {
@@ -151,22 +152,21 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 	}
 	payload := make([]byte, cfg.BulkBytes)
 
-	m := &Matrix{Name: "linkchar", RootSeed: cfg.Seed}
+	var cells []Cell
 	for _, l := range corpus {
 		for _, imp := range impairs {
 			for _, spec := range qdiscs {
-				m.Cells = append(m.Cells, Cell{Site: l.Name(), Shell: imp.name + "+" + spec.String()})
+				cells = append(cells, Cell{Site: l.Name(), Shell: imp.name + "+" + spec.String()})
 			}
 		}
 	}
 	perLink := len(impairs) * len(qdiscs)
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
 		l := corpus[i/perLink]
 		imp := impairs[(i%perLink)/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
-		return linkcharCell(cfg, payload, upTrace, l, imp, spec, seed)
-	}
-	results := NewRunner(cfg.Parallel).Run(m)
+		return linkcharCell(sh, cfg, payload, upTrace, l, imp, spec, seed)
+	})
 
 	out := LinkcharResult{}
 	for i, vals := range results {
@@ -188,12 +188,13 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 	return out
 }
 
-// linkcharCell runs one cell: a bulk download from a server namespace to a
-// client across a downlink shaped by trace + qdisc + impairment box.
-func linkcharCell(cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
+// linkcharCell runs one cell on sh: a bulk download from a server
+// namespace to a client across a downlink shaped by trace + qdisc +
+// impairment box.
+func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
 	imp linkcharImpair, spec netem.QdiscSpec, seed uint64) []float64 {
-	loop := sim.NewLoop()
-	network := nsim.NewNetwork(loop)
+	loop := sh.Loop()
+	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	cns := network.NewNamespace("client")
 	sns := network.NewNamespace("server")
 	clientAddr := nsim.ParseAddr("10.0.0.1")

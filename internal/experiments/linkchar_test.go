@@ -6,7 +6,7 @@ import (
 
 // TestLinkcharGolden pins the full link-character grid artifact to the
 // bytes captured when the impairment vocabulary landed
-// (testdata/linkchar_pr10.golden), at several matrix parallelism levels.
+// (testdata/linkchar_pr10.golden), at several shard counts.
 // This is the impairment analogue of the bufferbloat cell pin: any change
 // to a box's draw discipline, the corpus synthesis, the 4-state chain, or
 // the tcpsim goodput accounting moves these bytes.
@@ -15,12 +15,12 @@ func TestLinkcharGolden(t *testing.T) {
 		t.Skip("full grid run")
 	}
 	want := readGolden(t, "linkchar_pr10.golden")
-	for _, parallel := range []int{1, 4} {
+	for _, shards := range []int{1, 4} {
 		cfg := DefaultLinkchar()
-		cfg.Parallel = parallel
+		cfg.Shards = shards
 		if got := Linkchar(cfg).String(); got != want {
-			t.Errorf("parallel=%d: linkchar artifact drifted\n got: %q\nwant: %q",
-				parallel, clip(got), clip(want))
+			t.Errorf("shards=%d: linkchar artifact drifted\n got: %q\nwant: %q",
+				shards, clip(got), clip(want))
 		}
 	}
 }

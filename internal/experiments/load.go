@@ -1,12 +1,12 @@
 // Package experiments contains one driver per table and figure in the
 // paper's evaluation, plus an open-ended scenario sweep. Each driver
-// declares its site × shell-stack × trial grid as a Matrix and hands it to
-// a Runner, the package's parallel scenario-matrix engine; every cell
-// builds fresh namespaces per page load (as Mahimahi does per shell
-// invocation), runs the load on a virtual clock, and reports the same
-// statistics the paper prints. Per-cell random seeds are derived from the
-// cell's coordinates alone (sim.DeriveSeed), so every artifact is
-// byte-identical at any engine parallelism. The benchmarks in the
+// declares its site × shell-stack × trial grid as a list of Cells and runs
+// it on the sharded engine (internal/engine); every cell builds fresh
+// namespaces per page load (as Mahimahi does per shell invocation) on its
+// shard's event loop and pools, runs the load on a virtual clock, and
+// reports the same statistics the paper prints. Per-cell random seeds are
+// derived from the cell's coordinates alone (sim.DeriveSeed), so every
+// artifact is byte-identical at any shard count. The benchmarks in the
 // repository root and cmd/mm-bench both call into this package, so the
 // numbers in EXPERIMENTS.md are regenerated from exactly this code.
 package experiments
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/match"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -64,26 +65,28 @@ type LoadSpec struct {
 }
 
 // Scratch bundles every reusable buffer and object pool a page load
-// touches: the browser's working storage, the network's packet/datagram
-// pools, the TCP stacks' segment pool, and a per-site matcher index. One
-// scratch serves one load at a time; reusing it across the sequential
-// loads of a benchmark iteration or matrix cell removes per-load pool
-// warmup from the hot path. Scratch contents never influence results —
-// only where allocations come from — so reuse preserves byte-identical
-// experiment artifacts.
+// touches: an engine shard's event loop, packet/datagram pools and TCP
+// segment pool, plus the browser's working storage and a per-site matcher
+// index. One scratch serves one load at a time; reusing it across the
+// sequential loads of a benchmark iteration or an engine shard's cells
+// removes per-load pool warmup from the hot path. Scratch contents never
+// influence results — only where allocations come from — so reuse
+// preserves byte-identical experiment artifacts.
 type Scratch struct {
-	browser  browser.Scratch
-	pools    *nsim.PoolSet
-	segments *tcpsim.SegmentPool
-	loop     *sim.Loop
+	shard   *engine.Shard
+	browser browser.Scratch
 
 	matcherSite *archive.Site
 	matcher     *match.Matcher
 }
 
-// NewScratch returns an empty scratch.
-func NewScratch() *Scratch {
-	return &Scratch{pools: &nsim.PoolSet{}, segments: &tcpsim.SegmentPool{}, loop: sim.NewLoop()}
+// NewScratch returns an empty scratch on a standalone shard.
+func NewScratch() *Scratch { return &Scratch{shard: engine.NewShard()} }
+
+// scratchFor returns the scratch parked on sh, so the page loads of every
+// cell the shard runs share its loop and pools.
+func scratchFor(sh *engine.Shard) *Scratch {
+	return sh.Scratch("experiments.load", func() any { return &Scratch{shard: sh} }).(*Scratch)
 }
 
 // matcherFor returns a matcher index for site, rebuilding only when the
@@ -98,7 +101,7 @@ func (s *Scratch) matcherFor(site *archive.Site) *match.Matcher {
 
 // scratchPool recycles Scratches for Load calls without an explicit one.
 // sync.Pool hands a scratch to exactly one goroutine at a time, so pooled
-// reuse is race-free even under a parallel Runner.
+// reuse is race-free even when loads run concurrently.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // Load runs one page load in a fresh network and returns the result. The
@@ -112,9 +115,8 @@ func Load(spec LoadSpec) browser.Result {
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
 	}
-	loop := sc.loop
-	loop.Reset()
-	network := nsim.NewNetworkPooled(loop, sc.pools)
+	loop := sc.shard.Loop()
+	network := nsim.NewNetworkPooled(loop, sc.shard.Pools())
 	site := spec.Site
 	if site == nil {
 		site = webgen.Materialize(spec.Page)
@@ -125,7 +127,7 @@ func Load(spec LoadSpec) browser.Result {
 		DNSLatency:   spec.DNSLatency,
 		RequestCPU:   spec.RequestCPU,
 		Matcher:      sc.matcherFor(site),
-		Segments:     sc.segments,
+		Segments:     sc.shard.Segments(),
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
@@ -142,7 +144,7 @@ func Load(spec LoadSpec) browser.Result {
 			opts.CPUScale = 0.1
 		}
 	}
-	b := browser.New(tcpsim.NewStackPool(st.App, sc.segments), replay.Resolver, AppAddr, opts)
+	b := browser.New(tcpsim.NewStackPool(st.App, sc.shard.Segments()), replay.Resolver, AppAddr, opts)
 	b.UseScratch(&sc.browser)
 	var result browser.Result
 	b.Load(spec.Page, func(r browser.Result) { result = r })

@@ -16,16 +16,13 @@ import (
 // and utilization columns are the machine-independent evidence that the
 // two-level scheduler levels the load.
 type ScalingConfig struct {
-	// Contention is the per-cell workload; its Shards/Affinity/Profile
-	// fields are overridden per arm.
+	// Contention is the per-cell workload; its Shards/Profile fields are
+	// overridden per arm.
 	Contention ContentionConfig
 	// Shards is the parallel arm's lane count (<= 0: GOMAXPROCS).
 	Shards int
 	// Reps is the repetitions per arm (default 3: one cold, two primed).
 	Reps int
-	// Affinity runs the parallel arm with stealing disabled, for measuring
-	// what the hash placement alone achieves.
-	Affinity bool
 }
 
 // DefaultScaling returns the smoke configuration: the default contention
@@ -67,13 +64,12 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 	}
 	res := ScalingResult{Flows: cfg.Contention.Flows, ArtifactsMatch: true}
 	var golden string
-	arm := func(shards int, affinity bool) []ScalingRep {
+	arm := func(shards int) []ScalingRep {
 		reps := make([]ScalingRep, 0, cfg.Reps)
 		var profile engine.Profile
 		for i := 0; i < cfg.Reps; i++ {
 			c := cfg.Contention
 			c.Shards = shards
-			c.Affinity = affinity
 			c.Profile = profile
 			start := time.Now()
 			out := Contention(c)
@@ -93,8 +89,8 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 		}
 		return reps
 	}
-	res.Reps1 = arm(1, cfg.Affinity)
-	res.RepsN = arm(cfg.Shards, cfg.Affinity)
+	res.Reps1 = arm(1)
+	res.RepsN = arm(cfg.Shards)
 	best := func(reps []ScalingRep) time.Duration {
 		b := reps[0].Wall
 		for _, r := range reps[1:] {

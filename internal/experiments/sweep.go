@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -13,12 +14,12 @@ import (
 // SweepConfig declares an open-ended scenario sweep: every corpus site
 // loaded Trials times under every (delay × rate [× loss]) shell stack.
 // Unlike the fixed paper artifacts, the sweep grid is arbitrary — this is
-// the "as many scenarios as you can imagine" workload the parallel engine
+// the "as many scenarios as you can imagine" workload the sharded engine
 // exists for, and the cell count (len(Delays)·len(Rates)·max(1,
 // len(LossProbs))·Sites·Trials) grows multiplicatively.
 type SweepConfig struct {
 	// Sites is the corpus size; Seed generates the corpus and roots the
-	// scenario matrix.
+	// scenario grid.
 	Sites int
 	Seed  uint64
 	// Trials is the number of jittered loads per (site, stack) coordinate.
@@ -31,8 +32,8 @@ type SweepConfig struct {
 	Delays    []sim.Time
 	Rates     []int64
 	LossProbs []float64
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 }
 
 // DefaultSweep is a modest grid that still exercises every axis: 3 stacks
@@ -43,7 +44,7 @@ func DefaultSweep() SweepConfig {
 		Delays:    []sim.Time{30 * sim.Millisecond, 120 * sim.Millisecond},
 		Rates:     []int64{14_000_000},
 		LossProbs: []float64{0, 0.01},
-		Parallel:  1,
+		Shards:    1,
 	}
 }
 
@@ -74,7 +75,7 @@ type SweepRow struct {
 // SweepResult is the full sweep, one row per stack in grid order.
 type SweepResult struct {
 	Rows  []SweepRow
-	Cells int // total matrix cells executed
+	Cells int // total grid cells executed
 }
 
 // Sweep runs the declared grid through the engine and merges per-stack
@@ -95,16 +96,16 @@ func Sweep(cfg SweepConfig) SweepResult {
 		}
 	}
 
-	m := &Matrix{Name: "sweep", RootSeed: cfg.Seed}
+	var cells []Cell
 	for _, st := range stacks {
 		for si := range pages {
 			for t := 0; t < cfg.Trials; t++ {
-				m.Cells = append(m.Cells, Cell{Site: siteLabel(si), Shell: st.Label(), Trial: t})
+				cells = append(cells, Cell{Site: siteLabel(si), Shell: st.Label(), Trial: t})
 			}
 		}
 	}
 	perStack := len(pages) * cfg.Trials
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
 		st := stacks[i/perStack]
 		si := (i % perStack) / cfg.Trials
 		page, site := pages[si], sites[si]
@@ -131,17 +132,15 @@ func Sweep(cfg SweepConfig) SweepResult {
 		spec := LoadSpec{
 			Page: page, Site: site,
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-			Shells: stack,
+			Shells: stack, Scratch: scratchFor(sh),
 		}
 		if cfg.CPUJitterSigma > 0 {
 			spec.CPUJitterSigma = cfg.CPUJitterSigma
 			spec.Rand = sim.NewRand(sim.DeriveSeed(seed, "jitter"))
 		}
 		return []float64{PLTms(spec)}
-	}
-
-	results := NewRunner(cfg.Parallel).Run(m)
-	out := SweepResult{Cells: len(m.Cells)}
+	})
+	out := SweepResult{Cells: len(cells)}
 	for si, st := range stacks {
 		acc := stats.NewAccumulator()
 		for j := 0; j < perStack; j++ {

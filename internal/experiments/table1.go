@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -26,8 +27,8 @@ type Table1Config struct {
 	// run under.
 	LinkRate int64
 	Delay    sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 }
 
 // DefaultTable1 mirrors the paper: 100 loads per site per machine.
@@ -38,7 +39,7 @@ func DefaultTable1() Table1Config {
 		CPUJitterSigma: 0.015,
 		LinkRate:       14_000_000,
 		Delay:          40 * sim.Millisecond,
-		Parallel:       1,
+		Shards:         1,
 	}
 }
 
@@ -72,7 +73,7 @@ type Table1Result struct {
 }
 
 // Table1 loads CNBC-like and wikiHow-like pages Loads times on each of two
-// simulated machines and reports mean ± stddev, as in Table 1. The matrix
+// simulated machines and reports mean ± stddev, as in Table 1. The grid
 // is profile × machine × trial; each trial's host-noise jitter comes from
 // a generator seeded by its own cell coordinates (with the machine's
 // host-noise seed folded into the machine label), so per-load draws do not
@@ -93,11 +94,11 @@ func Table1(cfg Table1Config) Table1Result {
 	}
 	sites := materializeAll(pages)
 
-	m := &Matrix{Name: "table1"}
+	var cells []Cell
 	for _, p := range profiles {
 		for mi := 0; mi < 2; mi++ {
 			for trial := 0; trial < cfg.Loads; trial++ {
-				m.Cells = append(m.Cells, Cell{
+				cells = append(cells, Cell{
 					Site:  p.Name,
 					Shell: machineLabel(mi, cfg.MachineSeeds[mi]),
 					Trial: trial,
@@ -106,7 +107,9 @@ func Table1(cfg Table1Config) Table1Result {
 		}
 	}
 	cellsPerProfile := 2 * cfg.Loads
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	// The grid has no root seed of its own: the machine seeds in the cell
+	// labels carry the host noise.
+	results := runCells(cfg.Shards, 0, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
 		pi := i / cellsPerProfile
 		return []float64{PLTms(LoadSpec{
 			Page: pages[pi], Site: sites[pi],
@@ -117,10 +120,9 @@ func Table1(cfg Table1Config) Table1Result {
 			},
 			CPUJitterSigma: cfg.CPUJitterSigma,
 			Rand:           sim.NewRand(seed),
+			Scratch:        scratchFor(sh),
 		})}
-	}
-
-	results := NewRunner(cfg.Parallel).Run(m)
+	})
 	var out Table1Result
 	for pi, p := range profiles {
 		row := Table1Row{Site: p.Name}

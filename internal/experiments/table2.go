@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -21,8 +22,8 @@ type Table2Config struct {
 	// {1,14,25} Mbit/s).
 	Delays []sim.Time
 	Rates  []int64
-	// Parallel is the engine worker count (see Runner.Parallel).
-	Parallel int
+	// Shards is the engine shard count (<= 0: GOMAXPROCS).
+	Shards int
 }
 
 // DefaultTable2 mirrors the paper's nine network configurations. The
@@ -35,8 +36,8 @@ func DefaultTable2() Table2Config {
 		Delays: []sim.Time{
 			30 * sim.Millisecond, 120 * sim.Millisecond, 300 * sim.Millisecond,
 		},
-		Rates:    []int64{1_000_000, 14_000_000, 25_000_000},
-		Parallel: 1,
+		Rates:  []int64{1_000_000, 14_000_000, 25_000_000},
+		Shards: 1,
 	}
 }
 
@@ -66,9 +67,9 @@ func (t Table2Result) Cell(delay sim.Time, rate int64) *Table2Cell {
 // Table2 loads each corpus site once with multi-origin replay and once
 // with the single-server ablation, for every network configuration, and
 // reports the distribution of per-site PLT differences (paper Table 2:
-// 50th and 95th percentile difference). The matrix is (delay × rate) ×
-// site; each matrix cell runs both replay arms back to back so the
-// per-site difference is computed locally and merged in site order.
+// 50th and 95th percentile difference). The grid is (delay × rate) ×
+// site; each cell runs both replay arms back to back so the per-site
+// difference is computed locally and merged in site order.
 func Table2(cfg Table2Config) Table2Result {
 	pages := corpusPages(cfg.Seed, cfg.Sites)
 	sites := materializeAll(pages)
@@ -84,16 +85,16 @@ func Table2(cfg Table2Config) Table2Result {
 		}
 	}
 
-	m := &Matrix{Name: "table2", RootSeed: cfg.Seed}
+	var cells []Cell
 	for _, nc := range confs {
 		for si := range pages {
-			m.Cells = append(m.Cells, Cell{
+			cells = append(cells, Cell{
 				Site:  siteLabel(si),
 				Shell: fmt.Sprintf("delay%v+rate%d", nc.delay, nc.rate),
 			})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) []float64 {
 		nc := confs[i/len(pages)]
 		page, site := pages[i%len(pages)], sites[i%len(pages)]
 		down, err := trace.Constant(nc.rate, 2000)
@@ -110,17 +111,17 @@ func Table2(cfg Table2Config) Table2Result {
 				shells.NewLinkShell(up, down),
 			}
 		}
+		sc := scratchFor(sh)
 		multi := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: mk(),
+			Scratch: sc,
 		})
 		single := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: mk(),
-			SingleServer: true,
+			SingleServer: true, Scratch: sc,
 		})
 		return []float64{stats.AbsRelDiff(single, multi)}
-	}
-
-	results := NewRunner(cfg.Parallel).Run(m)
+	})
 	var out Table2Result
 	for ci, nc := range confs {
 		acc := stats.NewAccumulator()
