@@ -242,7 +242,8 @@ func BenchmarkAblationTraceBoxQueue(b *testing.B) {
 			var plt float64
 			for i := 0; i < b.N; i++ {
 				link := shells.NewLinkShell(tr, tr)
-				link.QueuePackets = qlen
+				link.UpQueue = netem.QdiscSpec{Packets: qlen}
+				link.DownQueue = link.UpQueue
 				plt = experiments.PLTms(experiments.LoadSpec{
 					Page: page, DNSLatency: sim.Millisecond,
 					Shells: []shells.Shell{
@@ -544,8 +545,8 @@ func BenchmarkContention(b *testing.B) {
 			job := engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 				return engine.RunContention(sh, spec(500, sim.DeriveSeed(3, label)))
 			}}
-			e.Run(job) // warm pools under the cold hash plan
-			e.Run(job) // prime the cost oracle: measured runs plan LPT + steal
+			e.Run(job) // warm pools under the cold index-order deal
+			e.Run(job) // measured runs deal heaviest first and steal
 			b.ResetTimer()
 			var events uint64
 			for i := 0; i < b.N; i++ {
@@ -563,14 +564,14 @@ func BenchmarkContention(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures the two-level scheduler itself on a synthetic
-// power-law workload: 32 cells whose event counts span ~30x — the
-// adversarial shape for static hash placement, where one heavy cell can
-// hold a whole run hostage. A cold run primes the cost oracle, so measured
-// iterations plan LPT and steal at runtime. The planskew/postskew metrics
-// report event imbalance before and after stealing — the
-// machine-independent evidence that the scheduler levels the load even
-// where wall clock ties (single-core hosts).
+// BenchmarkEngine measures the engine's deal-and-steal scheduler itself on
+// a synthetic power-law workload: 32 cells whose event counts span ~30x —
+// the adversarial shape for any static placement, where one heavy cell can
+// hold a whole run hostage. A cold run measures every cell, so measured
+// iterations deal the heaviest cells first round-robin and steal at
+// runtime. The planskew/postskew metrics report event imbalance before and
+// after stealing — the machine-independent evidence of how far stealing
+// levels the load even where wall clock ties (single-core hosts).
 func BenchmarkEngine(b *testing.B) {
 	noop := func(sim.Time) {}
 	cells := make([]string, 32)
@@ -590,7 +591,7 @@ func BenchmarkEngine(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("steal-shards%d", shards), func(b *testing.B) {
 			e := engine.New(shards)
-			e.Run(job) // cold hash plan; primes the oracle
+			e.Run(job) // cold index-order deal; measures every cell
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

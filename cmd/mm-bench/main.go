@@ -47,7 +47,7 @@ func main() {
 	flows := flag.Int("flows", 0, "contention: flows per cell (0 = default 96)")
 	shards := flag.Int("shards", 1, "engine shards for every experiment grid (0 = GOMAXPROCS; scaling's parallel arm defaults to 4); output is identical at any value")
 	mix := flag.String("mix", "", "contention: web:bulk:rpc flow ratio (default 6:1:3)")
-	reps := flag.Int("reps", 0, "scaling: repetitions per arm, oracle-primed after the first (0 = default 3)")
+	reps := flag.Int("reps", 0, "scaling: cold repetitions per arm, each on a fresh engine (0 = default 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	schedstats := flag.String("schedstats", "", "write event-queue depth/occupancy counters aggregated over the run to this file")

@@ -22,7 +22,10 @@
 // The impairment flags mirror tc-netem: -reorder/-reorder-hold park
 // selected packets on the virtual clock, -duplicate clones them, -corrupt
 // flags them for checksum discard at the receiver, and -loss-state runs a
-// 4-state Markov loss chain ("p13,p31,p32,p23,p14") behind the link.
+// 4-state Markov loss chain ("p13,p31,p32,p23,p14") behind the link. A
+// probability outside [0,1], a -loss-state that is not five such values
+// with p13+p14 <= 1 and p31+p32 <= 1, or an unknown queue discipline exits
+// with status 2 and a message naming the flag.
 //
 // Trace files use Mahimahi's format: one millisecond timestamp per line,
 // each line one MTU-sized packet-delivery opportunity.
@@ -32,6 +35,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -69,11 +74,21 @@ func main() {
 	loads := flag.Int("loads", 1, "number of page loads")
 	flag.Parse()
 
+	checkProb("-reorder", *reorder)
+	checkProb("-duplicate", *duplicate)
+	checkProb("-corrupt", *corrupt)
+	var fourState []float64
+	if *lossState != "" {
+		var err error
+		if fourState, err = parseLossState(*lossState); err != nil {
+			usageErr("-loss-state: %v", err)
+		}
+	}
 	mkSpec := func(kind, flagName string) netem.QdiscSpec {
 		switch kind {
 		case netem.QdiscDropTail, netem.QdiscInfinite, netem.QdiscCoDel, netem.QdiscPIE, netem.QdiscFQCoDel:
 		default:
-			fatal(fmt.Errorf("unknown %s %q (want droptail|infinite|codel|pie|fq_codel)", flagName, kind))
+			usageErr("unknown %s %q (want droptail|infinite|codel|pie|fq_codel)", flagName, kind)
 		}
 		spec := netem.QdiscSpec{Kind: kind, Packets: *queue, Bytes: *queueBytes}
 		if kind == netem.QdiscCoDel {
@@ -130,18 +145,12 @@ func main() {
 		shellList = append(shellList, shells.NewDelayShell(sim.Time(*delayMS)*sim.Millisecond))
 	}
 	shellList = append(shellList, link)
-	if *reorder > 0 || *duplicate > 0 || *corrupt > 0 || *lossState != "" {
+	if *reorder > 0 || *duplicate > 0 || *corrupt > 0 || fourState != nil {
 		impair := &shells.ImpairShell{
 			ReorderProb: *reorder, ReorderHold: sim.Time(*reorderHold) * sim.Millisecond,
 			DuplicateProb: *duplicate, CorruptProb: *corrupt,
-			Seed: *seed,
-		}
-		if *lossState != "" {
-			var p [5]float64
-			if n, err := fmt.Sscanf(*lossState, "%g,%g,%g,%g,%g", &p[0], &p[1], &p[2], &p[3], &p[4]); n != 5 || err != nil {
-				fatal(fmt.Errorf("-loss-state wants \"p13,p31,p32,p23,p14\", got %q", *lossState))
-			}
-			impair.FourState = p[:]
+			FourState: fourState,
+			Seed:      *seed,
 		}
 		shellList = append(shellList, impair)
 		fmt.Printf("impairments: %s\n", impair.Name())
@@ -170,6 +179,44 @@ func loadTrace(path string) (*trace.Trace, error) {
 	}
 	defer f.Close()
 	return trace.Parse(path, f)
+}
+
+// checkProb rejects a probability flag outside [0,1] (NaN included).
+func checkProb(name string, p float64) {
+	if !(p >= 0 && p <= 1) {
+		usageErr("%s %v outside [0,1]", name, p)
+	}
+}
+
+// parseLossState parses -loss-state's "p13,p31,p32,p23,p14": exactly five
+// probabilities in [0,1], where the gap state's exits (p13+p14) and the
+// burst state's exits (p31+p32) each sum to at most 1.
+func parseLossState(s string) ([]float64, error) {
+	fields := strings.Split(s, ",")
+	if len(fields) != 5 {
+		return nil, fmt.Errorf("want five values \"p13,p31,p32,p23,p14\", got %q", s)
+	}
+	p := make([]float64, len(fields))
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || !(v >= 0 && v <= 1) {
+			return nil, fmt.Errorf("%q is not a probability in [0,1]", f)
+		}
+		p[i] = v
+	}
+	if p[0]+p[4] > 1 {
+		return nil, fmt.Errorf("p13+p14 = %g exceeds 1", p[0]+p[4])
+	}
+	if p[1]+p[2] > 1 {
+		return nil, fmt.Errorf("p31+p32 = %g exceeds 1", p[1]+p[2])
+	}
+	return p, nil
+}
+
+// usageErr reports bad command-line input and exits 2, as flag does.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mm-link: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -5,10 +5,7 @@
 //
 // Every experiment grid runs on the engine: the page-load drivers park their
 // load scratch on the shard (Shard.Scratch), and the hand-built networks and
-// many-flow cells take the shard's loop and pools directly. The partitioning
-// is deterministic, in the style NetChain assigns keys to chain replicas by
-// consistent hashing: a cold plan places a cell by a pure function of its
-// label and the shard count, never of execution timing. Within a shard,
+// many-flow cells take the shard's loop and pools directly. Within a shard,
 // cells run sequentially (run to completion) on the shard's own sim.Loop,
 // nsim.PoolSet, tcpsim.SegmentPool and tcpsim.ConnPool, so the hot path
 // touches no shared mutable state and needs no synchronization; the only
@@ -17,24 +14,25 @@
 // assembled from the index-aligned output is byte-identical at any shard
 // count, which the determinism suite verifies at 1, 2 and 8 shards.
 //
-// Placement is two-level. Level 1 plans: with a cost oracle (per-label event
-// counts retained from the engine's previous Run, or primed via Prime) the
-// cells are LPT bin-packed — heaviest first onto the least-loaded shard;
-// cold, the plan falls back to the ShardFor label hash. Level 2 balances at
-// runtime: each shard claims cells from its own queue through an atomic
-// cursor, and a shard whose queue drains steals whole cells from the victim
-// with the most unclaimed weight. Because a cell's seed derives from its
-// label and never from the shard that happens to execute it, any steal
-// interleaving produces the identical output; stealing moves only wall-clock
-// time and pool warmth.
+// Placement has one rule. Run sorts the cells by the loop events each label
+// fired in the engine's previous Run, heaviest first with ties by index (a
+// fresh engine has measured nothing, so it keeps index order), and deals
+// them round-robin: the k-th cell goes to shard k mod n. Each shard claims
+// cells from its own queue through an atomic cursor, and a shard whose
+// queue drains steals whole cells from the shard with the most unclaimed
+// cells. Because a cell's seed derives from its label and never from the
+// shard that happens to execute it, any deal and any steal interleaving
+// produce the identical output; placement moves only wall-clock time and
+// pool warmth.
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,27 +127,23 @@ func (sh *Shard) Scratch(key string, mk func() any) any {
 type Engine struct {
 	shards    []*Shard
 	placement Placement
-	// weights is the cost oracle: per-label loop-event counts retained from
-	// the engine's most recent Run (or injected via Prime). Consulted by the
-	// LPT planner; labels never seen cost the mean of the known ones.
-	weights map[string]uint64
-	// Scheduler scratch, reused across Runs so the plan/claim path stays
-	// allocation-free after the first fan-out at a given shape.
+	// events holds the loop events each label fired in the most recent
+	// Run; the next Run deals the heaviest cells first.
+	events map[string]uint64
+	// Scheduler scratch, one queue per shard, reused across Runs so the
+	// plan/claim path stays allocation-free after the first fan-out at a
+	// given shape.
 	queues []shardQueue
 	order  []int32
-	wts    []uint64
-	loads  []uint64
 }
 
-// shardQueue is one shard's planned slice of the job. cells holds cell
-// indices in execution order; prefix[i] is the summed weight of cells[:i]
-// (len(cells)+1 entries), so the unclaimed weight is one subtraction. The
-// cursor is the single point of cross-shard contention: owner and thieves
-// all claim by fetch-add, so every cell is claimed exactly once. The pad
-// keeps neighbouring cursors off one cache line.
+// shardQueue is one shard's dealt slice of the job: cell indices in
+// execution order. The cursor is the single point of cross-shard
+// contention: owner and thieves all claim by fetch-add, so every cell is
+// claimed exactly once. The pad keeps neighbouring cursors off one cache
+// line.
 type shardQueue struct {
 	cells  []int32
-	prefix []uint64
 	cursor atomic.Int64
 	_      [64]byte
 }
@@ -163,19 +157,14 @@ func (q *shardQueue) claim() int {
 	return -1
 }
 
-// remaining estimates the unclaimed weight left in the queue.
-func (q *shardQueue) remaining() uint64 {
-	c := q.cursor.Load()
-	if int(c) >= len(q.cells) {
-		return 0
-	}
-	return q.prefix[len(q.cells)] - q.prefix[c]
+// remaining counts the queue's unclaimed cells.
+func (q *shardQueue) remaining() int {
+	return max(len(q.cells)-int(q.cursor.Load()), 0)
 }
 
-// CellLoad is one cell's slice of a Run: where the plan put it, which shard
+// CellLoad is one cell's slice of a Run: where the deal put it, which shard
 // actually executed it, and how many loop events it fired there.
 type CellLoad struct {
-	Label   string
 	Planned int
 	Ran     int
 	Events  uint64
@@ -183,7 +172,7 @@ type CellLoad struct {
 
 // ShardLoad is one shard's share of a Run: how many cells it executed, how
 // many loop events those cells fired, how many of the cells were stolen
-// from another shard's plan, and how long the shard's worker was busy.
+// from another shard's queue, and how long the shard's worker was busy.
 // WallNs is wall-clock and therefore diagnostic only — it depends on the
 // host — unlike Events, which is machine-independent.
 type ShardLoad struct {
@@ -196,17 +185,13 @@ type ShardLoad struct {
 // Placement reports how the last Run's work spread across shards. Cells
 // differ in weight, so the event skew is the honest number: a max/mean of
 // 1.0 is a perfectly level run, 2.0 means the busiest shard did double the
-// average. PlannedEventSkew scores the plan (level 1) alone; EventSkew
-// scores what actually ran after stealing (level 2). The placement depends
-// on the shard count and on steal timing, so it is diagnostic output —
-// experiment artifacts, which must be byte-identical at any shard count,
-// must not embed it.
+// average. PlannedEventSkew scores the deal alone; EventSkew scores what
+// actually ran after stealing. The placement depends on the shard count and
+// on steal timing, so it is diagnostic output — experiment artifacts, which
+// must be byte-identical at any shard count, must not embed it.
 type Placement struct {
 	Shards []ShardLoad
 	Cells  []CellLoad
-	// Oracle records whether the plan was LPT over retained weights (true)
-	// or the cold-start label hash (false).
-	Oracle bool
 }
 
 // TotalEvents sums loop events over all shards.
@@ -239,8 +224,8 @@ func (p Placement) EventSkew() float64 {
 	return float64(max) / mean
 }
 
-// PlannedEventSkew returns the event skew the level-1 plan alone would have
-// produced: each cell's events charged to the shard the plan assigned it,
+// PlannedEventSkew returns the event skew the deal alone would have
+// produced: each cell's events charged to the shard the deal assigned it,
 // as if no stealing had happened. Comparing it with EventSkew isolates how
 // much balance the stealing pass bought.
 func (p Placement) PlannedEventSkew() float64 {
@@ -296,32 +281,10 @@ func (p Placement) Utilization() float64 {
 	return mean / float64(max)
 }
 
-// Profile is the cost oracle's currency: per-label loop-event counts from a
-// finished Run, suitable for Engine.Prime on this or another engine. An
-// experiment runner that repeats a grid feeds repetition N's Profile into
-// repetition N+1 so the plan starts hot.
-type Profile map[string]uint64
-
-// Profile extracts the per-label event counts of this placement.
-func (p Placement) Profile() Profile {
-	if len(p.Cells) == 0 {
-		return nil
-	}
-	prof := make(Profile, len(p.Cells))
-	for _, c := range p.Cells {
-		prof[c.Label] = c.Events
-	}
-	return prof
-}
-
 // String renders the per-shard load table with the skew summary.
 func (p Placement) String() string {
 	var b strings.Builder
-	plan := "hash"
-	if p.Oracle {
-		plan = "lpt"
-	}
-	fmt.Fprintf(&b, "shard placement (%d shards, %s plan):\n", len(p.Shards), plan)
+	fmt.Fprintf(&b, "shard placement (%d shards):\n", len(p.Shards))
 	fmt.Fprintf(&b, "  %5s %6s %12s %7s %10s\n", "shard", "cells", "events", "stolen", "wall")
 	for i, s := range p.Shards {
 		fmt.Fprintf(&b, "  %5d %6d %12d %7d %10s\n",
@@ -337,29 +300,16 @@ func (p Placement) String() string {
 // Placement reports the per-shard load of the most recent Run.
 func (e *Engine) Placement() Placement { return e.placement }
 
-// Prime seeds the engine's cost oracle with per-label weights, typically a
-// Placement.Profile() from an earlier run of the same grid (on any engine).
-// The next Run plans with LPT over these weights instead of the cold label
-// hash. Each Run refreshes the oracle with what it measured, so priming is
-// only ever needed for the first fan-out.
-func (e *Engine) Prime(p Profile) {
-	if len(p) == 0 {
-		return
-	}
-	if e.weights == nil {
-		e.weights = make(map[string]uint64, len(p))
-	}
-	for label, ev := range p {
-		e.weights[label] = ev
-	}
-}
-
 // New returns an engine with n shards (n <= 0 means GOMAXPROCS(0)).
 func New(n int) *Engine {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{shards: make([]*Shard, n)}
+	e := &Engine{
+		shards: make([]*Shard, n),
+		events: make(map[string]uint64),
+		queues: make([]shardQueue, n),
+	}
 	for i := range e.shards {
 		e.shards[i] = newShard(i)
 	}
@@ -371,14 +321,6 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 
 // Shard returns shard i, for callers driving a single cell directly.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
-
-// ShardFor maps a cell label to its planned shard under a cold cost oracle:
-// a consistent, timing-free partition by hash of the label alone. Which
-// shard that is has no effect on results (each cell's seed derives from its
-// label, not its shard), only on which warmed pools serve it.
-func ShardFor(label string, n int) int {
-	return int(sim.DeriveSeed(0x51a4d, "shard", label) % uint64(n))
-}
 
 // Job is one fan-out: a list of cell labels and the function that runs one
 // cell on its assigned shard. Run must derive all randomness from the cell
@@ -395,16 +337,16 @@ type Job struct {
 
 // Run executes the job and returns the results index-aligned with job.Cells.
 //
-// Cells are first planned onto shards: by ShardFor hash when the cost oracle
-// is cold, by weight-aware LPT bin-packing otherwise. Each shard's worker
-// goroutine (pprof-labelled "shard=i") then drains its own queue through an
-// atomic cursor, and a worker whose queue empties steals unclaimed cells
-// from the most-loaded victim.
+// Cells are dealt round-robin onto shards, heaviest first by the events
+// each label fired in this engine's previous Run (index order on a fresh
+// engine). Each shard's worker goroutine (pprof-labelled "shard=i") then
+// drains its own queue through an atomic cursor, and a worker whose queue
+// empties steals unclaimed cells from the shard with the most of them.
 // Results land in index-aligned slots and every cell's behaviour is a pure
 // function of its label, so the output is byte-identical for every shard
-// count, plan and steal interleaving. The run's per-shard and per-cell load
-// is recorded for Placement, and the measured per-label events refresh the
-// cost oracle for the engine's next Run.
+// count, deal and steal interleaving. The run's per-shard and per-cell load
+// is recorded for Placement, and its per-label events order the engine's
+// next deal.
 func (e *Engine) Run(job Job) []any {
 	n := len(e.shards)
 	out := make([]any, len(job.Cells))
@@ -426,11 +368,10 @@ func (e *Engine) Run(job Job) []any {
 		}
 		wg.Wait()
 	}
-	// Fold per-cell measurements into per-shard loads and refresh the
-	// oracle. Single-writer by now — every worker has joined.
-	if e.weights == nil {
-		e.weights = make(map[string]uint64, len(job.Cells))
-	}
+	// Fold per-cell measurements into per-shard loads and keep the
+	// per-label events for the next deal. Single-writer by now — every
+	// worker has joined.
+	clear(e.events)
 	for i := range e.placement.Cells {
 		c := &e.placement.Cells[i]
 		load := &e.placement.Shards[c.Ran]
@@ -439,113 +380,36 @@ func (e *Engine) Run(job Job) []any {
 		if c.Ran != c.Planned {
 			load.Stolen++
 		}
-		e.weights[c.Label] = c.Events
+		e.events[job.Cells[i]] = c.Events
 	}
 	return out
 }
 
-// plan fills the per-shard queues and the per-cell Planned slots. With a
-// warm oracle it LPT bin-packs: cells sorted by estimated weight
-// descending, each placed on the currently lightest shard. Cold starts use
-// the ShardFor hash, which preserves index order within each shard.
+// plan deals the cells onto the per-shard queues and fills the per-cell
+// Planned slots: cells sorted by the events their labels fired in the
+// previous Run, descending, ties by lower index, and the k-th of them
+// queued on shard k mod n. The deal is a pure function of (labels, previous
+// events, n); with nothing measured it is plain index order.
 func (e *Engine) plan(job Job) {
 	n := len(e.shards)
-	if len(e.queues) != n {
-		e.queues = make([]shardQueue, n)
-	}
 	for s := range e.queues {
 		q := &e.queues[s]
 		q.cells = q.cells[:0]
-		q.prefix = q.prefix[:0]
 		q.cursor.Store(0)
 	}
-	wts, oracle := e.cellWeights(job)
-	if oracle {
-		// LPT: heaviest cell first onto the least-loaded shard. Ties break
-		// on the lower cell index / lower shard index, so the plan is a
-		// pure function of (labels, weights, n).
-		ord := e.order[:0]
-		for i := range job.Cells {
-			ord = append(ord, int32(i))
-		}
-		sort.Slice(ord, func(a, b int) bool {
-			wa, wb := wts[ord[a]], wts[ord[b]]
-			if wa != wb {
-				return wa > wb
-			}
-			return ord[a] < ord[b]
-		})
-		e.order = ord
-		loads := append(e.loads[:0], make([]uint64, n)...)
-		e.loads = loads
-		for _, ci := range ord {
-			s := 0
-			for j := 1; j < n; j++ {
-				if loads[j] < loads[s] {
-					s = j
-				}
-			}
-			e.queues[s].cells = append(e.queues[s].cells, ci)
-			loads[s] += wts[ci]
-		}
-		e.placement.Oracle = true
-	} else {
-		for i, label := range job.Cells {
-			s := ShardFor(label, n)
-			e.queues[s].cells = append(e.queues[s].cells, int32(i))
-		}
+	ord := e.order[:0]
+	for i := range job.Cells {
+		ord = append(ord, int32(i))
 	}
-	for s := range e.queues {
-		q := &e.queues[s]
-		q.prefix = append(q.prefix, 0)
-		var sum uint64
-		for _, ci := range q.cells {
-			sum += wts[ci]
-			q.prefix = append(q.prefix, sum)
-		}
-		for _, ci := range q.cells {
-			e.placement.Cells[ci].Planned = s
-		}
+	slices.SortStableFunc(ord, func(a, b int32) int {
+		return cmp.Compare(e.events[job.Cells[b]], e.events[job.Cells[a]])
+	})
+	e.order = ord
+	for k, ci := range ord {
+		s := k % n
+		e.queues[s].cells = append(e.queues[s].cells, ci)
+		e.placement.Cells[ci].Planned = s
 	}
-	for i, label := range job.Cells {
-		e.placement.Cells[i].Label = label
-	}
-}
-
-// cellWeights estimates each cell's cost. With no retained weight for any of
-// the job's labels the oracle is cold (second return false) and every cell
-// weighs 1; otherwise known labels use their retained event count (clamped
-// to >= 1 so prefix sums stay strictly increasing) and unknown labels weigh
-// the mean of the known ones.
-func (e *Engine) cellWeights(job Job) ([]uint64, bool) {
-	wts := e.wts[:0]
-	var sum uint64
-	known := 0
-	for _, label := range job.Cells {
-		w := e.weights[label]
-		if w > 0 {
-			sum += w
-			known++
-		}
-		wts = append(wts, w)
-	}
-	e.wts = wts
-	if known == 0 {
-		for i := range wts {
-			wts[i] = 1
-		}
-		return wts, false
-	}
-	mean := sum / uint64(known)
-	if mean == 0 {
-		mean = 1
-	}
-	for i := range wts {
-		if wts[i] == 0 {
-			wts[i] = mean
-		}
-	}
-	return wts, true
 }
 
 // runWorker drains shard sh's queue, then other shards' queues, one claimed
@@ -570,13 +434,13 @@ func (e *Engine) runWorker(job Job, out []any, sh *Shard) {
 	e.placement.Shards[sh.index].WallNs = time.Since(start).Nanoseconds()
 }
 
-// stealCell claims one cell from the victim with the most unclaimed
-// estimated weight, rescanning if it loses the race for a victim's last
-// cell. Returns -1 once every queue is drained. No allocation: the scan
-// reads cursors and prefix sums already in place.
+// stealCell claims one cell from the shard with the most unclaimed cells,
+// rescanning if it loses the race for a victim's last cell. Returns -1 once
+// every queue is drained. No allocation: the scan reads cursors already in
+// place.
 func (e *Engine) stealCell(self int) int {
 	for {
-		victim, most := -1, uint64(0)
+		victim, most := -1, 0
 		for j := range e.queues {
 			if j == self {
 				continue

@@ -2,77 +2,90 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func TestShardForIsConsistentAndInRange(t *testing.T) {
-	hits := make([]int, 8)
-	for i := 0; i < 500; i++ {
-		label := fmt.Sprintf("cell%03d", i)
-		s := ShardFor(label, 8)
-		if s < 0 || s >= 8 {
-			t.Fatalf("ShardFor(%q, 8) = %d out of range", label, s)
-		}
-		if again := ShardFor(label, 8); again != s {
-			t.Fatalf("ShardFor(%q, 8) unstable: %d then %d", label, s, again)
-		}
-		hits[s]++
-	}
-	for s, n := range hits {
-		if n == 0 {
-			t.Fatalf("shard %d received none of 500 labels: degenerate partition", s)
-		}
-	}
-}
-
+// TestEngineRunIndexAlignedAndShardLocal: a fresh engine deals cell i to
+// shard i mod 4; a second Run of the same job on the same engine deals by
+// the events each cell fired in the first, heaviest first with ties by
+// index. Either way every cell runs exactly once, on the shard Placement
+// records, its result lands in its own slot, and a shard claims its own
+// cells in dealt order (stolen cells may interleave).
 func TestEngineRunIndexAlignedAndShardLocal(t *testing.T) {
-	e := New(4)
-	cells := make([]string, 40)
-	for i := range cells {
-		cells[i] = fmt.Sprintf("c%02d", i)
-	}
+	const shards = 4
+	e := New(shards)
+	job := placementJob(40)
 	// Each shard appends the cells it ran to its own slice — one goroutine
-	// per shard, so no synchronization. The cold plan is the ShardFor hash
-	// in index order, so the cells a shard claims from its own queue must
-	// arrive in label-index order (run-to-completion, deterministic order);
-	// stolen cells may interleave.
-	perShard := make([][]int, 4)
-	out := e.Run(Job{Cells: cells, Run: func(sh *Shard, cell int, label string) any {
+	// per shard, so no synchronization.
+	var perShard [shards][]int
+	run := job.Run
+	job.Run = func(sh *Shard, cell int, label string) any {
 		perShard[sh.Index()] = append(perShard[sh.Index()], cell)
-		return label + "!"
-	}})
-	for i, v := range out {
-		if v != cells[i]+"!" {
-			t.Fatalf("out[%d] = %v, want %q", i, v, cells[i]+"!")
-		}
+		return run(sh, cell, label)
 	}
-	p := e.Placement()
-	runs := make([]int, len(cells))
-	for s, ran := range perShard {
-		last := -1
-		for _, cell := range ran {
-			runs[cell]++
-			c := p.Cells[cell]
-			if c.Ran != s {
-				t.Fatalf("cell %d ran on shard %d, placement says %d", cell, s, c.Ran)
+	check := func(name string, deal []int) []any {
+		t.Helper()
+		perShard = [shards][]int{}
+		out := e.Run(job)
+		p := e.Placement()
+		rank := make([]int, len(deal))
+		for k, cell := range deal {
+			rank[cell] = k
+			if got := p.Cells[cell].Planned; got != k%shards {
+				t.Fatalf("%s: cell %d (dealt %d-th) planned on shard %d, want %d", name, cell, k, got, k%shards)
 			}
-			if c.Planned != ShardFor(cells[cell], 4) {
-				t.Fatalf("cold plan put cell %d on shard %d, want ShardFor %d",
-					cell, c.Planned, ShardFor(cells[cell], 4))
-			}
-			if c.Planned == s {
-				if cell <= last {
-					t.Fatalf("shard %d ran its own cells out of index order: %v", s, ran)
+		}
+		runs := make([]int, len(deal))
+		for s, ran := range perShard {
+			last := -1
+			for _, cell := range ran {
+				runs[cell]++
+				c := p.Cells[cell]
+				if c.Ran != s {
+					t.Fatalf("%s: cell %d ran on shard %d, placement says %d", name, cell, s, c.Ran)
 				}
-				last = cell
+				if c.Planned == s {
+					if rank[cell] <= last {
+						t.Fatalf("%s: shard %d ran its own cells out of dealt order: %v", name, s, ran)
+					}
+					last = rank[cell]
+				}
 			}
 		}
+		for cell, n := range runs {
+			if n != 1 {
+				t.Fatalf("%s: cell %d ran %d times, want once", name, cell, n)
+			}
+		}
+		for i, v := range out {
+			if want := placementEvents(job.Cells[i]); v != want {
+				t.Fatalf("%s: out[%d] = %v, want %d", name, i, v, want)
+			}
+		}
+		return out
 	}
-	for cell, n := range runs {
-		if n != 1 {
-			t.Fatalf("cell %d ran %d times, want once", cell, n)
+
+	deal := make([]int, len(job.Cells))
+	for i := range deal {
+		deal[i] = i
+	}
+	cold := check("cold", deal)
+
+	// Warm: heaviest first by the cold run's measured events, ties by index.
+	sort.SliceStable(deal, func(a, b int) bool {
+		return placementEvents(job.Cells[deal[a]]) > placementEvents(job.Cells[deal[b]])
+	})
+	if slices.IsSorted(deal) {
+		t.Fatal("placementJob has equal cell weights: the warm deal cannot differ from index order")
+	}
+	warm := check("warm", deal)
+	for i := range cold {
+		if warm[i] != cold[i] {
+			t.Fatalf("warm out[%d] = %v, cold %v: the deal changed a result", i, warm[i], cold[i])
 		}
 	}
 }
@@ -134,6 +147,12 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// placementEvents is the number of loop events placementJob's cell label
+// fires: 1 to 7, derived from the label.
+func placementEvents(label string) int {
+	return int(sim.DeriveSeed(1, label)%7) + 1
+}
+
 // placementJob runs a tiny deterministic workload: each cell schedules a
 // label-derived number of loop events on its shard's loop.
 func placementJob(n int) Job {
@@ -143,7 +162,7 @@ func placementJob(n int) Job {
 	}
 	return Job{Cells: cells, Run: func(sh *Shard, cell int, label string) any {
 		loop := sh.Loop()
-		events := int(sim.DeriveSeed(1, label)%7) + 1
+		events := placementEvents(label)
 		for i := 0; i < events; i++ {
 			loop.Schedule(sim.Time(i)*sim.Millisecond, func(sim.Time) {})
 		}
@@ -159,7 +178,7 @@ func TestEnginePlacementAccounting(t *testing.T) {
 	job := placementJob(24)
 	var wantEvents uint64
 	for _, label := range job.Cells {
-		wantEvents += sim.DeriveSeed(1, label)%7 + 1
+		wantEvents += uint64(placementEvents(label))
 	}
 	for _, shards := range []int{1, 4} {
 		e := New(shards)
@@ -186,9 +205,6 @@ func TestEnginePlacementAccounting(t *testing.T) {
 		}
 		var cellEvents uint64
 		for i, c := range p.Cells {
-			if c.Label != job.Cells[i] {
-				t.Fatalf("cell %d labelled %q, want %q", i, c.Label, job.Cells[i])
-			}
 			if c.Ran < 0 || c.Ran >= shards || c.Planned < 0 || c.Planned >= shards {
 				t.Fatalf("cell %d shard indices out of range: planned %d ran %d", i, c.Planned, c.Ran)
 			}
@@ -196,9 +212,6 @@ func TestEnginePlacementAccounting(t *testing.T) {
 		}
 		if cellEvents != wantEvents {
 			t.Fatalf("shards=%d: per-cell events sum %d, want %d", shards, cellEvents, wantEvents)
-		}
-		if prof := p.Profile(); len(prof) != len(out) {
-			t.Fatalf("profile has %d labels, want %d", len(prof), len(out))
 		}
 		if s := p.String(); s == "" {
 			t.Fatal("empty placement report")

@@ -201,53 +201,26 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 			cells = append(cells, Cell{Site: "bloat", Shell: l.name + "+" + spec.String()})
 		}
 	}
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) []float64 {
+	rows := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) BufferbloatRow {
 		l := links[i/len(qdiscs)]
-		spec := qdiscs[i%len(qdiscs)]
-		return bufferbloatCell(sh, cfg, page, site, payload, l.up, l.down, spec)
+		row := bufferbloatCell(sh, cfg, page, site, payload, l.up, l.down, qdiscs[i%len(qdiscs)])
+		row.Link = l.name
+		return row
 	})
 
 	target := cfg.Target
 	if target <= 0 {
 		target = netem.DefaultCoDelTarget
 	}
-	out := BufferbloatResult{Target: target}
-	for i, vals := range results {
-		out.Rows = append(out.Rows, BufferbloatRow{
-			Link:          links[i/len(qdiscs)].name,
-			Qdisc:         qdiscs[i%len(qdiscs)],
-			PLTms:         vals[0],
-			P95SojournMs:  vals[1],
-			MeanSojournMs: vals[2],
-			TailDrops:     uint64(vals[3]),
-			AQMDrops:      uint64(vals[4]),
-			MaxQueue:      int(vals[5]),
-			BulkBytes:     int(vals[6]),
-			AQMMarks:      uint64(vals[7]),
-			Fairness: FairnessRow{
-				Flows:       int(vals[8]),
-				BulkBytes:   uint64(vals[9]),
-				WebBytes:    uint64(vals[10]),
-				BulkMeanQMs: vals[11],
-				WebMeanQMs:  vals[12],
-				BulkDrops:   uint64(vals[13]),
-				WebDrops:    uint64(vals[14]),
-				BulkMarks:   uint64(vals[15]),
-				WebMarks:    uint64(vals[16]),
-				Jain:        vals[17],
-				BulkP95QMs:  vals[18],
-				WebP95QMs:   vals[19],
-			},
-		})
-	}
-	return out
+	return BufferbloatResult{Rows: rows, Target: target}
 }
 
 // bufferbloatCell runs one cell on sh: a page load over a shaped link
 // whose downlink qdisc is spec, while a bulk flow from a sink namespace
-// behind the replay servers saturates the same link.
+// behind the replay servers saturates the same link. The caller names the
+// row's Link.
 func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
-	payload []byte, up, down *trace.Trace, spec netem.QdiscSpec) []float64 {
+	payload []byte, up, down *trace.Trace, spec netem.QdiscSpec) BufferbloatRow {
 	loop := sh.Loop()
 	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	replay, err := replayshell.New(network, replayshell.Config{
@@ -340,23 +313,24 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 
 	qs := downQ.QueueStats()
 	s := sojourn.Sample()
-	vals := []float64{
-		result.PLT.Milliseconds(),
-		s.Percentile(95),
-		s.Mean(),
-		float64(qs.TailDrops),
-		float64(qs.AQMDrops),
-		float64(qs.MaxLen),
-		float64(bulkGot),
-		float64(qs.AQMMarks),
+	return BufferbloatRow{
+		Qdisc:         spec,
+		PLTms:         result.PLT.Milliseconds(),
+		P95SojournMs:  s.Percentile(95),
+		MeanSojournMs: s.Mean(),
+		TailDrops:     qs.TailDrops,
+		AQMDrops:      qs.AQMDrops,
+		AQMMarks:      qs.AQMMarks,
+		MaxQueue:      qs.MaxLen,
+		BulkBytes:     bulkGot,
+		Fairness:      fairnessRow(qs),
 	}
-	return append(vals, fairnessVals(qs)...)
 }
 
-// fairnessVals attributes the queue's per-flow telemetry to the bulk flow
+// fairnessRow attributes the queue's per-flow telemetry to the bulk flow
 // (the flow that delivered the most bytes; ties go to the lowest id) versus
-// everything else, flattened for the engine's order-free merge.
-func fairnessVals(qs *netem.QueueStats) []float64 {
+// everything else.
+func fairnessRow(qs *netem.QueueStats) FairnessRow {
 	var bulkID uint64
 	var bulkBytes uint64
 	ids := qs.Flows()
@@ -397,18 +371,19 @@ func fairnessVals(qs *netem.QueueStats) []float64 {
 	if b+w > 0 {
 		jain = (b + w) * (b + w) / (2 * (b*b + w*w))
 	}
-	return []float64{
-		float64(len(ids)),
-		b, w,
-		bulk.MeanSojourn().Milliseconds(),
-		web.MeanSojourn().Milliseconds(),
-		float64(bulk.TailDrops + bulk.AQMDrops),
-		float64(web.TailDrops + web.AQMDrops),
-		float64(bulk.AQMMarks),
-		float64(web.AQMMarks),
-		jain,
-		bulkP95,
-		webP95,
+	return FairnessRow{
+		Flows:       len(ids),
+		BulkBytes:   bulk.DequeuedBytes,
+		WebBytes:    web.DequeuedBytes,
+		BulkMeanQMs: bulk.MeanSojourn().Milliseconds(),
+		WebMeanQMs:  web.MeanSojourn().Milliseconds(),
+		BulkP95QMs:  bulkP95,
+		WebP95QMs:   webP95,
+		BulkDrops:   bulk.TailDrops + bulk.AQMDrops,
+		WebDrops:    web.TailDrops + web.AQMDrops,
+		BulkMarks:   bulk.AQMMarks,
+		WebMarks:    web.AQMMarks,
+		Jain:        jain,
 	}
 }
 

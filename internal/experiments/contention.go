@@ -27,10 +27,6 @@ type ContentionConfig struct {
 	Mix   engine.Mix
 	// Shards is the engine shard count (<= 0: GOMAXPROCS).
 	Shards int
-	// Profile primes the engine's cost oracle with per-label event counts
-	// from an earlier run (Placement.Profile()), so even the first fan-out
-	// plans weight-aware LPT instead of the cold label hash.
-	Profile engine.Profile
 	// BulkBytes sizes the bulk class's downloads.
 	BulkBytes int
 	// OneWayDelay is the propagation delay either side of the queue.
@@ -79,7 +75,7 @@ type ContentionSweepResult struct {
 
 // Contention runs the grid on the sharded engine. Each cell's spec derives
 // its seed from the root seed and the cell label alone, and each cell runs
-// to completion on whichever shard the engine places or steals it onto;
+// to completion on whichever shard the engine deals or steals it onto;
 // results land index-aligned, so the rendered artifact does not depend on
 // Shards.
 func Contention(cfg ContentionConfig) ContentionSweepResult {
@@ -115,7 +111,6 @@ func Contention(cfg ContentionConfig) ContentionSweepResult {
 		}
 	}
 	e := engine.New(cfg.Shards)
-	e.Prime(cfg.Profile)
 	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		l := links[cell/len(qdiscs)]
 		spec := engine.ContentionSpec{

@@ -50,19 +50,17 @@ func (c Cell) String() string {
 // from generators seeded with the supplied seed. Under those conditions
 // the results are bit-identical at any shard count, because (1) each
 // cell's seed is derived from its coordinates alone, (2) cells share no
-// state, and (3) the engine writes each result to the slot of the cell
-// that produced it, never in completion order.
-func runCells(shards int, root uint64, cells []Cell, run func(sh *engine.Shard, i int, c Cell, seed uint64) []float64) [][]float64 {
+// state, and (3) each result is written to the slot of the cell that
+// produced it, never in completion order.
+func runCells[T any](shards int, root uint64, cells []Cell, run func(sh *engine.Shard, i int, c Cell, seed uint64) T) []T {
 	labels := make([]string, len(cells))
 	for i, c := range cells {
 		labels[i] = c.String()
 	}
-	out := engine.New(shards).Run(engine.Job{Cells: labels, Run: func(sh *engine.Shard, i int, _ string) any {
-		return run(sh, i, cells[i], cells[i].Seed(root))
+	vals := make([]T, len(cells))
+	engine.New(shards).Run(engine.Job{Cells: labels, Run: func(sh *engine.Shard, i int, _ string) any {
+		vals[i] = run(sh, i, cells[i], cells[i].Seed(root))
+		return nil
 	}})
-	vals := make([][]float64, len(out))
-	for i, v := range out {
-		vals[i] = v.([]float64)
-	}
 	return vals
 }

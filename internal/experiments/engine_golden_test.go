@@ -8,7 +8,7 @@ import (
 
 // goldenContention is the determinism-suite contention config: the exact
 // artifact pinned in testdata/contention_pr8.golden before the engine grew
-// LPT placement and work stealing.
+// work stealing.
 func goldenContention() ContentionConfig {
 	cfg := DefaultContention()
 	cfg.Flows = 24
@@ -26,10 +26,10 @@ func readGolden(t *testing.T, name string) string {
 }
 
 // TestContentionGoldenAcrossSchedulingModes pins the contention artifact to
-// the bytes captured before the work-stealing scheduler existed, across
-// every scheduling mode the engine has: hash placement (cold) and LPT
-// placement (oracle-primed), with stealing at several shard counts.
-// Placement is a performance knob; none of these may move a byte.
+// the bytes captured before the work-stealing scheduler existed, with
+// stealing at several shard counts. Placement is a performance knob; none
+// of these may move a byte. (A warm engine's measured deal is pinned equal
+// to the cold one in the engine package's own tests.)
 func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 	want := readGolden(t, "contention_pr8.golden")
 	base := goldenContention()
@@ -46,19 +46,11 @@ func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 		cfg.Shards = shards
 		run("steal-cold", cfg)
 	}
-	// Oracle-primed LPT run: profile from a cold run feeds the next one.
-	cold := base
-	cold.Shards = 4
-	profiled := Contention(cold)
-	primed := base
-	primed.Shards = 4
-	primed.Profile = profiled.Placement.Profile()
-	run("steal-primed", primed)
 }
 
 // TestDynamicsGoldenAcrossSchedulingModes does the same for the chaos
 // scheduler grid: scripted fault transcripts and queue epochs are pinned to
-// the pre-stealing bytes under hash placement with stealing.
+// the pre-stealing bytes with stealing at several shard counts.
 // (The golden file was re-captured once after duplicate-ACK counting was
 // tightened to RFC 6675 — the chaos grid's loss epochs exercise fast
 // retransmit, so its transcript moved with the fix.)

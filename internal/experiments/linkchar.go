@@ -161,38 +161,20 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 		}
 	}
 	perLink := len(impairs) * len(qdiscs)
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
+	rows := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) LinkcharRow {
 		l := corpus[i/perLink]
 		imp := impairs[(i%perLink)/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
 		return linkcharCell(sh, cfg, payload, upTrace, l, imp, spec, seed)
 	})
-
-	out := LinkcharResult{}
-	for i, vals := range results {
-		out.Rows = append(out.Rows, LinkcharRow{
-			Link:            corpus[i/perLink].Name(),
-			Impair:          impairs[(i%perLink)/len(qdiscs)].name,
-			Qdisc:           qdiscs[i%len(qdiscs)],
-			DoneMs:          vals[0],
-			GoodputKbps:     vals[1],
-			DupBytes:        uint64(vals[2]),
-			ChecksumDrops:   uint64(vals[3]),
-			Retransmits:     uint64(vals[4]),
-			FastRetransmits: uint64(vals[5]),
-			Timeouts:        uint64(vals[6]),
-			Impaired:        uint64(vals[7]),
-			TailDrops:       uint64(vals[8]),
-		})
-	}
-	return out
+	return LinkcharResult{Rows: rows}
 }
 
 // linkcharCell runs one cell on sh: a bulk download from a server
 // namespace to a client across a downlink shaped by trace + qdisc +
 // impairment box.
 func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
-	imp linkcharImpair, spec netem.QdiscSpec, seed uint64) []float64 {
+	imp linkcharImpair, spec netem.QdiscSpec, seed uint64) LinkcharRow {
 	loop := sh.Loop()
 	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	cns := network.NewNamespace("client")
@@ -247,21 +229,23 @@ func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down
 	if srv != nil {
 		sstats = srv.Statistics()
 	}
-	doneMs := float64(done) / float64(sim.Millisecond)
 	goodput := 0.0
 	if done > 0 {
 		goodput = float64(cstats.BytesReceived) * 8 / done.Seconds() / 1000
 	}
-	return []float64{
-		doneMs,
-		goodput,
-		float64(cstats.DupBytesRcvd),
-		float64(cstats.ChecksumDrops),
-		float64(sstats.Retransmits),
-		float64(sstats.FastRetransmits),
-		float64(sstats.Timeouts),
-		float64(impaired()),
-		float64(downQ.QueueStats().TailDrops),
+	return LinkcharRow{
+		Link:            down.Name(),
+		Impair:          imp.name,
+		Qdisc:           spec,
+		DoneMs:          float64(done) / float64(sim.Millisecond),
+		GoodputKbps:     goodput,
+		DupBytes:        cstats.DupBytesRcvd,
+		ChecksumDrops:   cstats.ChecksumDrops,
+		Retransmits:     sstats.Retransmits,
+		FastRetransmits: sstats.FastRetransmits,
+		Timeouts:        sstats.Timeouts,
+		Impaired:        impaired(),
+		TailDrops:       downQ.QueueStats().TailDrops,
 	}
 }
 

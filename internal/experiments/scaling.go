@@ -4,24 +4,21 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/engine"
 )
 
 // ScalingConfig declares the engine-scaling smoke: the contention grid run
-// at 1 shard and at Shards shards, each arm repeated Reps times with every
-// repetition's measured per-cell profile fed into the next (the cost-oracle
-// plumbing), so the first repetition plans by label hash and the rest plan
-// weight-aware LPT. Wall-clock speedup is host-dependent; the skew, steal
-// and utilization columns are the machine-independent evidence that the
-// two-level scheduler levels the load.
+// at 1 shard and at Shards shards, each arm repeated Reps times, every
+// repetition a cold run on a fresh engine. Wall-clock speedup is
+// host-dependent; the skew, steal and utilization columns are the
+// machine-independent evidence of how far the deal and stealing level the
+// load.
 type ScalingConfig struct {
-	// Contention is the per-cell workload; its Shards/Profile fields are
-	// overridden per arm.
+	// Contention is the per-cell workload; its Shards field is overridden
+	// per arm.
 	Contention ContentionConfig
 	// Shards is the parallel arm's lane count (<= 0: GOMAXPROCS).
 	Shards int
-	// Reps is the repetitions per arm (default 3: one cold, two primed).
+	// Reps is the repetitions per arm (default 3).
 	Reps int
 }
 
@@ -37,7 +34,6 @@ func DefaultScaling() ScalingConfig {
 type ScalingRep struct {
 	Shards      int
 	Wall        time.Duration
-	Oracle      bool
 	PlannedSkew float64
 	PostSkew    float64
 	Steals      int
@@ -66,15 +62,12 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 	var golden string
 	arm := func(shards int) []ScalingRep {
 		reps := make([]ScalingRep, 0, cfg.Reps)
-		var profile engine.Profile
 		for i := 0; i < cfg.Reps; i++ {
 			c := cfg.Contention
 			c.Shards = shards
-			c.Profile = profile
 			start := time.Now()
 			out := Contention(c)
 			wall := time.Since(start)
-			profile = out.Placement.Profile()
 			if golden == "" {
 				golden = out.String()
 			} else if out.String() != golden {
@@ -82,7 +75,7 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 			}
 			p := out.Placement
 			reps = append(reps, ScalingRep{
-				Shards: len(p.Shards), Wall: wall, Oracle: p.Oracle,
+				Shards: len(p.Shards), Wall: wall,
 				PlannedSkew: p.PlannedEventSkew(), PostSkew: p.EventSkew(),
 				Steals: p.Steals(), Utilization: p.Utilization(),
 			})
@@ -112,15 +105,11 @@ func (r ScalingResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine scaling smoke: %d-flow contention grid, shards 1 vs %d\n",
 		r.Flows, r.RepsN[len(r.RepsN)-1].Shards)
-	fmt.Fprintf(&b, "  %6s %4s %6s %10s %8s %8s %7s %5s\n",
-		"shards", "rep", "plan", "wall", "planskew", "postskew", "steals", "util")
+	fmt.Fprintf(&b, "  %6s %4s %10s %8s %8s %7s %5s\n",
+		"shards", "rep", "wall", "planskew", "postskew", "steals", "util")
 	row := func(i int, rep ScalingRep) {
-		plan := "hash"
-		if rep.Oracle {
-			plan = "lpt"
-		}
-		fmt.Fprintf(&b, "  %6d %4d %6s %10s %8.2f %8.2f %7d %5.2f\n",
-			rep.Shards, i, plan, rep.Wall.Round(time.Millisecond),
+		fmt.Fprintf(&b, "  %6d %4d %10s %8.2f %8.2f %7d %5.2f\n",
+			rep.Shards, i, rep.Wall.Round(time.Millisecond),
 			rep.PlannedSkew, rep.PostSkew, rep.Steals, rep.Utilization)
 	}
 	for i, rep := range r.Reps1 {

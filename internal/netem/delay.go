@@ -294,7 +294,7 @@ func NewRateBox(loop *sim.Loop, bitsPerSec int64, queue Qdisc) *RateBox {
 		panic(fmt.Sprintf("netem: non-positive rate %d", bitsPerSec))
 	}
 	if queue == nil {
-		queue = NewInfinite()
+		queue = NewDropTail(0, 0)
 	}
 	r := &RateBox{loop: loop, bps: bitsPerSec, queue: queue}
 	r.timer = loop.NewTimer(r.finish)
@@ -328,7 +328,7 @@ func (r *RateBox) SetRate(bitsPerSec int64) {
 // moved into the new queue and how many were dropped at the boundary.
 func (r *RateBox) SwapQdisc(q Qdisc, policy DrainPolicy) (moved, dropped int) {
 	if q == nil {
-		q = NewInfinite()
+		q = NewDropTail(0, 0)
 	}
 	old := r.queue
 	r.queue = q

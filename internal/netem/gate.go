@@ -48,7 +48,7 @@ func NewGateBox(loop *sim.Loop, on, off sim.Time, jitter float64, rng *sim.Rand,
 		panic("netem: GateBox jitter requires an RNG")
 	}
 	if queue == nil {
-		queue = NewInfinite()
+		queue = NewDropTail(0, 0)
 	}
 	g := &GateBox{loop: loop, on: on, off: off, jitter: jitter, rng: rng, isOn: true, queue: queue}
 	g.flipFn = g.flip
@@ -64,7 +64,7 @@ func NewGateBox(loop *sim.Loop, on, off sim.Time, jitter float64, rng *sim.Rand,
 // while the link is down (nil = unbounded).
 func NewScriptedGateBox(loop *sim.Loop, queue Qdisc) *GateBox {
 	if queue == nil {
-		queue = NewInfinite()
+		queue = NewDropTail(0, 0)
 	}
 	g := &GateBox{loop: loop, isOn: true, scripted: true, queue: queue}
 	g.flipFn = g.flip

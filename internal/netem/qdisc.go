@@ -479,9 +479,6 @@ type QdiscSpec struct {
 	ECN bool
 }
 
-// IsZero reports whether the spec is entirely unset.
-func (s QdiscSpec) IsZero() bool { return s == QdiscSpec{} }
-
 // Build instantiates the discipline the spec describes. Unknown kinds
 // panic: specs come from CLI flags and driver tables, where a typo should
 // fail loudly at setup rather than silently shape traffic wrong.
@@ -490,7 +487,7 @@ func (s QdiscSpec) Build() Qdisc {
 	case "", QdiscDropTail:
 		return NewDropTail(s.Packets, s.Bytes)
 	case QdiscInfinite:
-		return NewInfinite()
+		return NewDropTail(0, 0)
 	case QdiscCoDel:
 		return NewCoDel(CoDelConfig{
 			Target: s.Target, Interval: s.Interval,

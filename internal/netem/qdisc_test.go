@@ -11,7 +11,7 @@ import (
 // TestInfiniteNeverDrops: the infinite discipline admits everything and
 // reports exact FIFO order and telemetry.
 func TestInfiniteNeverDrops(t *testing.T) {
-	q := NewInfinite()
+	q := NewDropTail(0, 0)
 	const n = 10_000
 	for i := 0; i < n; i++ {
 		if !q.Enqueue(&Packet{Size: 1, Seq: int64(i)}, sim.Time(i)) {
@@ -62,8 +62,8 @@ func TestQdiscSpecBuild(t *testing.T) {
 	if _, ok := (QdiscSpec{}).Build().(*DropTail); !ok {
 		t.Fatal("zero spec did not build droptail")
 	}
-	if _, ok := (QdiscSpec{Kind: QdiscInfinite}).Build().(*Infinite); !ok {
-		t.Fatal("infinite spec did not build Infinite")
+	if _, ok := (QdiscSpec{Kind: QdiscInfinite}).Build().(*DropTail); !ok {
+		t.Fatal("infinite spec did not build DropTail")
 	}
 	cd, ok := QdiscSpec{Kind: QdiscCoDel}.Build().(*CoDel)
 	if !ok {
@@ -335,7 +335,7 @@ func TestTraceBoxCoDelShedsStandingQueue(t *testing.T) {
 		qs := q.QueueStats()
 		return qs.MeanSojourn(), qs.Drops()
 	}
-	dtMean, dtDrops := run(NewInfinite())
+	dtMean, dtDrops := run(NewDropTail(0, 0))
 	cdMean, cdDrops := run(NewCoDel(CoDelConfig{}))
 	if dtDrops != 0 {
 		t.Fatalf("infinite queue dropped %d", dtDrops)

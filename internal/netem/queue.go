@@ -4,7 +4,9 @@ import "repro/internal/sim"
 
 // DropTail is a FIFO queue discipline with optional packet-count and byte
 // limits, matching the droptail queues in front of Mahimahi's emulated
-// links. A zero limit means unlimited in that dimension.
+// links. A zero limit means unlimited in that dimension, so NewDropTail(0, 0)
+// is Mahimahi's "infinite" queue: every packet is admitted and none is ever
+// dropped.
 type DropTail struct {
 	qdiscBase
 	maxPackets int
@@ -26,21 +28,3 @@ func (q *DropTail) Enqueue(pkt *Packet, now sim.Time) bool {
 // Dequeue implements Qdisc: droptail has no dequeue-time drop law, so this
 // is a plain FIFO pop with sojourn accounting.
 func (q *DropTail) Dequeue(now sim.Time) *Packet { return q.take(now) }
-
-// Infinite is the unbounded FIFO discipline (Mahimahi's default
-// "infinite" queue): every packet is admitted and none is ever dropped.
-type Infinite struct {
-	qdiscBase
-}
-
-// NewInfinite returns an unbounded FIFO qdisc.
-func NewInfinite() *Infinite { return &Infinite{} }
-
-// Enqueue implements Qdisc: always admits.
-func (q *Infinite) Enqueue(pkt *Packet, now sim.Time) bool {
-	q.admit(pkt, now)
-	return true
-}
-
-// Dequeue implements Qdisc.
-func (q *Infinite) Dequeue(now sim.Time) *Packet { return q.take(now) }

@@ -39,7 +39,7 @@ type TraceBox struct {
 // bounding the backlog; pass nil for an unbounded (infinite) queue.
 func NewTraceBox(loop *sim.Loop, opps OpportunitySource, queue Qdisc) *TraceBox {
 	if queue == nil {
-		queue = NewInfinite()
+		queue = NewDropTail(0, 0)
 	}
 	t := &TraceBox{loop: loop, opps: opps, queue: queue}
 	t.timer = loop.NewTimer(t.fire)
@@ -73,7 +73,7 @@ func (t *TraceBox) SetSource(opps OpportunitySource) {
 // committed to the transmitter finishes its opportunities untouched.
 func (t *TraceBox) SwapQdisc(q Qdisc, policy DrainPolicy) (moved, dropped int) {
 	if q == nil {
-		q = NewInfinite()
+		q = NewDropTail(0, 0)
 	}
 	old := t.queue
 	t.queue = q

@@ -51,44 +51,17 @@ func (d *DelayShell) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
 
 // LinkShell emulates a trace-driven link (mm-link): independent uplink and
 // downlink packet-delivery traces, each fronted by a queue discipline
-// (droptail by default, as in Mahimahi; CoDel and infinite selectable via
-// Queue, mirroring mm-link's --uplink-queue/--downlink-queue).
+// chosen per direction, mirroring mm-link's --uplink-queue/--downlink-queue.
 type LinkShell struct {
 	Up, Down *trace.Trace
-	// Queue selects both directions' queue discipline. The zero spec means
-	// an unbounded droptail queue (Mahimahi's default), or the legacy
-	// QueuePackets/QueueBytes droptail bounds when those are set.
-	Queue netem.QdiscSpec
-	// UpQueue and DownQueue override Queue per direction when non-zero
-	// (mm-link allows asymmetric disciplines).
+	// UpQueue and DownQueue select each direction's queue discipline. The
+	// zero spec is an unbounded droptail queue, Mahimahi's default.
 	UpQueue, DownQueue netem.QdiscSpec
-	// QueuePackets bounds each direction's droptail queue in packets; zero
-	// means unlimited. Honored only when Queue is the zero spec.
-	QueuePackets int
-	// QueueBytes is the byte analogue of QueuePackets.
-	QueueBytes int
 }
 
 // NewLinkShell returns a LinkShell with the given per-direction traces.
 func NewLinkShell(up, down *trace.Trace) *LinkShell {
 	return &LinkShell{Up: up, Down: down}
-}
-
-// specs resolves the per-direction qdisc specs from the precedence chain
-// (direction override, shared spec, legacy droptail bounds).
-func (l *LinkShell) specs() (up, down netem.QdiscSpec) {
-	shared := l.Queue
-	if shared.IsZero() {
-		shared = netem.QdiscSpec{Packets: l.QueuePackets, Bytes: l.QueueBytes}
-	}
-	up, down = shared, shared
-	if !l.UpQueue.IsZero() {
-		up = l.UpQueue
-	}
-	if !l.DownQueue.IsZero() {
-		down = l.DownQueue
-	}
-	return up, down
 }
 
 // Name implements Shell. Droptail links keep the historical name (so every
@@ -97,7 +70,7 @@ func (l *LinkShell) specs() (up, down netem.QdiscSpec) {
 // distinct qdisc scenarios distinct cell coordinates.
 func (l *LinkShell) Name() string {
 	name := fmt.Sprintf("link-%s-%s", l.Up.Name(), l.Down.Name())
-	up, down := l.specs()
+	up, down := l.UpQueue, l.DownQueue
 	defaultKind := func(s netem.QdiscSpec) bool {
 		return s.Kind == "" || s.Kind == netem.QdiscDropTail
 	}
@@ -112,9 +85,8 @@ func (l *LinkShell) Name() string {
 
 // Boxes implements Shell.
 func (l *LinkShell) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
-	up, down := l.specs()
-	return netem.NewTraceBox(loop, l.Up.Cursor(), up.Build()),
-		netem.NewTraceBox(loop, l.Down.Cursor(), down.Build())
+	return netem.NewTraceBox(loop, l.Up.Cursor(), l.UpQueue.Build()),
+		netem.NewTraceBox(loop, l.Down.Cursor(), l.DownQueue.Build())
 }
 
 // LossShell drops packets with a fixed probability per direction (mm-loss,

@@ -161,12 +161,14 @@ func TestShellNames(t *testing.T) {
 	// and quantum are part of the label, so grids that sweep them derive
 	// distinct seeds per cell.
 	fq := NewLinkShell(up, down)
-	fq.Queue = netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: 600, Flows: 64, Quantum: 300}
+	fq.UpQueue = netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: 600, Flows: 64, Quantum: 300}
+	fq.DownQueue = fq.UpQueue
 	if got, want := fq.Name(), "link-constant-1000000bps-constant-1000000bps+fq_codel-600p-f64-q300"; got != want {
 		t.Fatalf("fq link name = %q, want %q", got, want)
 	}
-	fq.Queue.ECN = true
-	fq.Queue.Flows, fq.Queue.Quantum = 0, 0
+	fq.UpQueue.ECN = true
+	fq.UpQueue.Flows, fq.UpQueue.Quantum = 0, 0
+	fq.DownQueue = fq.UpQueue
 	if got, want := fq.Name(), "link-constant-1000000bps-constant-1000000bps+fq_codel-ecn-600p"; got != want {
 		t.Fatalf("fq-ecn link name = %q, want %q", got, want)
 	}
@@ -204,7 +206,8 @@ func TestLinkShellQueueLimit(t *testing.T) {
 	up, _ := trace.Constant(1_000_000, 1000)
 	down, _ := trace.Constant(1_000_000, 1000)
 	sh := NewLinkShell(up, down)
-	sh.QueuePackets = 2
+	sh.UpQueue = netem.QdiscSpec{Packets: 2}
+	sh.DownQueue = sh.UpQueue
 
 	loop := sim.NewLoop()
 	net := nsim.NewNetwork(loop)

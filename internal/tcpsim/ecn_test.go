@@ -62,7 +62,7 @@ func TestECNNegotiation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("client=%v,server=%v", tc.clientECN, tc.serverECN), func(t *testing.T) {
-			loop, cs, ss := ecnTestNet(t, netem.NewInfinite())
+			loop, cs, ss := ecnTestNet(t, netem.NewDropTail(0, 0))
 			cs.SetECN(tc.clientECN)
 			ss.SetECN(tc.serverECN)
 			client, server := dialEstablished(t, loop, cs, ss)
@@ -79,7 +79,7 @@ func TestECNNegotiation(t *testing.T) {
 // stops only when the sender answers with CWR. A segment carrying both CWR
 // and a fresh CE mark leaves the echo running.
 func TestCEEchoUntilCWR(t *testing.T) {
-	loop, cs, ss := ecnTestNet(t, netem.NewInfinite())
+	loop, cs, ss := ecnTestNet(t, netem.NewDropTail(0, 0))
 	cs.SetECN(true)
 	ss.SetECN(true)
 	client, _ := dialEstablished(t, loop, cs, ss)
@@ -118,7 +118,7 @@ func TestCEEchoUntilCWR(t *testing.T) {
 // possible only after everything outstanding at the cut has been acked
 // (one RTT later), and the cut sets CWR on the next data segment.
 func TestECNOneReductionPerRTT(t *testing.T) {
-	loop, cs, ss := ecnTestNet(t, netem.NewInfinite())
+	loop, cs, ss := ecnTestNet(t, netem.NewDropTail(0, 0))
 	cs.SetECN(true)
 	ss.SetECN(true)
 	client, _ := dialEstablished(t, loop, cs, ss)
@@ -175,7 +175,7 @@ func TestECNOneReductionPerRTT(t *testing.T) {
 // an established connection carries ECE as the negotiation-accept bit
 // (RFC 3168 §6.1.1), not a congestion echo — it must not cut the window.
 func TestRetransmittedSynAckECEIsNotCongestion(t *testing.T) {
-	loop, cs, ss := ecnTestNet(t, netem.NewInfinite())
+	loop, cs, ss := ecnTestNet(t, netem.NewDropTail(0, 0))
 	cs.SetECN(true)
 	ss.SetECN(true)
 	client, _ := dialEstablished(t, loop, cs, ss)
