@@ -395,18 +395,29 @@ func BenchmarkImpair(b *testing.B) {
 }
 
 // BenchmarkPageLoad measures raw simulator throughput: one full replayed
-// page load per iteration (the unit of work every experiment multiplies).
+// page load per iteration (the unit of work every experiment multiplies),
+// on one warmed Scratch. events/op is the loop events one load fires, read
+// from the scheduler-stats sink as perfbench's sim.events_per_op is; the
+// virtual clock makes it exact, so any change to it is a change in work.
 func BenchmarkPageLoad(b *testing.B) {
 	page := webgen.GeneratePage(sim.NewRand(2), webgen.WikiHowLike())
-	site := webgen.Materialize(page)
+	spec := experiments.LoadSpec{
+		Page: page, Site: webgen.Materialize(page), DNSLatency: sim.Millisecond,
+		Shells:  []shells.Shell{shells.NewDelayShell(30 * sim.Millisecond)},
+		Scratch: experiments.NewScratch(),
+	}
+	sim.EnableSchedStats(true)
+	defer sim.EnableSchedStats(false)
+	experiments.Load(spec) // warm the scratch with the sink on, so the count below starts clean
+	start, _ := sim.SchedStatsSnapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Load(experiments.LoadSpec{
-			Page: page, Site: site, DNSLatency: sim.Millisecond,
-			Shells: []shells.Shell{shells.NewDelayShell(30 * sim.Millisecond)},
-		})
+		experiments.Load(spec)
 	}
+	b.StopTimer()
+	end, _ := sim.SchedStatsSnapshot()
+	b.ReportMetric(float64(end.Fired-start.Fired)/float64(b.N), "events/op")
 }
 
 // --- Hot-path microbenches ---
@@ -482,7 +493,8 @@ func benchLoopSchedule(b *testing.B, standing, spread int) {
 // shard — ns/event (total wall clock over events fired) is the per-event
 // cost of the whole stack (loop, pooled conns/segments/packets, qdisc) and
 // must stay flat as flows grow; compare it against BenchmarkLoopSchedule's
-// rows to see how much the packet path adds over bare scheduling. The grid
+// rows to see how much the packet path adds over bare scheduling.
+// events/op (from ContentionResult.Events) is the exact work per op. The grid
 // rows run 8 cells of 500 flows through Engine.Run at 1 and 4 shards: the
 // shard-scaling (wall-clock) comparison, with byte-identical results. As
 // with the Figure 2 parallel rows, shard counts tie on a single-core host —
@@ -532,6 +544,7 @@ func BenchmarkContention(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 			b.ReportMetric(float64(peak), "peak-conns")
 		})
 	}
@@ -560,6 +573,7 @@ func BenchmarkContention(b *testing.B) {
 			}
 			b.ReportMetric(float64(shards), "shards")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
 	}
 }
@@ -632,7 +646,8 @@ func BenchmarkMatcherLookup(b *testing.B) {
 
 // BenchmarkTCPTransfer measures a 1 MiB server-to-client transfer over a
 // 5 ms delay link per iteration: handshake, slow start, pooled
-// segment/packet/datagram lifecycle, and teardown.
+// segment/packet/datagram lifecycle, and teardown. events/op is the
+// events each transfer's loop fires.
 func BenchmarkTCPTransfer(b *testing.B) {
 	const total = 1 << 20
 	payload := make([]byte, total)
@@ -640,6 +655,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 	clientAddr := nsim.ParseAddr("10.0.0.1")
 	b.ReportAllocs()
 	b.ResetTimer()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		loop := sim.NewLoop()
 		network := nsim.NewNetwork(loop)
@@ -668,10 +684,12 @@ func BenchmarkTCPTransfer(b *testing.B) {
 		conn.OnData(func(p []byte) { got += len(p) })
 		conn.Close()
 		loop.Run()
+		events += loop.Fired()
 		if got != total {
 			b.Fatalf("received %d bytes, want %d", got, total)
 		}
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkScenarioScript measures what the chaos scheduler costs when

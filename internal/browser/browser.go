@@ -122,10 +122,9 @@ type Scratch struct {
 	childFired []bool
 	counts     []int
 	wireBuf    []byte
-	// parsers recycles response parsers (and their body buffers) across
-	// connections and loads. The browser only meters bodies, so parsers
-	// run with ReuseBodies and each connection's responses borrow one
-	// recycled buffer instead of allocating per response.
+	// parsers recycles response parsers across connections and loads.
+	// The browser reads body sizes, never content, so its parsers meter
+	// bodies and hold no body storage between loads.
 	parsers []*httpx.ResponseParser
 }
 
@@ -138,7 +137,7 @@ func (sc *Scratch) getParser() *httpx.ResponseParser {
 		p.Reset()
 		return p
 	}
-	return &httpx.ResponseParser{ReuseBodies: true}
+	return &httpx.ResponseParser{Meter: true}
 }
 
 // New creates a browser. stack must belong to the app namespace; resolver
@@ -547,8 +546,8 @@ func (l *load) onData(p *pool, pc *poolConn, data []byte) {
 		pc.headSkipped = false
 		pc.bodySeen = 0
 		f.timing.Status = resp.StatusCode
-		f.timing.Bytes = len(resp.Body)
-		l.result.Bytes += len(resp.Body)
+		f.timing.Bytes = resp.BodyLen
+		l.result.Bytes += resp.BodyLen
 		if resp.StatusCode != 200 {
 			l.result.Errors++
 		}
@@ -632,7 +631,7 @@ func (l *load) complete() {
 	}
 	// Close all connections so the event loop drains. Every response has
 	// been fully parsed by now (completion requires all bodies), so the
-	// parsers — and their recycled body buffers — go back to the scratch.
+	// parsers go back to the scratch.
 	for _, p := range l.poolOrder {
 		for _, pc := range p.conns {
 			if pc.parser != nil {

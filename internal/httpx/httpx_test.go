@@ -2,7 +2,9 @@ package httpx
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,6 +17,53 @@ func feedAll(t *testing.T, p *RequestParser, data []byte) []*Request {
 		t.Fatalf("Feed: %v", err)
 	}
 	return reqs
+}
+
+// parseResponses feeds the pieces, in order, to a copying and a metering
+// ResponseParser that expect methods, checks that the two agree — the same
+// error, status lines, headers and BodyLen, with BodyLen == len(Body) when
+// copying and a nil Body when metering — and returns the copying parser's
+// responses and error. Feeding stops at the first error.
+func parseResponses(t *testing.T, methods []string, pieces ...[]byte) ([]*Response, error) {
+	t.Helper()
+	var resps [2][]*Response
+	var errs [2]error
+	for i, meter := range []bool{false, true} {
+		p := ResponseParser{Meter: meter}
+		for _, m := range methods {
+			p.ExpectMethod(m)
+		}
+		for _, piece := range pieces {
+			got, err := p.Feed(piece)
+			resps[i] = append(resps[i], got...)
+			if errs[i] = err; err != nil {
+				break
+			}
+		}
+	}
+	copied, metered := resps[0], resps[1]
+	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+		t.Fatalf("copying parser error %v, metering parser error %v", errs[0], errs[1])
+	}
+	if len(copied) != len(metered) {
+		t.Fatalf("copying parser returned %d responses, metering parser %d", len(copied), len(metered))
+	}
+	for i, c := range copied {
+		m := metered[i]
+		if c.BodyLen != len(c.Body) {
+			t.Errorf("response %d: copying BodyLen %d, len(Body) %d", i, c.BodyLen, len(c.Body))
+		}
+		if m.Body != nil {
+			t.Errorf("response %d: metering parser stored a %d-byte body", i, len(m.Body))
+		}
+		if m.BodyLen != c.BodyLen || m.StatusCode != c.StatusCode || m.Reason != c.Reason ||
+			m.Proto != c.Proto || !slices.Equal(m.Header.Fields(), c.Header.Fields()) {
+			t.Errorf("response %d: metering parse %q %d %q %v BodyLen %d, copying parse %q %d %q %v BodyLen %d",
+				i, m.Proto, m.StatusCode, m.Reason, m.Header.Fields(), m.BodyLen,
+				c.Proto, c.StatusCode, c.Reason, c.Header.Fields(), c.BodyLen)
+		}
+	}
+	return copied, errs[0]
 }
 
 func TestParseSimpleGet(t *testing.T) {
@@ -78,11 +127,9 @@ func TestParseChunkedRequestBody(t *testing.T) {
 }
 
 func TestParseChunkExtensionAndTrailer(t *testing.T) {
-	var p ResponseParser
-	p.ExpectMethod("GET")
 	raw := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
 		"4;ext=1\r\nwiki\r\n0\r\nX-Trailer: v\r\n\r\n"
-	resps, err := p.Feed([]byte(raw))
+	resps, err := parseResponses(t, []string{"GET"}, []byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +143,10 @@ func TestParseChunkExtensionAndTrailer(t *testing.T) {
 }
 
 func TestParseResponseBodyless(t *testing.T) {
-	var p ResponseParser
-	for _, m := range []string{"GET", "GET", "GET"} {
-		p.ExpectMethod(m)
-	}
 	raw := "HTTP/1.1 304 Not Modified\r\nETag: \"x\"\r\n\r\n" +
 		"HTTP/1.1 204 No Content\r\n\r\n" +
 		"HTTP/1.1 100 Continue\r\n\r\n"
-	resps, err := p.Feed([]byte(raw))
+	resps, err := parseResponses(t, []string{"GET", "GET", "GET"}, []byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +161,9 @@ func TestParseResponseBodyless(t *testing.T) {
 }
 
 func TestParseHeadResponseHasNoBody(t *testing.T) {
-	var p ResponseParser
-	p.ExpectMethod("HEAD")
-	p.ExpectMethod("GET")
 	raw := "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n" + // HEAD: no body despite CL
 		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-	resps, err := p.Feed([]byte(raw))
+	resps, err := parseResponses(t, []string{"HEAD", "GET"}, []byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,20 +382,15 @@ func TestLargeBodyAcrossManyChunks(t *testing.T) {
 	}
 	wire.WriteString("0\r\n\r\n")
 
-	var p ResponseParser
-	p.ExpectMethod("GET")
-	var got []*Response
-	raw := wire.Bytes()
-	for i := 0; i < len(raw); i += 1460 {
-		end := i + 1460
-		if end > len(raw) {
-			end = len(raw)
-		}
-		resps, err := p.Feed(raw[i:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, resps...)
+	var segs [][]byte
+	for raw := wire.Bytes(); len(raw) > 0; {
+		n := min(1460, len(raw))
+		segs = append(segs, raw[:n])
+		raw = raw[n:]
+	}
+	got, err := parseResponses(t, []string{"GET"}, segs...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != 1 || string(got[0].Body) != body {
 		t.Fatalf("large chunked parse failed: %d responses", len(got))
@@ -363,18 +398,46 @@ func TestLargeBodyAcrossManyChunks(t *testing.T) {
 }
 
 func TestContentLengthTooLarge(t *testing.T) {
-	var p ResponseParser
-	p.ExpectMethod("GET")
 	raw := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", MaxBodySize+1)
-	if _, err := p.Feed([]byte(raw)); err == nil {
+	if _, err := parseResponses(t, []string{"GET"}, []byte(raw)); err == nil {
 		t.Fatal("oversized content-length accepted")
 	}
 }
 
+// A chunked body is checked against MaxBodySize on its running length:
+// a chunk that would carry the body past the limit is refused in both
+// modes, though a metering parser stores none of the bytes before it.
+func TestChunkedBodyTooLarge(t *testing.T) {
+	raw := fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"+
+		"4\r\nwiki\r\n%x\r\n", MaxBodySize-3)
+	if _, err := parseResponses(t, []string{"GET"}, []byte(raw)); !errors.Is(err, ErrBodyTooLong) {
+		t.Fatalf("oversized chunked body: err = %v, want ErrBodyTooLong", err)
+	}
+}
+
+// Two pipelined fixed-length responses cut at every pair of byte offsets:
+// heads split anywhere, bodies completed by the buffered drain or by the
+// streaming fast path, and both responses finished by one Feed. Every cut
+// must frame the same two responses with and without metering.
+func TestPipelinedFixedLengthEveryCut(t *testing.T) {
+	raw := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello" +
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 11\r\n\r\nhello world")
+	for i := 0; i <= len(raw); i++ {
+		for j := i; j <= len(raw); j++ {
+			resps, err := parseResponses(t, []string{"GET", "GET"}, raw[:i], raw[i:j], raw[j:])
+			if err != nil {
+				t.Fatalf("cuts %d,%d: %v", i, j, err)
+			}
+			if len(resps) != 2 || string(resps[0].Body) != "hello" || resps[1].StatusCode != 404 ||
+				string(resps[1].Body) != "hello world" {
+				t.Fatalf("cuts %d,%d: responses %v", i, j, resps)
+			}
+		}
+	}
+}
+
 func TestResponseNoFramingNoBody(t *testing.T) {
-	var p ResponseParser
-	p.ExpectMethod("GET")
-	resps, err := p.Feed([]byte("HTTP/1.1 200 OK\r\nServer: s\r\n\r\n"))
+	resps, err := parseResponses(t, []string{"GET"}, []byte("HTTP/1.1 200 OK\r\nServer: s\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

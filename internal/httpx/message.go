@@ -247,6 +247,10 @@ type Response struct {
 	Reason     string
 	Header     Header
 	Body       []byte
+	// BodyLen is the body size a ResponseParser counted: len(Body) when
+	// it copies, the metered size when it meters (Body is then nil).
+	// Responses built by hand leave it zero.
+	BodyLen int
 }
 
 // Marshal serializes the response to wire form. Chunked recorded bodies are

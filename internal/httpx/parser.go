@@ -32,11 +32,10 @@ const (
 // RequestParser incrementally parses a stream of pipelined HTTP/1.1
 // requests. Feed it raw bytes as they arrive; it emits complete requests.
 type RequestParser struct {
-	buf     bytes.Buffer
-	phase   parsePhase
-	cur     *Request
-	need    int // bytes outstanding for fixed-length or chunk bodies
-	chunked bytes.Buffer
+	buf   bytes.Buffer
+	phase parsePhase
+	cur   *Request
+	need  int // bytes outstanding for fixed-length or chunk bodies
 }
 
 // Feed appends data and returns any requests completed by it.
@@ -81,16 +80,15 @@ func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
 			}
 			out = append(out, p.finishRequest())
 		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, &p.chunked)
+			data, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, len(p.cur.Body))
 			if err != nil {
 				return out, err
 			}
 			if !ok {
 				return out, nil
 			}
+			p.cur.Body = append(p.cur.Body, data...)
 			if done {
-				p.cur.Body = append(p.cur.Body, p.chunked.Bytes()...)
-				p.chunked.Reset()
 				out = append(out, p.finishRequest())
 			}
 		}
@@ -118,21 +116,14 @@ type ResponseParser struct {
 	phase   parsePhase
 	cur     *Response
 	need    int
-	chunked bytes.Buffer
 	methods []string // FIFO of outstanding request methods
 
-	// ReuseBodies makes every parsed response borrow one recycled body
-	// buffer instead of allocating per response: a returned Response's
-	// Body content is then valid only until the parser starts the next
-	// response's body — which can happen within a single Feed call when
-	// pipelined responses complete together, so bodies in one returned
-	// batch share the buffer and only the last one's content survives.
-	// Body lengths are always correct. For consumers that only meter
-	// bodies (the browser model reads lengths, not content) this removes
-	// the dominant per-page allocation; consumers that retain responses
-	// (archiving a recorded site) must leave it off.
-	ReuseBodies bool
-	bodyBuf     []byte
+	// Meter makes the parser count body bytes instead of storing them:
+	// responses are framed exactly as when copying and report their size
+	// in BodyLen, but Body stays nil. The browser model, which reads body
+	// sizes and arrival times but never content, meters; consumers that
+	// keep responses (recording, archiving) must leave it off.
+	Meter bool
 }
 
 // Reset returns the parser to its initial state (no partial message, no
@@ -140,22 +131,19 @@ type ResponseParser struct {
 // many sequential connections.
 func (p *ResponseParser) Reset() {
 	p.buf.Reset()
-	p.chunked.Reset()
 	p.phase = phaseHead
 	p.cur = nil
 	p.need = 0
 	p.methods = p.methods[:0]
 }
 
-// body returns the initial body slice for a response of capacity hint n.
-func (p *ResponseParser) body(n int) []byte {
-	if !p.ReuseBodies {
-		return make([]byte, 0, n)
+// take consumes body bytes of the current response: counted always,
+// copied unless metering.
+func (p *ResponseParser) take(b []byte) {
+	p.cur.BodyLen += len(b)
+	if !p.Meter {
+		p.cur.Body = append(p.cur.Body, b...)
 	}
-	if cap(p.bodyBuf) < n {
-		p.bodyBuf = make([]byte, 0, n)
-	}
-	return p.bodyBuf[:0]
 }
 
 // ExpectMethod queues the method of the next outstanding request, so HEAD
@@ -178,13 +166,11 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 	var out []*Response
 	// Fast path: mid-body with an empty reassembly buffer (the steady
 	// state while a large response streams in). Bytes go straight from the
-	// transport into the body, skipping the double copy through buf.
+	// transport into the body, or are only counted when metering, skipping
+	// the copy through buf.
 	for p.phase == phaseBodyLength && p.buf.Len() == 0 && len(data) > 0 {
-		n := p.need
-		if n > len(data) {
-			n = len(data)
-		}
-		p.cur.Body = append(p.cur.Body, data[:n]...)
+		n := min(p.need, len(data))
+		p.take(data[:n])
 		p.need -= n
 		data = data[n:]
 		if p.need == 0 {
@@ -220,7 +206,9 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			case chunked:
 				p.phase = phaseBodyChunkSize
 			case n > 0:
-				p.cur.Body = p.body(n) // sized once; no growth churn
+				if !p.Meter {
+					p.cur.Body = make([]byte, 0, n) // sized once; no growth churn
+				}
 				p.need = n
 				p.phase = phaseBodyLength
 			default:
@@ -234,7 +222,7 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			// append until the full length arrived (quadratic in body
 			// size for segment-at-a-time transports).
 			if n := min(p.need, p.buf.Len()); n > 0 {
-				p.cur.Body = append(p.cur.Body, p.buf.Next(n)...)
+				p.take(p.buf.Next(n))
 				p.need -= n
 			}
 			if p.need > 0 {
@@ -242,20 +230,19 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			}
 			out = append(out, p.finishResponse())
 		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, &p.chunked)
+			data, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, p.cur.BodyLen)
 			if err != nil {
 				return out, err
 			}
 			if !ok {
 				return out, nil
 			}
+			p.take(data)
 			if done {
-				p.cur.Body = append(p.body(p.chunked.Len()), p.chunked.Bytes()...)
-				p.chunked.Reset()
 				// Replace chunked framing with explicit length so the
 				// stored message re-serializes deterministically.
 				p.cur.Header.Del("Transfer-Encoding")
-				p.cur.Header.Set("Content-Length", strconv.Itoa(len(p.cur.Body)))
+				p.cur.Header.Set("Content-Length", strconv.Itoa(p.cur.BodyLen))
 				out = append(out, p.finishResponse())
 			}
 		}
@@ -266,12 +253,6 @@ func (p *ResponseParser) finishResponse() *Response {
 	resp := p.cur
 	p.cur = nil
 	p.phase = phaseHead
-	if p.ReuseBodies && cap(resp.Body) >= cap(p.bodyBuf) {
-		// Keep the (possibly grown) array for the next response. The cap
-		// guard keeps the pooled buffer across bodyless responses (204,
-		// 304, HEAD), whose nil Body must not discard it.
-		p.bodyBuf = resp.Body[:0]
-	}
 	return resp
 }
 
@@ -396,14 +377,16 @@ func bodyLength(h *Header, isRequest bool, statusCode int) (n int, chunked bool,
 	return 0, false, nil
 }
 
-// stepChunk advances chunked-body parsing by one state transition.
-// done reports a complete body; ok reports whether progress was possible.
-func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, body *bytes.Buffer) (done, ok bool, err error) {
+// stepChunk advances chunked-body parsing by one state transition. have is
+// the body length so far, checked against MaxBodySize. data is the chunk
+// payload the step consumed (valid until buf is next written); done
+// reports a complete body; ok reports whether progress was possible.
+func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, have int) (data []byte, done, ok bool, err error) {
 	switch *phase {
 	case phaseBodyChunkSize:
 		line, found := takeLine(buf)
 		if !found {
-			return false, false, nil
+			return nil, false, false, nil
 		}
 		// Chunk extensions after ';' are ignored per RFC 7230.
 		if i := strings.IndexByte(line, ';'); i >= 0 {
@@ -411,43 +394,43 @@ func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, body *bytes.Buff
 		}
 		size, perr := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
 		if perr != nil || size < 0 {
-			return false, false, fmt.Errorf("%w: chunk size %q", ErrMalformed, line)
+			return nil, false, false, fmt.Errorf("%w: chunk size %q", ErrMalformed, line)
 		}
-		if body.Len()+int(size) > MaxBodySize {
-			return false, false, ErrBodyTooLong
+		if have+int(size) > MaxBodySize {
+			return nil, false, false, ErrBodyTooLong
 		}
 		if size == 0 {
 			*phase = phaseBodyChunkTrailer
-			return false, true, nil
+			return nil, false, true, nil
 		}
 		*need = int(size)
 		*phase = phaseBodyChunkData
-		return false, true, nil
+		return nil, false, true, nil
 	case phaseBodyChunkData:
 		if buf.Len() < *need+2 { // data + CRLF
-			return false, false, nil
+			return nil, false, false, nil
 		}
-		body.Write(buf.Next(*need))
+		data = buf.Next(*need)
 		crlf := buf.Next(2)
 		if !bytes.Equal(crlf, []byte("\r\n")) {
-			return false, false, fmt.Errorf("%w: chunk not CRLF-terminated", ErrMalformed)
+			return nil, false, false, fmt.Errorf("%w: chunk not CRLF-terminated", ErrMalformed)
 		}
 		*need = 0
 		*phase = phaseBodyChunkSize
-		return false, true, nil
+		return data, false, true, nil
 	case phaseBodyChunkTrailer:
 		line, found := takeLine(buf)
 		if !found {
-			return false, false, nil
+			return nil, false, false, nil
 		}
 		if line == "" {
 			*phase = phaseHead
-			return true, true, nil
+			return nil, true, true, nil
 		}
 		// Trailer field: ignored.
-		return false, true, nil
+		return nil, false, true, nil
 	}
-	return false, false, fmt.Errorf("%w: bad chunk state", ErrMalformed)
+	return nil, false, false, fmt.Errorf("%w: bad chunk state", ErrMalformed)
 }
 
 // takeLine removes and returns one CRLF-terminated line (without CRLF).
