@@ -32,8 +32,13 @@ func main() {
 	}
 	ms, err := strconv.Atoi(flag.Arg(0))
 	if err != nil || ms < 0 {
-		fmt.Fprintf(os.Stderr, "mm-delay: bad delay %q\n", flag.Arg(0))
-		os.Exit(2)
+		usageErr("bad delay %q", flag.Arg(0))
+	}
+	if *servers < 1 {
+		usageErr("-servers %d: want at least 1 origin", *servers)
+	}
+	if *loads < 1 {
+		usageErr("-loads %d: want at least 1 load", *loads)
 	}
 
 	page := webgen.GeneratePage(sim.NewRand(*seed), webgen.DefaultProfile("www.example.com", *servers))
@@ -52,4 +57,10 @@ func main() {
 		fmt.Printf("delay %dms load %d: PLT %v (%d resources, %d KB)\n",
 			ms, i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources, res.Bytes/1024)
 	}
+}
+
+// usageErr reports bad command-line input and exits 2, as flag does.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mm-delay: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -59,22 +59,26 @@ func main() {
 }
 
 func emit(tr *trace.Trace, out string) {
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
+	if out == "" {
+		if err := tr.Format(os.Stdout); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w = f
+		return
 	}
-	if err := tr.Format(w); err != nil {
+	f, err := os.Create(out)
+	if err != nil {
 		fatal(err)
 	}
-	if out != "" {
-		fmt.Printf("wrote %s: %d opportunities, mean rate %.2f Mbit/s\n",
-			out, tr.Len(), tr.MeanRate()/1e6)
+	err = tr.Format(f)
+	// The file is only written once it closes cleanly.
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s: %d opportunities, mean rate %.2f Mbit/s\n",
+		out, tr.Len(), tr.MeanRate()/1e6)
 }
 
 func fatal(err error) {

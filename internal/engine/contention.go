@@ -318,9 +318,13 @@ func contentionArrive(_ sim.Time, arg any) {
 }
 
 // RunContention runs one contention cell on the shard and returns its
-// result. The shard's loop, pools and connection pool are reused across
-// calls, so after the first cell warms them the per-packet path allocates
-// nothing.
+// result. The shard's loop and pools are reused across calls, and the
+// pools own every container a cell grows: connections borrow their queues
+// from the segment pool, and the cell borrows the stacks' connection
+// tables, the client's socket table and the qdisc rings, handing them back
+// when its loop has drained. So once the first cell has warmed the shard,
+// a cell of the same size allocates only its fixed set-up, however many
+// flows and packets it carries.
 func RunContention(sh *Shard, spec ContentionSpec) ContentionResult {
 	spec = spec.withDefaults()
 	up, down := spec.Up, spec.Down
@@ -474,6 +478,15 @@ func RunContention(sh *Shard, spec ContentionSpec) ContentionResult {
 		}
 	}
 	loop.Run()
+	// Hand the cell-scoped storage back in the reverse order of borrowing:
+	// the free lists are LIFO, so the next cell's client and server each
+	// get back the table they grew.
+	ss.ReleaseStorage()
+	cs.ReleaseStorage()
+	server.ReleaseStorage()
+	client.ReleaseStorage()
+	downQ.ReleaseStorage()
+	upQ.ReleaseStorage()
 
 	res := ContentionResult{
 		Flows:     spec.Flows,

@@ -119,33 +119,46 @@ func TestContentionAllocsScaleWithTransfersNotPackets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping allocates per sync operation")
 	}
-	// Two specs with identical flow populations and transfer counts but a
-	// 24x difference in bytes moved (so several times the packets and
-	// events). On a warmed shard, per-cell allocations must track transfers
-	// — the per-packet and per-event paths allocate nothing in steady state.
+	// On a warmed shard a cell allocates only its fixed set-up: the
+	// per-packet and per-event paths allocate nothing, and everything a
+	// cell grows with its population (connection and socket tables, qdisc
+	// rings, per-connection queues) is borrowed from the shard's pools.
+	// Each case contrasts smallSpec with a spec doing far more work: the
+	// same flows and transfers moving 24x the bytes (so several times the
+	// packets and events), and 100x the flows.
 	small := smallSpec(7)
-	big := small
-	big.BulkBytes = small.BulkBytes * 24
-	big.WebMinBytes = small.WebMinBytes * 24
-	big.WebMaxBytes = small.WebMaxBytes * 24
-	big.RPCBytes = small.RPCBytes * 24
+	bytes := small
+	bytes.BulkBytes = small.BulkBytes * 24
+	bytes.WebMinBytes = small.WebMinBytes * 24
+	bytes.WebMaxBytes = small.WebMaxBytes * 24
+	bytes.RPCBytes = small.RPCBytes * 24
+	flows := small
+	flows.Flows = small.Flows * 100
 
-	shSmall, shBig := NewShard(), NewShard()
+	shSmall := NewShard()
 	RunContention(shSmall, small) // warm pools
-	RunContention(shBig, big)
 	resS := RunContention(shSmall, small)
-	resB := RunContention(shBig, big)
-	if resB.Events < 3*resS.Events {
-		t.Fatalf("big spec fired %d events vs small %d: not a packet-scale contrast",
-			resB.Events, resS.Events)
-	}
 	allocsSmall := testing.AllocsPerRun(3, func() { RunContention(shSmall, small) })
-	allocsBig := testing.AllocsPerRun(3, func() { RunContention(shBig, big) })
-	// Identical transfer structure: the byte-heavy run may not allocate
-	// meaningfully more. The slack covers stats accumulator growth.
-	if allocsBig > allocsSmall*1.25+64 {
-		t.Fatalf("allocs grew with packet volume: small=%.0f big=%.0f (events %d vs %d)",
-			allocsSmall, allocsBig, resS.Events, resB.Events)
+	for _, tc := range []struct {
+		name string
+		big  ContentionSpec
+	}{{"packets", bytes}, {"flows", flows}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := NewShard()
+			RunContention(sh, tc.big)
+			resB := RunContention(sh, tc.big)
+			if resB.Events < 3*resS.Events {
+				t.Fatalf("big spec fired %d events vs small %d: not a work contrast",
+					resB.Events, resS.Events)
+			}
+			allocsBig := testing.AllocsPerRun(3, func() { RunContention(sh, tc.big) })
+			// The heavier cell may not allocate meaningfully more. The
+			// slack covers stats accumulator growth.
+			if allocsBig > allocsSmall*1.25+64 {
+				t.Fatalf("allocs grew with the cell's work: small=%.0f big=%.0f (events %d vs %d)",
+					allocsSmall, allocsBig, resS.Events, resB.Events)
+			}
+		})
 	}
 }
 

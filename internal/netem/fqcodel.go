@@ -338,6 +338,13 @@ func (q *FQCoDel) Peek() *Packet {
 	return nil
 }
 
+// ReleaseStorage implements Qdisc: every bucket's ring goes back.
+func (q *FQCoDel) ReleaseStorage() {
+	for i := range q.flows {
+		q.flows[i].ring.release()
+	}
+}
+
 // Len implements Qdisc.
 func (q *FQCoDel) Len() int { return q.totalLen }
 

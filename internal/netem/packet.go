@@ -19,6 +19,7 @@ package netem
 import (
 	"fmt"
 
+	"repro/internal/reuse"
 	"repro/internal/sim"
 )
 
@@ -88,6 +89,11 @@ type PacketPool struct {
 	// original: nsim clones the datagram and takes a fresh reference on
 	// the transport segment underneath.
 	ClonePayload func(payload any) any
+	// rings lends qdisc packet storage: a queue grows from the origin pool
+	// of the packets it holds and hands its array back through
+	// Qdisc.ReleaseStorage, so queues rebuilt cell after cell on one pool
+	// reuse the arrays instead of regrowing them.
+	rings reuse.Arrays[*Packet]
 	// gets and puts count pool traffic for leak accounting: at quiescence
 	// (no packets in flight or queued) they must balance.
 	gets, puts uint64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/reuse"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -56,6 +57,14 @@ type Qdisc interface {
 	// callback owns the packet and decides its fate (re-enqueue elsewhere
 	// or Recycle). The queue is empty afterwards.
 	Flush(fn func(*Packet))
+	// ReleaseStorage hands the queue's packet storage back to the pool it
+	// grew from (the origin pool of its pooled packets), for the next queue
+	// built on that pool. Call it once the queue is empty and will not be
+	// used again, as a driver running cell after cell on one pool does at
+	// the end of each cell; a queue still holding packets keeps its
+	// storage. A drained queue keeps its storage until then, so the
+	// steady-state hot path never returns and re-borrows it.
+	ReleaseStorage()
 }
 
 // QueueStats is the unified per-queue telemetry every discipline maintains,
@@ -298,16 +307,42 @@ func (s *QueueStats) noteFlush() { s.Flushed++ }
 
 // pktRing is the FIFO storage shared by every queue discipline: an
 // append-only slice with a dead-prefix head index, compacted once the dead
-// prefix dominates so memory stays bounded under sustained churn.
+// prefix dominates so memory stays bounded under sustained churn. A ring of
+// pooled packets grows through their origin pool's arrays and hands its
+// array back in release; a ring of hand-built packets grows by append.
 type pktRing struct {
 	pkts  []*Packet
 	head  int
 	bytes int
+	// rings is the pool the current array came from, nil while the ring
+	// grows by append.
+	rings *reuse.Arrays[*Packet]
 }
 
 func (r *pktRing) push(pkt *Packet) {
+	if len(r.pkts) == cap(r.pkts) && pkt.pool != nil {
+		r.regrow(&pkt.pool.rings)
+	}
 	r.pkts = append(r.pkts, pkt)
 	r.bytes += pkt.Size
+}
+
+// regrow moves the live packets to the front of a pooled array with room
+// for as many again, handing the outgrown array back.
+func (r *pktRing) regrow(rings *reuse.Arrays[*Packet]) {
+	live := r.pkts[r.head:]
+	next := append(rings.Get(2*len(live)), live...)
+	rings.Put(r.pkts)
+	r.pkts, r.head, r.rings = next, 0, rings
+}
+
+// release hands an empty ring's pooled array back.
+func (r *pktRing) release() {
+	if r.rings == nil || r.len() > 0 {
+		return
+	}
+	r.rings.Put(r.pkts)
+	r.pkts, r.head, r.rings = nil, 0, nil
 }
 
 func (r *pktRing) pop() *Packet {
@@ -417,6 +452,9 @@ func (b *qdiscBase) Flush(fn func(*Packet)) {
 		fn(pkt)
 	}
 }
+
+// ReleaseStorage implements Qdisc.
+func (b *qdiscBase) ReleaseStorage() { b.ring.release() }
 
 // Peek implements Qdisc.
 func (b *qdiscBase) Peek() *Packet { return b.ring.peek() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/netem"
+	"repro/internal/reuse"
 	"repro/internal/sim"
 )
 
@@ -41,11 +42,17 @@ type Network struct {
 // once instead of once per simulation. A PoolSet must never be shared by
 // two concurrently running networks.
 type PoolSet struct {
+	// pkts also owns the qdisc packet rings, which grow from their
+	// packets' origin pool (see netem.Qdisc.ReleaseStorage).
 	pkts   netem.PacketPool
 	dgFree []*Datagram
 	// batchFree recycles the datagram-batch containers that carry packet
 	// trains across the one delivery event a train shares.
 	batchFree []*dgBatch
+	// sockets lends the namespaces' socket tables, which a driver running
+	// cell after cell hands back at the end of each cell
+	// (Namespace.ReleaseStorage) instead of regrowing fresh ones.
+	sockets reuse.Maps[AddrPort, DatagramHandler]
 	// dgGets and dgPuts count datagram pool traffic for leak accounting:
 	// at quiescence they must balance (see OutstandingDatagrams).
 	dgGets, dgPuts uint64
@@ -223,11 +230,13 @@ type route struct {
 // Namespace is an isolated network stack: a private set of owned addresses,
 // a socket table, attached link endpoints and a routing table.
 type Namespace struct {
-	name    string
-	net     *Network
-	locals  map[Addr]bool
-	links   []*LinkEnd
-	routes  []route
+	name   string
+	net    *Network
+	locals map[Addr]bool
+	links  []*LinkEnd
+	routes []route
+	// sockets is the socket table, borrowed from the network's PoolSet by
+	// the first Bind to a specific address; see ReleaseStorage.
 	sockets map[AddrPort]DatagramHandler
 	// wildcards handles binds to port on the zero address (any local addr).
 	wildcards map[uint16]DatagramHandler
@@ -273,7 +282,6 @@ func (n *Network) NewNamespace(name string) *Namespace {
 		name:      name,
 		net:       n,
 		locals:    make(map[Addr]bool),
-		sockets:   make(map[AddrPort]DatagramHandler),
 		wildcards: make(map[uint16]DatagramHandler),
 		nextPort:  49152,
 	}
@@ -358,8 +366,24 @@ func (ns *Namespace) Bind(ap AddrPort, h DatagramHandler) error {
 	if _, ok := ns.sockets[ap]; ok {
 		return fmt.Errorf("%w: %s", ErrPortInUse, ap)
 	}
+	if ns.sockets == nil {
+		ns.sockets = ns.net.pools.sockets.Get()
+	}
 	ns.sockets[ap] = h
 	return nil
+}
+
+// ReleaseStorage hands the namespace's socket table back to its network's
+// PoolSet, emptied, for a later namespace to reuse. Call it once the
+// network's loop has drained and the namespace will carry no more traffic,
+// as a driver running cell after cell on one PoolSet does at the end of
+// each cell; bindings to specific addresses are dropped.
+func (ns *Namespace) ReleaseStorage() {
+	if ns.sockets == nil {
+		return
+	}
+	ns.net.pools.sockets.Put(ns.sockets)
+	ns.sockets = nil
 }
 
 // Unbind removes a socket binding.

@@ -1,7 +1,9 @@
 package tcpsim
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/nsim"
 	"repro/internal/sim"
@@ -156,7 +158,10 @@ type Conn struct {
 	// ceEcho makes every outgoing ACK carry ECE, from the first CE-marked
 	// arrival until the sender answers with CWR (RFC 3168 §6.1.3).
 	ceEcho bool
-	ooo    map[uint64]*Segment
+	// ooo is the reassembly buffer: out-of-order segments in ascending
+	// sequence order, at most one per sequence number. The order is what
+	// makes every release from it deterministic (see releaseStaleOOO).
+	ooo []*Segment
 	// sackList is the sorted, disjoint set of out-of-order byte ranges the
 	// receiver holds, maintained incrementally so ACK generation is O(1)
 	// in the common case.
@@ -185,10 +190,6 @@ type Conn struct {
 	closedErr     error
 	closeNotified bool
 
-	// oooScratch is reused by the deterministic out-of-order release paths
-	// (releaseStaleOOO, releaseAllOOO) so sorting the reassembly map's keys
-	// allocates nothing in steady state.
-	oooScratch []uint64
 	// pooledFree marks a connection currently sitting in a ConnPool's free
 	// list; it guards against double-Recycle and use-after-recycle.
 	pooledFree bool
@@ -213,7 +214,6 @@ func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
 		state:    st,
 		cwnd:     InitialWindow,
 		ssthresh: ReceiveWindow,
-		ooo:      make(map[uint64]*Segment),
 		rto:      initialRTO,
 	}
 	c.rtoTimer = s.loop.NewTimer(c.onRTO)
@@ -314,7 +314,7 @@ func (c *Conn) WriteStable(chunks ...[]byte) error {
 	}
 	for _, p := range chunks {
 		if len(p) > 0 {
-			c.sendq = append(c.sendq, p)
+			c.sendq = c.stack.segs.chunks.Append(c.sendq, p)
 			c.sendLen += len(p)
 		}
 	}
@@ -324,7 +324,7 @@ func (c *Conn) WriteStable(chunks ...[]byte) error {
 
 func (c *Conn) enqueueData(chunk []byte) {
 	if len(chunk) > 0 {
-		c.sendq = append(c.sendq, chunk)
+		c.sendq = c.stack.segs.chunks.Append(c.sendq, chunk)
 		c.sendLen += len(chunk)
 	}
 	c.pump()
@@ -475,7 +475,7 @@ func (c *Conn) ecnFlags() Flags {
 
 // track records a sequence-consuming segment for retransmission.
 func (c *Conn) track(seg *Segment) {
-	c.rtxq = append(c.rtxq, sentSeg{seg: seg, sentAt: c.stack.loop.Now(), inFlight: true})
+	c.rtxq = c.stack.segs.rtx.Append(c.rtxq, sentSeg{seg: seg, sentAt: c.stack.loop.Now(), inFlight: true})
 	c.pipeBytes += int(seg.SeqLen())
 }
 
@@ -972,9 +972,8 @@ func (c *Conn) processData(seg *Segment) {
 		// Out of order: buffer (taking a reference) and send duplicate ACK.
 		// A copy of a segment already buffered (duplication, a spurious
 		// retransmit of a SACKed segment) is entirely wasted bytes.
-		if _, ok := c.ooo[seg.Seq]; !ok {
+		if c.bufferOOO(seg) {
 			c.stack.retain(seg)
-			c.ooo[seg.Seq] = seg
 			c.noteOOO(SackRange{Start: seg.Seq, End: seg.Seq + seg.SeqLen()})
 		} else {
 			c.stats.DupBytesRcvd += uint64(len(seg.Data))
@@ -985,77 +984,88 @@ func (c *Conn) processData(seg *Segment) {
 	c.absorb(seg)
 	// Drain now-contiguous out-of-order segments. Segment boundaries align
 	// across retransmissions (a retransmit resends the identical segment),
-	// so exact-sequence matching suffices.
-	for {
-		next, ok := c.ooo[c.rcvNxt]
-		if !ok {
-			c.releaseStaleOOO()
+	// so exact-sequence matching suffices. The buffer is in sequence order
+	// and rcvNxt only grows, so one forward scan finds every match. A
+	// matched slot is emptied before its data is delivered: a teardown from
+	// the data callback then releases only what is still buffered, and
+	// releaseStaleOOO compacts the emptied slots away.
+	for i := 0; i < len(c.ooo); i++ {
+		next := c.ooo[i]
+		if next.Seq < c.rcvNxt {
+			continue
+		}
+		if next.Seq > c.rcvNxt {
 			break
 		}
-		delete(c.ooo, c.rcvNxt)
+		c.ooo[i] = nil
 		c.absorb(next)
 		c.stack.release(next)
 	}
+	c.releaseStaleOOO()
 	c.sendAck()
 	c.maybeFinish()
 }
 
-// releaseStaleOOO releases reassembly-buffer segments made entirely stale by
-// the cumulative receive point, in ascending sequence order. Go randomizes
-// map iteration, so releasing while ranging over c.ooo would return segments
-// to the pool in a run-dependent order — and the pool is LIFO, so that order
-// leaks into every later segment's identity and, through per-flow stats,
-// into experiment artifacts. Sorting the (nearly always tiny) key set first
-// keeps the simulation bit-reproducible. See also releaseAllOOO.
-func (c *Conn) releaseStaleOOO() {
-	c.oooScratch = c.oooScratch[:0]
-	for s, sg := range c.ooo {
-		if s+sg.SeqLen() <= c.rcvNxt {
-			c.oooScratch = append(c.oooScratch, s)
-		}
+// bufferOOO inserts seg into the reassembly buffer at its sequence
+// position, unless a segment with the same sequence number is already
+// buffered. It reports whether seg was inserted; the buffer's reference is
+// the caller's to take.
+func (c *Conn) bufferOOO(seg *Segment) bool {
+	i, found := slices.BinarySearchFunc(c.ooo, seg.Seq, func(sg *Segment, seq uint64) int {
+		return cmp.Compare(sg.Seq, seq)
+	})
+	if found {
+		return false
 	}
-	if len(c.oooScratch) == 0 {
+	c.ooo = c.stack.segs.ooo.Append(c.ooo, nil)
+	copy(c.ooo[i+1:], c.ooo[i:])
+	c.ooo[i] = seg
+	return true
+}
+
+// releaseStaleOOO drops the reassembly buffer's drained slots and releases
+// the segments the cumulative receive point has made entirely stale, in
+// ascending sequence order. The order matters: the segment pool is LIFO,
+// so release order decides which segment every later newSegment returns,
+// and through per-flow stats it reaches experiment artifacts. Drained and
+// stale slots all lie below rcvNxt, so the scan stops at the first segment
+// at or above it. See also releaseAllOOO.
+func (c *Conn) releaseStaleOOO() {
+	keep, i := 0, 0
+	for ; i < len(c.ooo); i++ {
+		sg := c.ooo[i]
+		if sg == nil {
+			continue
+		}
+		if sg.Seq >= c.rcvNxt {
+			break
+		}
+		if sg.Seq+sg.SeqLen() <= c.rcvNxt {
+			c.stack.release(sg)
+			continue
+		}
+		c.ooo[keep] = sg
+		keep++
+	}
+	if keep == i {
 		return
 	}
-	sortSeqs(c.oooScratch)
-	for _, s := range c.oooScratch {
-		sg := c.ooo[s]
-		delete(c.ooo, s)
-		c.stack.release(sg)
-	}
+	n := keep + copy(c.ooo[keep:], c.ooo[i:])
+	clear(c.ooo[n:])
+	c.ooo = c.ooo[:n]
 }
 
 // releaseAllOOO empties the reassembly buffer in ascending sequence order
-// (teardown path); see releaseStaleOOO for why the order matters.
+// (teardown path; see releaseStaleOOO for why the order matters) and hands
+// its array back to the segment pool.
 func (c *Conn) releaseAllOOO() {
-	if len(c.ooo) == 0 {
-		return
-	}
-	c.oooScratch = c.oooScratch[:0]
-	for s := range c.ooo {
-		c.oooScratch = append(c.oooScratch, s)
-	}
-	sortSeqs(c.oooScratch)
-	for _, s := range c.oooScratch {
-		c.stack.release(c.ooo[s])
-	}
-	clear(c.ooo)
-}
-
-// sortSeqs insertion-sorts a small slice of sequence numbers in place. The
-// reassembly buffer rarely holds more than a window's worth of segments, so
-// insertion sort beats sort.Slice here and — unlike sort.Slice — allocates
-// nothing (no closure, no interface conversion).
-func sortSeqs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+	for _, sg := range c.ooo {
+		if sg != nil {
+			c.stack.release(sg)
 		}
-		a[j+1] = v
 	}
+	c.stack.segs.ooo.Put(c.ooo)
+	c.ooo = nil
 }
 
 // absorb consumes an in-sequence (possibly partially duplicate) segment,
@@ -1106,7 +1116,7 @@ func (c *Conn) sendAck() {
 	}
 	ack.Seq = c.sndNxt
 	ack.Ack = c.rcvNxt
-	ack.Sack = c.appendSackRanges(ack.Sack)
+	ack.Sack = c.sackBlocks()
 	c.transmit(ack)
 	c.stack.release(ack)
 }
@@ -1132,7 +1142,7 @@ func (c *Conn) noteOOO(r SackRange) {
 			c.sackList[i].End = r.End
 		}
 	} else {
-		c.sackList = append(c.sackList, SackRange{})
+		c.sackList = c.stack.segs.sacks.Append(c.sackList, SackRange{})
 		copy(c.sackList[i+1:], c.sackList[i:])
 		c.sackList[i] = r
 	}
@@ -1149,24 +1159,25 @@ func (c *Conn) noteOOO(r SackRange) {
 	}
 }
 
-// appendSackRanges appends the receiver's out-of-order ranges (up to a
-// small cap, like real TCP's SACK option) to dst, dropping ranges already
-// covered by the cumulative ack. Appending into the outgoing segment's
-// recycled Sack array keeps ACK generation allocation-free.
-func (c *Conn) appendSackRanges(dst []SackRange) []SackRange {
-	// Drop fully delivered ranges from the front.
+// sackBlocks returns the receiver's out-of-order ranges (up to a small cap,
+// like real TCP's SACK option) for an outgoing ACK, dropping ranges already
+// covered by the cumulative ack, or nil when there are none. The blocks
+// live in an array from the segment pool, which the ACK hands back when it
+// is recycled, so ACK generation allocates nothing.
+func (c *Conn) sackBlocks() []SackRange {
+	// Drop fully delivered ranges from the front, keeping the array whole.
 	k := 0
 	for k < len(c.sackList) && c.sackList[k].End <= c.rcvNxt {
 		k++
 	}
 	if k > 0 {
-		c.sackList = c.sackList[k:]
+		c.sackList = c.sackList[:copy(c.sackList, c.sackList[k:])]
 	}
-	n := len(c.sackList)
-	if n > 8 {
-		n = 8
+	n := min(len(c.sackList), 8)
+	if n == 0 {
+		return nil
 	}
-	return append(dst, c.sackList[:n]...)
+	return append(c.stack.segs.sacks.Get(n), c.sackList[:n]...)
 }
 
 // maybeFinish closes the connection once both directions are done: our FIN
@@ -1181,8 +1192,9 @@ func (c *Conn) maybeFinish() {
 	}
 }
 
-// teardown finalizes the connection, returning its segment references to
-// the pool.
+// teardown finalizes the connection, returning its segment references and
+// its retransmit queue, reassembly buffer and SACK list to the segment
+// pool: a closed connection holds no capacity, recycled or not.
 func (c *Conn) teardown(err error) {
 	if c.state == StateClosed {
 		return
@@ -1192,10 +1204,12 @@ func (c *Conn) teardown(err error) {
 	c.rtoTimer.Stop()
 	for i := range c.rtxq {
 		c.stack.release(c.rtxq[i].seg)
-		c.rtxq[i] = sentSeg{}
 	}
-	c.rtxq = c.rtxq[:0]
+	c.stack.segs.rtx.Put(c.rtxq)
+	c.rtxq = nil
 	c.releaseAllOOO()
+	c.stack.segs.sacks.Put(c.sackList)
+	c.sackList = nil
 	c.stack.drop(c)
 	if (c.onClose != nil || c.onCloseC != nil) && !c.closeNotified {
 		c.closeNotified = true

@@ -1,21 +1,31 @@
 package tcpsim
 
-import "repro/internal/nsim"
+import (
+	"repro/internal/nsim"
+	"repro/internal/reuse"
+)
 
 // ConnPool is a free list of recycled Conns. A fresh connection is the last
 // per-flow allocation spike on the many-flow hot path: segments and
 // datagrams already recycle through their pools, but every Dial/accept used
-// to allocate a Conn, its reassembly map, and its retransmit queue. Workload
-// drivers that open thousands of short connections (the contention engine's
-// web and RPC classes) instead hand each closed connection back via
-// Stack.Recycle, and newConn reuses it — map, queues, scratch buffers and
-// all — so steady-state connection churn allocates nothing.
+// to allocate a Conn. Workload drivers that open thousands of short
+// connections (the contention engine's web and RPC classes) instead hand
+// each closed connection back via Stack.Recycle, and newConn reuses the
+// struct. The pool keeps only structs: a connection's queues belong to the
+// SegmentPool, which took them back when the connection closed and lends
+// them again as the reused connection grows, so steady-state connection
+// churn allocates nothing.
+//
+// The pool also lends the stacks' connection tables, which a driver running
+// cell after cell hands back at the end of each cell (Stack.ReleaseStorage)
+// instead of regrowing fresh ones.
 //
 // Like SegmentPool and nsim.PoolSet, a ConnPool is single-goroutine: it may
 // be threaded through many sequential simulations and shared by stacks on
 // the same loop, but must never be shared across concurrently running loops.
 type ConnPool struct {
-	free []*Conn
+	free   []*Conn
+	tables reuse.Maps[fourTuple, *Conn]
 	// gets counts every newConn on a pooled stack (whether served from the
 	// free list or freshly allocated); puts counts every Recycle. The
 	// difference is the number of pool-managed connections currently live.
@@ -38,6 +48,29 @@ func (s *Stack) SetConnPool(p *ConnPool) { s.connPool = p }
 
 // ConnPoolStats exposes the attached pool (nil if none), for ledger checks.
 func (s *Stack) ConnPoolStats() *ConnPool { return s.connPool }
+
+// table lends a connection table: a handed-back one when the pool has one,
+// else a fresh map. A pool-less stack (nil p) always gets a fresh map.
+func (p *ConnPool) table() map[fourTuple]*Conn {
+	if p == nil {
+		return make(map[fourTuple]*Conn)
+	}
+	return p.tables.Get()
+}
+
+// ReleaseStorage hands the stack's connection table back to its ConnPool,
+// emptied, for a later stack to reuse. Call it once the stack's loop has
+// drained and the stack will carry no more traffic, as a driver running
+// cell after cell on one pool does at the end of each cell. Connections
+// still open are dropped from the table, not closed. A pool-less stack
+// keeps its table.
+func (s *Stack) ReleaseStorage() {
+	if s.connPool == nil || s.conns == nil {
+		return
+	}
+	s.connPool.tables.Put(s.conns)
+	s.conns = nil
+}
 
 // takePooledConn pops a recycled connection, counting the request either
 // way so the ledger covers fresh allocations too. Returns nil when no pool
@@ -69,12 +102,11 @@ func (s *Stack) Recycle(c *Conn) {
 		return
 	}
 	// Drop every reference the idle connection would otherwise pin. State
-	// scalars are rebuilt by reset on reuse; pointers are cleared now so a
-	// parked connection costs only its own struct plus empty containers.
-	for i := range c.sendq {
-		c.sendq[i] = nil
-	}
-	c.sendq = c.sendq[:0]
+	// scalars are rebuilt by reset on reuse; pointers are cleared now, and
+	// the send queue goes back to the segment pool as the other queues did
+	// at teardown, so a parked connection costs only its own struct.
+	c.stack.segs.chunks.Put(c.sendq)
+	c.sendq = nil
 	c.sendHead = 0
 	c.sendOff = 0
 	c.sendLen = 0
@@ -91,9 +123,10 @@ func (s *Stack) Recycle(c *Conn) {
 }
 
 // reset rebuilds a recycled connection into the state newConn would have
-// produced, reusing its reassembly map, queue capacities, and scratch
-// buffers. Every field of Conn is either re-initialized here or was cleared
-// by teardown/Recycle; keep this in sync with the struct definition.
+// produced. It holds no storage: the queues went back to the segment pool
+// and are borrowed from the new stack's pool as the connection grows them.
+// Every field of Conn is either re-initialized here or was cleared by
+// teardown/Recycle; keep this in sync with the struct definition.
 func (c *Conn) reset(s *Stack, local, remote nsim.AddrPort, server bool) {
 	prev := c.stack
 	c.stack = s
@@ -110,7 +143,8 @@ func (c *Conn) reset(s *Stack, local, remote nsim.AddrPort, server bool) {
 
 	c.sndUna = 0
 	c.sndNxt = 0
-	// sendq was scrubbed by Recycle; rtxq was emptied by teardown.
+	// sendq went back to the pool in Recycle; rtxq, ooo and sackList at
+	// teardown.
 	c.cwnd = InitialWindow
 	c.ssthresh = ReceiveWindow
 	c.dupAcks = 0
@@ -129,9 +163,6 @@ func (c *Conn) reset(s *Stack, local, remote nsim.AddrPort, server bool) {
 
 	c.rcvNxt = 0
 	c.ceEcho = false
-	// ooo was emptied (in deterministic order) by teardown; the map and the
-	// sackList/oooScratch backing arrays are the reuse payoff.
-	c.sackList = c.sackList[:0]
 	c.peerFin = false
 	c.peerFinSeq = 0
 

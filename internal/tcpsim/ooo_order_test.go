@@ -8,7 +8,7 @@ import (
 
 // stuffOOO fills a connection's reassembly buffer with pooled one-byte
 // segments at the given sequence numbers (inserted in the order given, which
-// is irrelevant: the map does not preserve it).
+// is irrelevant: the buffer keeps sequence order).
 func stuffOOO(c *Conn, seqs []uint64) map[uint64]*Segment {
 	bySeq := make(map[uint64]*Segment, len(seqs))
 	for _, seq := range seqs {
@@ -16,10 +16,20 @@ func stuffOOO(c *Conn, seqs []uint64) map[uint64]*Segment {
 		sg.Flags = FlagACK
 		sg.Seq = seq
 		sg.Data = []byte{0}
-		c.ooo[seq] = sg
+		c.bufferOOO(sg)
 		bySeq[seq] = sg
 	}
 	return bySeq
+}
+
+// oooAt looks up the buffered segment at seq.
+func oooAt(c *Conn, seq uint64) (*Segment, bool) {
+	for _, sg := range c.ooo {
+		if sg.Seq == seq {
+			return sg, true
+		}
+	}
+	return nil, false
 }
 
 // freeTail returns the segments most recently appended to the pool's free
@@ -91,7 +101,7 @@ func TestReleaseStaleOOOKeepsLiveSegments(t *testing.T) {
 	if len(conn.ooo) != 1 {
 		t.Fatalf("ooo holds %d segments, want 1", len(conn.ooo))
 	}
-	if sg, ok := conn.ooo[30]; !ok || sg.Seq != 30 {
+	if sg, ok := oooAt(conn, 30); !ok || sg.Seq != 30 {
 		t.Fatal("live segment at seq 30 was swept")
 	}
 	conn.releaseAllOOO() // leave the pool balanced

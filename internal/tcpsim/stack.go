@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/nsim"
+	"repro/internal/reuse"
 	"repro/internal/sim"
 )
 
@@ -17,10 +18,12 @@ type fourTuple struct {
 // datagrams to connections and listeners. One namespace has at most one
 // Stack.
 type Stack struct {
-	ns        *nsim.Namespace
-	loop      *sim.Loop
-	cc        CongestionAlgorithm
-	ecn       bool
+	ns   *nsim.Namespace
+	loop *sim.Loop
+	cc   CongestionAlgorithm
+	ecn  bool
+	// conns is the connection table, made (or, on a pooled stack,
+	// borrowed from the ConnPool) by the first connection; see addConn.
 	conns     map[fourTuple]*Conn
 	listeners map[nsim.AddrPort]func(*Conn)
 	boundPort map[uint16]bool // listener ports already bound on the namespace
@@ -53,12 +56,23 @@ type Stack struct {
 	recvFn func(*nsim.Datagram)
 }
 
-// SegmentPool is a free list of recycled Segments. Like nsim.PoolSet it
-// may be threaded through many sequential simulations (it must never be
-// shared across concurrently running loops), so warmup is paid once per
-// worker rather than once per simulation.
+// SegmentPool is a free list of recycled Segments, and the owner of the
+// growable storage of the connections and segments drawn from it. Like
+// nsim.PoolSet it may be threaded through many sequential simulations (it
+// must never be shared across concurrently running loops), so warmup is
+// paid once per worker rather than once per simulation.
 type SegmentPool struct {
 	free []*Segment
+	// Connection- and segment-scoped arrays in power-of-two capacity
+	// classes. A connection borrows its retransmit queue, SACK list and
+	// reassembly buffer as they grow and hands them back at teardown, and
+	// its send queue when it is recycled; a segment's SACK blocks go back
+	// when the segment is. So a parked Conn or Segment holds no capacity,
+	// and a warmed pool serves every later connection without allocating.
+	rtx    reuse.Arrays[sentSeg]
+	sacks  reuse.Arrays[SackRange]
+	ooo    reuse.Arrays[*Segment]
+	chunks reuse.Arrays[[]byte]
 	// gets and puts count pool traffic for leak accounting: every
 	// newSegment is balanced by exactly one final releaseSegment once all
 	// references drop, so at quiescence (all connections closed, nothing
@@ -71,7 +85,6 @@ type SegmentPool struct {
 func (p *SegmentPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
 
 // newSegment returns a zeroed segment with one reference (the creator's).
-// Data and Sack retain their recycled capacity.
 func (s *Stack) newSegment() *Segment {
 	pool := s.segs
 	pool.gets++
@@ -95,9 +108,8 @@ func (s *Stack) retain(seg *Segment) {
 
 // release drops one reference; the last release recycles the segment into
 // its origin pool. Callers must be done reading the segment before
-// releasing: recycling truncates Data/Sack in place and a later newSegment
-// reuses their backing arrays. Hand-built (non-pooled) segments are
-// ignored.
+// releasing: recycling hands the Sack array back to the pool, where a
+// later ACK reuses it. Hand-built (non-pooled) segments are ignored.
 func (s *Stack) release(seg *Segment) { releaseSegment(seg) }
 
 // releaseSegment is Stack.release without a stack in scope: the network's
@@ -117,7 +129,8 @@ func releaseSegment(seg *Segment) {
 	// Data aliases the sending connection's buffer (see Conn.pump), whose
 	// other segments may still be in flight: drop it rather than reuse it.
 	seg.Data = nil
-	seg.Sack = seg.Sack[:0]
+	seg.pool.sacks.Put(seg.Sack)
+	seg.Sack = nil
 	seg.pool.puts++
 	seg.pool.free = append(seg.pool.free, seg)
 }
@@ -196,7 +209,6 @@ func NewStackPool(ns *nsim.Namespace, segs *SegmentPool) *Stack {
 	s := &Stack{
 		ns:        ns,
 		loop:      ns.Network().Loop(),
-		conns:     make(map[fourTuple]*Conn),
 		listeners: make(map[nsim.AddrPort]func(*Conn)),
 		boundPort: make(map[uint16]bool),
 		segs:      segs,
@@ -271,7 +283,7 @@ func (s *Stack) Dial(laddr nsim.Addr, raddr nsim.AddrPort) (*Conn, error) {
 		return nil, err
 	}
 	c := newConn(s, lap, raddr, false)
-	s.conns[fourTuple{lap, raddr}] = c
+	s.addConn(fourTuple{lap, raddr}, c)
 	c.sendSYN()
 	return c, nil
 }
@@ -319,7 +331,7 @@ func (s *Stack) receive(dg *nsim.Datagram) {
 	}
 	c := newConn(s, dg.Dst, dg.Src, true)
 	c.acceptFn = accept
-	s.conns[key] = c
+	s.addConn(key, c)
 	c.handleSegment(seg, dg.CE)
 	s.release(seg)
 }
@@ -332,6 +344,15 @@ func (s *Stack) lookupListener(ap nsim.AddrPort) func(*Conn) {
 		return fn
 	}
 	return nil
+}
+
+// addConn enters a new connection in the table, making the table on first
+// use: a pooled stack borrows it from its ConnPool (see ReleaseStorage).
+func (s *Stack) addConn(key fourTuple, c *Conn) {
+	if s.conns == nil {
+		s.conns = s.connPool.table()
+	}
+	s.conns[key] = c
 }
 
 // drop removes a closed connection from the table and releases its

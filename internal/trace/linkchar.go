@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -19,7 +18,6 @@ import (
 // emitStep appends delivery opportunities for one [start,end) window at the
 // given rate (bits/second), threading the fractional-packet accumulator.
 func emitStep(ms *[]int64, start, end int, rate float64, acc *float64) {
-	const bitsPerPacket = netem.MTU * 8
 	perMS := rate / bitsPerPacket / 1000.0
 	for t := start; t < end; t++ {
 		*acc += perMS

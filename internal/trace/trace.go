@@ -157,9 +157,31 @@ func (c *Cursor) Next(after sim.Time) sim.Time {
 	}
 }
 
+// MaxOpportunities bounds the delivery opportunities Constant and Cellular
+// generate, which they check before generating anything: an absurd rate
+// or period (a 1 Tbit/s link) would otherwise exhaust memory one
+// opportunity at a time. Two million is 20 times the largest trace any
+// driver or example in this repository builds (a 20 Mbit/s cellular
+// trace over 60 s) and 12 times a 1 Gbit/s link's two-second trace.
+const MaxOpportunities = 1 << 21
+
+// bitsPerPacket is the size of one delivery opportunity: an MTU, in bits.
+const bitsPerPacket = netem.MTU * 8
+
+// checkOpportunities refuses a generator whose rate, held for periodMS,
+// would yield more than MaxOpportunities opportunities.
+func checkOpportunities(bitsPerSec int64, periodMS int) error {
+	if n := float64(bitsPerSec) * float64(periodMS) / (bitsPerPacket * 1000); n > MaxOpportunities {
+		return fmt.Errorf("trace: %d bit/s over %d ms is %.0f delivery opportunities, more than the %d a generated trace may hold",
+			bitsPerSec, periodMS, n, MaxOpportunities)
+	}
+	return nil
+}
+
 // Constant builds a constant-rate trace: delivery opportunities spaced so
 // the mean rate is bitsPerSec, covering periodMS milliseconds. This is how
-// Mahimahi users create fixed-speed links for mm-link.
+// Mahimahi users create fixed-speed links for mm-link. A trace of more than
+// MaxOpportunities opportunities is refused.
 func Constant(bitsPerSec int64, periodMS int) (*Trace, error) {
 	if bitsPerSec <= 0 {
 		return nil, fmt.Errorf("trace: non-positive rate %d", bitsPerSec)
@@ -167,8 +189,10 @@ func Constant(bitsPerSec int64, periodMS int) (*Trace, error) {
 	if periodMS <= 0 {
 		return nil, fmt.Errorf("trace: non-positive period %d ms", periodMS)
 	}
+	if err := checkOpportunities(bitsPerSec, periodMS); err != nil {
+		return nil, err
+	}
 	// packets per millisecond = rate / (MTU*8 bits) / 1000
-	const bitsPerPacket = netem.MTU * 8
 	var ms []int64
 	// Accumulate fractional packets-per-ms so arbitrary rates are exact on
 	// average (e.g. 1 Mbit/s => one packet every 12 ms).
@@ -196,7 +220,8 @@ func Constant(bitsPerSec int64, periodMS int) (*Trace, error) {
 // Cellular synthesizes a time-varying trace reminiscent of Mahimahi's
 // recorded LTE traces: the delivery rate follows a mean-reverting random
 // walk between minRate and maxRate bits/second, changing every stepMS
-// milliseconds, over periodMS milliseconds total.
+// milliseconds, over periodMS milliseconds total. A trace that could exceed
+// MaxOpportunities opportunities (judged at maxRate) is refused.
 func Cellular(rng *sim.Rand, minRate, maxRate int64, stepMS, periodMS int) (*Trace, error) {
 	if minRate <= 0 || maxRate < minRate {
 		return nil, fmt.Errorf("trace: invalid rate range [%d,%d]", minRate, maxRate)
@@ -204,7 +229,9 @@ func Cellular(rng *sim.Rand, minRate, maxRate int64, stepMS, periodMS int) (*Tra
 	if stepMS <= 0 || periodMS < stepMS {
 		return nil, fmt.Errorf("trace: invalid step/period %d/%d", stepMS, periodMS)
 	}
-	const bitsPerPacket = netem.MTU * 8
+	if err := checkOpportunities(maxRate, periodMS); err != nil {
+		return nil, err
+	}
 	mid := float64(minRate+maxRate) / 2
 	rate := mid
 	span := float64(maxRate - minRate)

@@ -297,3 +297,38 @@ func TestMeanRateName(t *testing.T) {
 		t.Fatal("MeanRate <= 0")
 	}
 }
+
+// TestGeneratorsRefuseOversizedTraces holds both generators to
+// MaxOpportunities: a rate that yields exactly the cap over the period is
+// generated, one opportunity more is refused before anything is built.
+func TestGeneratorsRefuseOversizedTraces(t *testing.T) {
+	// bitsPerPacket bits per opportunity and a 1000 ms period: the rate
+	// below yields exactly n opportunities.
+	rateFor := func(n int64) int64 { return n * bitsPerPacket }
+	cases := []struct {
+		name string
+		gen  func(rate int64) (*Trace, error)
+	}{
+		{"constant", func(rate int64) (*Trace, error) { return Constant(rate, 1000) }},
+		{"cellular", func(rate int64) (*Trace, error) {
+			return Cellular(sim.NewRand(1), rate/2, rate, 100, 1000)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := tc.gen(rateFor(MaxOpportunities))
+			if err != nil {
+				t.Fatalf("at the cap: %v", err)
+			}
+			if tr.Len() > MaxOpportunities {
+				t.Fatalf("at the cap: %d opportunities, more than %d", tr.Len(), MaxOpportunities)
+			}
+			if _, err := tc.gen(rateFor(MaxOpportunities + 1)); err == nil {
+				t.Fatal("one opportunity past the cap accepted")
+			}
+			if _, err := tc.gen(1e12); err == nil {
+				t.Fatal("a 1 Tbit/s trace accepted")
+			}
+		})
+	}
+}
