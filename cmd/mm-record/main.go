@@ -30,6 +30,15 @@ func main() {
 	delayMS := flag.Int("delay", 20, "one-way path delay during recording, ms")
 	out := flag.String("out", "recorded", "output directory (a per-site folder is created inside)")
 	flag.Parse()
+	if *servers < 1 {
+		usageErr("-servers %d: want at least 1 origin", *servers)
+	}
+	if *resources < 0 {
+		usageErr("-resources %d: want 0 (derived) or more", *resources)
+	}
+	if *delayMS < 0 {
+		usageErr("-delay %d: want a non-negative delay", *delayMS)
+	}
 
 	profile := webgen.DefaultProfile(*site, *servers)
 	if *resources > 0 {
@@ -63,4 +72,10 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mm-record:", err)
 	os.Exit(1)
+}
+
+// usageErr reports bad command-line input and exits 2, as flag does.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mm-record: "+format+"\n", args...)
+	os.Exit(2)
 }

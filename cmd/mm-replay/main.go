@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -34,6 +35,18 @@ func main() {
 	loads := flag.Int("loads", 1, "number of page loads")
 	verbose := flag.Bool("v", false, "print per-resource timings")
 	flag.Parse()
+	if *servers < 1 {
+		usageErr("-servers %d: want at least 1 origin", *servers)
+	}
+	if *delayMS < 0 {
+		usageErr("-delay %d: want a non-negative delay", *delayMS)
+	}
+	if !(*rateMbps >= 0) || math.IsInf(*rateMbps, 0) {
+		usageErr("-rate %v: want a finite non-negative rate", *rateMbps)
+	}
+	if *loads < 1 {
+		usageErr("-loads %d: want at least 1 load", *loads)
+	}
 
 	// The browser needs a page spec; for replayed archives we regenerate
 	// the page from the same profile (the archive alone stores wire data,
@@ -98,4 +111,10 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mm-replay:", err)
 	os.Exit(1)
+}
+
+// usageErr reports bad command-line input and exits 2, as flag does.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mm-replay: "+format+"\n", args...)
+	os.Exit(2)
 }

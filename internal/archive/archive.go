@@ -151,12 +151,12 @@ func ReadExchange(r io.Reader) (*Exchange, error) {
 		return nil, fmt.Errorf("%w: server %q", ErrBadFormat, meta["server"])
 	}
 
-	rawReq := make([]byte, reqLen)
-	if _, err := io.ReadFull(br, rawReq); err != nil {
+	rawReq, ok := readLen(br, reqLen)
+	if !ok {
 		return nil, fmt.Errorf("%w: truncated request", ErrBadFormat)
 	}
-	rawResp := make([]byte, respLen)
-	if _, err := io.ReadFull(br, rawResp); err != nil {
+	rawResp, ok := readLen(br, respLen)
+	if !ok {
 		return nil, fmt.Errorf("%w: truncated response", ErrBadFormat)
 	}
 
@@ -177,6 +177,25 @@ func ReadExchange(r io.Reader) (*Exchange, error) {
 	}
 	reqs[0].Scheme = scheme
 	return &Exchange{Server: server, Scheme: scheme, Request: reqs[0], Response: resps[0]}, nil
+}
+
+// readLen reads exactly n bytes from r. n comes from the file, so the
+// buffer is not reserved up front: it starts at 64 KiB at most and doubles
+// as bytes arrive, never past n, and a file that holds fewer bytes than it
+// declares costs only what it holds.
+func readLen(r io.Reader, n int) ([]byte, bool) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			return nil, false
+		}
+	}
+	return buf, true
 }
 
 func parseAddrPort(s string) (nsim.AddrPort, error) {

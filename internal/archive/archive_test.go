@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,6 +62,32 @@ func TestReadExchangeErrors(t *testing.T) {
 			t.Errorf("case %d: accepted malformed archive", i)
 		} else if !errors.Is(err, ErrBadFormat) {
 			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
+		}
+	}
+}
+
+// Crafted files whose length fields declare far more than they hold are
+// refused with ErrBadFormat after allocating only about what they hold:
+// neither the framing's response-length nor the stored response's
+// Content-Length is reserved up front.
+func TestReadExchangeDeclaredLengthsNotReserved(t *testing.T) {
+	const req = "GET / HTTP/1.1\r\n\r\n"
+	const resp = "HTTP/1.1 200 OK\r\nContent-Length: 268435456\r\n\r\nx"
+	for _, tc := range []struct{ name, raw string }{
+		{"framing declares 2e9 bytes", "MAHIMAHI-GO 1\nserver: 1.2.3.4:80\nrequest-length: " +
+			strconv.Itoa(len(req)) + "\nresponse-length: 2000000000\n\n" + req},
+		{"stored response declares 256 MB", "MAHIMAHI-GO 1\nserver: 1.2.3.4:80\nrequest-length: " +
+			strconv.Itoa(len(req)) + "\nresponse-length: " + strconv.Itoa(len(resp)) + "\n\n" + req + resp},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadExchange(strings.NewReader(tc.raw))
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: %d-byte file allocated %d bytes, want < 1 MiB", tc.name, len(tc.raw), n)
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", tc.name, err)
 		}
 	}
 }

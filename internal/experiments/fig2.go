@@ -90,14 +90,14 @@ func Fig2(cfg Fig2Config) Fig2Result {
 			cells = append(cells, Cell{Site: siteLabel(i), Shell: arm})
 		}
 	}
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, c Cell, _ uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, c Cell, _ uint64) float64 {
 		si := i / len(fig2Arms)
-		return []float64{PLTms(LoadSpec{
+		return PLTms(LoadSpec{
 			Page: pages[si], Site: sites[si],
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 			Shells:  armShells[c.Shell](),
 			Scratch: scratchFor(sh),
-		})}
+		})
 	})
 
 	// Merge per-cell PLTs into per-arm distributions in cell order.
@@ -105,8 +105,8 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	for _, arm := range fig2Arms {
 		acc[arm] = stats.NewAccumulator()
 	}
-	for i, vals := range results {
-		acc[cells[i].Shell].Add(vals...)
+	for i, plt := range results {
+		acc[cells[i].Shell].Add(plt)
 	}
 	r := Fig2Result{
 		Replay:   acc["replay"].Sample(),

@@ -62,7 +62,7 @@ func Fig3(cfg Fig3Config) Fig3Result {
 	for i := range cells {
 		cells[i] = Cell{Site: "nytimes-like", Shell: "web+multi+single", Trial: i}
 	}
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, _ int, _ Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, _ int, _ Cell, seed uint64) fig3Trial {
 		rng := sim.NewRand(seed)
 		minRTT := cfg.MinRTTBase + rng.Duration(cfg.MinRTTSpread+1)
 		webSeed := rng.Uint64()
@@ -77,14 +77,14 @@ func Fig3(cfg Fig3Config) Fig3Result {
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: stack,
 			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng, Scratch: sc,
 		})
-		return []float64{web, multi, single}
+		return fig3Trial{web, multi, single}
 	})
 
 	web, multi, single := stats.NewAccumulator(), stats.NewAccumulator(), stats.NewAccumulator()
-	for _, vals := range results {
-		web.Add(vals[0])
-		multi.Add(vals[1])
-		single.Add(vals[2])
+	for _, tr := range results {
+		web.Add(tr.web)
+		multi.Add(tr.multi)
+		single.Add(tr.single)
 	}
 	r := Fig3Result{
 		Web:    web.Sample(),
@@ -95,6 +95,10 @@ func Fig3(cfg Fig3Config) Fig3Result {
 	r.SingleGap = stats.AbsRelDiff(r.Single.Median(), r.Web.Median())
 	return r
 }
+
+// fig3Trial is one trial's PLTs in milliseconds: the live web and the two
+// replay arms.
+type fig3Trial struct{ web, multi, single float64 }
 
 // liveLoad runs one load on sh against the live-web model behind a
 // DelayShell contributing the path's minimum RTT, returning PLT in

@@ -50,27 +50,33 @@ func Isolation(seed uint64, shards int) IsolationResult {
 		{Site: "wikihow-like", Shell: "solo"},
 		{Site: "wikihow-like", Shell: "concurrent"},
 	}
-	results := runCells(shards, seed, cells, func(sh *engine.Shard, _ int, c Cell, _ uint64) []float64 {
+	results := runCells(shards, seed, cells, func(sh *engine.Shard, _ int, c Cell, _ uint64) isolationArm {
 		if c.Shell == "solo" {
 			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells(),
 				Scratch: scratchFor(sh)}).PLT
-			return []float64{float64(plt)}
+			return isolationArm{plt: plt}
 		}
-		plt, cross := isolationConcurrent(sh, page, site, mkShells())
-		return []float64{float64(plt), float64(cross)}
+		return isolationConcurrent(sh, page, site, mkShells())
 	})
 	return IsolationResult{
-		SoloPLT:       sim.Time(results[0][0]),
-		ConcurrentPLT: sim.Time(results[1][0]),
-		CrossTraffic:  uint64(results[1][1]),
+		SoloPLT:       results[0].plt,
+		ConcurrentPLT: results[1].plt,
+		CrossTraffic:  results[1].cross,
 	}
+}
+
+// isolationArm is one arm's measured PLT and, for the concurrent arm, the
+// neighbour's delivered datagram count.
+type isolationArm struct {
+	plt   sim.Time
+	cross uint64
 }
 
 // isolationConcurrent runs the measured load on sh while a noisy neighbour
 // in the same Network (same event loop) continuously saturates its own
 // link, returning the measured PLT and the neighbour's delivered datagram
 // count.
-func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site, shellList []shells.Shell) (sim.Time, uint64) {
+func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site, shellList []shells.Shell) isolationArm {
 	loop := sh.Loop()
 	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	replay, err := replayshell.New(network, replayshell.Config{
@@ -117,7 +123,7 @@ func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site
 	})
 	loop.Run()
 
-	return result.PLT, crossDelivered
+	return isolationArm{plt: result.PLT, cross: crossDelivered}
 }
 
 // String renders the result.

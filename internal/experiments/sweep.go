@@ -105,7 +105,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 		}
 	}
 	perStack := len(pages) * cfg.Trials
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) float64 {
 		st := stacks[i/perStack]
 		si := (i % perStack) / cfg.Trials
 		page, site := pages[si], sites[si]
@@ -138,13 +138,13 @@ func Sweep(cfg SweepConfig) SweepResult {
 			spec.CPUJitterSigma = cfg.CPUJitterSigma
 			spec.Rand = sim.NewRand(sim.DeriveSeed(seed, "jitter"))
 		}
-		return []float64{PLTms(spec)}
+		return PLTms(spec)
 	})
 	out := SweepResult{Cells: len(cells)}
 	for si, st := range stacks {
 		acc := stats.NewAccumulator()
 		for j := 0; j < perStack; j++ {
-			acc.Add(results[si*perStack+j]...)
+			acc.Add(results[si*perStack+j])
 		}
 		out.Rows = append(out.Rows, SweepRow{Stack: st, PLT: acc.Sample()})
 	}

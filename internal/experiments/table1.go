@@ -109,9 +109,9 @@ func Table1(cfg Table1Config) Table1Result {
 	cellsPerProfile := 2 * cfg.Loads
 	// The grid has no root seed of its own: the machine seeds in the cell
 	// labels carry the host noise.
-	results := runCells(cfg.Shards, 0, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) []float64 {
+	results := runCells(cfg.Shards, 0, cells, func(sh *engine.Shard, i int, _ Cell, seed uint64) float64 {
 		pi := i / cellsPerProfile
-		return []float64{PLTms(LoadSpec{
+		return PLTms(LoadSpec{
 			Page: pages[pi], Site: sites[pi],
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 			Shells: []shells.Shell{
@@ -121,7 +121,7 @@ func Table1(cfg Table1Config) Table1Result {
 			CPUJitterSigma: cfg.CPUJitterSigma,
 			Rand:           sim.NewRand(seed),
 			Scratch:        scratchFor(sh),
-		})}
+		})
 	})
 	var out Table1Result
 	for pi, p := range profiles {
@@ -130,7 +130,7 @@ func Table1(cfg Table1Config) Table1Result {
 			acc := stats.NewAccumulator()
 			base := pi*cellsPerProfile + mi*cfg.Loads
 			for trial := 0; trial < cfg.Loads; trial++ {
-				acc.Add(results[base+trial]...)
+				acc.Add(results[base+trial])
 			}
 			row.Machines[mi] = acc.Sample()
 		}

@@ -94,7 +94,7 @@ func Table2(cfg Table2Config) Table2Result {
 			})
 		}
 	}
-	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) []float64 {
+	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) float64 {
 		nc := confs[i/len(pages)]
 		page, site := pages[i%len(pages)], sites[i%len(pages)]
 		down, err := trace.Constant(nc.rate, 2000)
@@ -120,13 +120,13 @@ func Table2(cfg Table2Config) Table2Result {
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: mk(),
 			SingleServer: true, Scratch: sc,
 		})
-		return []float64{stats.AbsRelDiff(single, multi)}
+		return stats.AbsRelDiff(single, multi)
 	})
 	var out Table2Result
 	for ci, nc := range confs {
 		acc := stats.NewAccumulator()
 		for si := range pages {
-			acc.Add(results[ci*len(pages)+si]...)
+			acc.Add(results[ci*len(pages)+si])
 		}
 		out.Cells = append(out.Cells, Table2Cell{
 			Delay: nc.delay, Rate: nc.rate, Diffs: acc.Sample(),

@@ -39,6 +39,8 @@ func FuzzResponseParserModes(f *testing.F) {
 			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", 1},
 		{chunked.String(), 0},
 		{fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", MaxBodySize+1), 0},
+		// The largest allowed declared length with no body behind it.
+		{fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", MaxBodySize), 0},
 		{fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"+
 			"4\r\nwiki\r\n%x\r\n", MaxBodySize-3), 0},
 		{pipelined, 0},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -433,6 +434,57 @@ func TestPipelinedFixedLengthEveryCut(t *testing.T) {
 				t.Fatalf("cuts %d,%d: responses %v", i, j, resps)
 			}
 		}
+	}
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A declared Content-Length is not reserved before the body arrives: a
+// 46-byte head declaring the largest allowed body allocates less than
+// 1 MiB in a copying parser, as in a metering one.
+func TestDeclaredLengthNotReserved(t *testing.T) {
+	head := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", MaxBodySize))
+	for _, meter := range []bool{false, true} {
+		p := &ResponseParser{Meter: meter}
+		var resps []*Response
+		var err error
+		if n := allocated(func() { resps, err = p.Feed(head) }); n >= 1<<20 {
+			t.Errorf("meter=%v: %d-byte head allocated %d bytes, want < 1 MiB", meter, len(head), n)
+		}
+		if err != nil || len(resps) != 0 {
+			t.Errorf("meter=%v: Feed = %v, %v; want an incomplete response", meter, resps, err)
+		}
+	}
+}
+
+// A fixed-length body that outgrows the up-front reserve doubles toward
+// the declared length and ends with exactly that capacity.
+func TestLargeFixedLengthBodyGrowsToLength(t *testing.T) {
+	body := strings.Repeat("0123456789", 30_000) // 300 KB, past the reserve
+	raw := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	var p ResponseParser
+	var got []*Response
+	for len(raw) > 0 {
+		n := min(1460, len(raw))
+		resps, err := p.Feed(raw[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, resps...)
+		raw = raw[n:]
+	}
+	if len(got) != 1 || string(got[0].Body) != body {
+		t.Fatalf("got %d responses", len(got))
+	}
+	if c := cap(got[0].Body); c != len(body) {
+		t.Errorf("body capacity %d, want the declared %d", c, len(body))
 	}
 }
 

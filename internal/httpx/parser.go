@@ -18,6 +18,12 @@ var (
 // runaway Content-Lengths.
 const MaxBodySize = 256 << 20
 
+// bodyReserve caps the body capacity a copying parser reserves from a
+// declared Content-Length before the body arrives. The body then doubles
+// as bytes arrive, never past the declared length, so a length nobody
+// sends costs nothing.
+const bodyReserve = 64 << 10
+
 // parsePhase is the incremental parser's state.
 type parsePhase int
 
@@ -138,12 +144,19 @@ func (p *ResponseParser) Reset() {
 }
 
 // take consumes body bytes of the current response: counted always,
-// copied unless metering.
+// copied unless metering. A fixed-length body that outgrows its capacity
+// doubles it, but never past the declared length, len(body)+p.need (p.need
+// still counts b); chunked bodies grow by plain append.
 func (p *ResponseParser) take(b []byte) {
 	p.cur.BodyLen += len(b)
-	if !p.Meter {
-		p.cur.Body = append(p.cur.Body, b...)
+	if p.Meter {
+		return
 	}
+	body := p.cur.Body
+	if n := len(body) + len(b); n > cap(body) && p.phase == phaseBodyLength {
+		body = append(make([]byte, 0, max(n, min(2*cap(body), len(body)+p.need))), body...)
+	}
+	p.cur.Body = append(body, b...)
 }
 
 // ExpectMethod queues the method of the next outstanding request, so HEAD
@@ -207,7 +220,7 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 				p.phase = phaseBodyChunkSize
 			case n > 0:
 				if !p.Meter {
-					p.cur.Body = make([]byte, 0, n) // sized once; no growth churn
+					p.cur.Body = make([]byte, 0, min(n, bodyReserve))
 				}
 				p.need = n
 				p.phase = phaseBodyLength

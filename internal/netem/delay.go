@@ -18,11 +18,9 @@ import (
 // event and reaches the sink as one batch, so a congestion-window burst
 // costs one event instead of one per packet.
 type DelayBox struct {
-	loop      *sim.Loop
-	delay     sim.Time
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
+	port
+	loop  *sim.Loop
+	delay sim.Time
 	// open is the train still accepting same-instant appends; mark is the
 	// loop's SeqMark right after the train last grew, the adjacency guard.
 	open   *train
@@ -48,23 +46,29 @@ func NewDelayBox(loop *sim.Loop, delay sim.Time) *DelayBox {
 // Delay reports the configured one-way delay.
 func (d *DelayBox) Delay() sim.Time { return d.delay }
 
-// admit runs per-packet ingress accounting.
-func (d *DelayBox) admit(pkt *Packet) {
-	d.stats.Arrived++
-	d.stats.ArrivedBytes += uint64(pkt.Size)
-	d.stats.QueueLen++
-	d.stats.QueueBytes += pkt.Size
-	if d.stats.QueueLen > d.stats.MaxQueueLen {
-		d.stats.MaxQueueLen = d.stats.QueueLen
+// Send implements Box.
+func (d *DelayBox) Send(pkt *Packet) { d.SendBatch(d.one(pkt)) }
+
+// SendBatch implements Box: the whole train shares one exit instant, so
+// after the first packet (possibly) opens a train the rest append in O(1).
+func (d *DelayBox) SendBatch(pkts []*Packet) {
+	now := d.loop.Now()
+	for _, pkt := range pkts {
+		d.stats.arrive(pkt)
+		d.stats.QueueLen++
+		d.stats.QueueBytes += pkt.Size
+		if d.stats.QueueLen > d.stats.MaxQueueLen {
+			d.stats.MaxQueueLen = d.stats.QueueLen
+		}
+		pkt.Sent = now
+		d.schedule(pkt, now+d.delay)
 	}
-	pkt.Sent = d.loop.Now()
 }
 
 // schedule joins the packet to the open train when the adjacency guard
 // holds (same exit instant, no event scheduled since the last append), and
 // otherwise opens a fresh train with its own delivery event.
-func (d *DelayBox) schedule(pkt *Packet) {
-	exit := d.loop.Now() + d.delay
+func (d *DelayBox) schedule(pkt *Packet, exit sim.Time) {
 	if d.open != nil && d.open.exit == exit && d.loop.SeqMark() == d.mark {
 		d.open.pkts = append(d.open.pkts, pkt)
 		return
@@ -77,27 +81,6 @@ func (d *DelayBox) schedule(pkt *Packet) {
 	d.mark = d.loop.SeqMark()
 }
 
-// Send implements Box.
-func (d *DelayBox) Send(pkt *Packet) {
-	if d.sink == nil {
-		panic("netem: DelayBox.Send before SetSink")
-	}
-	d.admit(pkt)
-	d.schedule(pkt)
-}
-
-// SendBatch implements Box: the whole train shares one exit instant, so
-// after the first packet (possibly) opens a train the rest append in O(1).
-func (d *DelayBox) SendBatch(pkts []*Packet) {
-	if d.sink == nil {
-		panic("netem: DelayBox.Send before SetSink")
-	}
-	for _, pkt := range pkts {
-		d.admit(pkt)
-		d.schedule(pkt)
-	}
-}
-
 // release delivers one train to the sink.
 func (d *DelayBox) release(_ sim.Time, arg any) {
 	t := arg.(*train)
@@ -107,27 +90,10 @@ func (d *DelayBox) release(_ sim.Time, arg any) {
 	for _, pkt := range t.pkts {
 		d.stats.QueueLen--
 		d.stats.QueueBytes -= pkt.Size
-		d.stats.Delivered++
-		d.stats.DeliveredBytes += uint64(pkt.Size)
 	}
-	if d.batchSink != nil {
-		d.batchSink(t.pkts)
-	} else {
-		for _, pkt := range t.pkts {
-			d.sink(pkt)
-		}
-	}
+	d.emit(t.pkts)
 	d.trains.put(t)
 }
-
-// SetSink implements Box.
-func (d *DelayBox) SetSink(sink Sink) { d.sink = sink }
-
-// SetBatchSink implements Box.
-func (d *DelayBox) SetBatchSink(sink BatchSink) { d.batchSink = sink }
-
-// Stats implements Box.
-func (d *DelayBox) Stats() BoxStats { return d.stats }
 
 // LossBox drops packets according to a pluggable LossModel (Mahimahi's
 // mm-loss extension; Bernoulli by default). Drops are drawn from a
@@ -135,12 +101,9 @@ func (d *DelayBox) Stats() BoxStats { return d.stats }
 // model is swappable mid-run (SetModel/SetProb) for scripted loss steps —
 // a ScenarioScript mutation that takes effect from the next packet.
 type LossBox struct {
-	model     LossModel
-	rng       *sim.Rand
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
-	surv      []*Packet // recycled survivor scratch for SendBatch
+	port
+	model LossModel
+	rng   *sim.Rand
 }
 
 // NewLossBox returns a box that drops packets independently with
@@ -175,65 +138,33 @@ func (l *LossBox) SetModel(model LossModel) {
 func (l *LossBox) SetProb(prob float64) { l.model = NewBernoulli(prob) }
 
 // Send implements Box.
-func (l *LossBox) Send(pkt *Packet) {
-	if l.sink == nil {
-		panic("netem: LossBox.Send before SetSink")
-	}
-	l.stats.Arrived++
-	l.stats.ArrivedBytes += uint64(pkt.Size)
-	if l.model.Drop(l.rng) {
-		l.stats.Dropped++
-		pkt.Recycle()
-		return
-	}
-	l.stats.Delivered++
-	l.stats.DeliveredBytes += uint64(pkt.Size)
-	l.sink(pkt)
-}
+func (l *LossBox) Send(pkt *Packet) { l.SendBatch(l.one(pkt)) }
 
 // SendBatch implements Box. Loss draws happen per packet in train order —
 // exactly the stream a per-packet Send sequence would consume — and the
 // surviving (possibly shortened) run continues as one train.
 func (l *LossBox) SendBatch(pkts []*Packet) {
-	if l.sink == nil {
-		panic("netem: LossBox.Send before SetSink")
-	}
-	surv := l.surv[:0]
-	for _, pkt := range pkts {
-		l.stats.Arrived++
-		l.stats.ArrivedBytes += uint64(pkt.Size)
-		if l.model.Drop(l.rng) {
+	var surv []*Packet
+	forked := false
+	for i, pkt := range pkts {
+		l.stats.arrive(pkt)
+		switch {
+		case l.model.Drop(l.rng):
+			if !forked {
+				surv, forked = l.fork(pkts, i), true
+			}
 			l.stats.Dropped++
 			pkt.Recycle()
-			continue
-		}
-		l.stats.Delivered++
-		l.stats.DeliveredBytes += uint64(pkt.Size)
-		surv = append(surv, pkt)
-	}
-	if len(surv) > 0 {
-		if l.batchSink != nil {
-			l.batchSink(surv)
-		} else {
-			for _, pkt := range surv {
-				l.sink(pkt)
-			}
+		case forked:
+			surv = append(surv, pkt)
 		}
 	}
-	for i := range surv {
-		surv[i] = nil
+	if !forked {
+		l.emit(pkts)
+		return
 	}
-	l.surv = surv[:0]
+	l.emitScratch(surv)
 }
-
-// SetSink implements Box.
-func (l *LossBox) SetSink(sink Sink) { l.sink = sink }
-
-// SetBatchSink implements Box.
-func (l *LossBox) SetBatchSink(sink BatchSink) { l.batchSink = sink }
-
-// Stats implements Box.
-func (l *LossBox) Stats() BoxStats { return l.stats }
 
 // RateBox models a store-and-forward link with a fixed bit rate: each packet
 // occupies the transmitter for size*8/rate seconds, and packets queue behind
@@ -250,16 +181,80 @@ func (l *LossBox) Stats() BoxStats { return l.stats }
 // that drop at dequeue (CoDel), where an admission-time schedule would
 // leave the link idling through the dropped packets' slots.
 type RateBox struct {
-	loop    *sim.Loop
+	txQueue
 	bps     int64 // bits per second
-	queue   Qdisc
-	sink    Sink
-	stats   BoxStats
 	sending bool
-	cur     *Packet   // packet occupying the transmitter
 	timer   sim.Timer // finish timer, rearmed across the schedule
-	carry   qdiscCarry
 }
+
+// txQueue is the part of a link box RateBox and TraceBox share: the egress
+// port, the queue discipline in front of one transmitter, and the qdisc
+// history carried across scripted swaps.
+type txQueue struct {
+	port
+	loop  *sim.Loop
+	queue Qdisc
+	cur   *Packet // packet committed to the transmitter
+	carry qdiscCarry
+}
+
+// newTxQueue fronts a transmitter with queue; nil means an unbounded
+// (infinite) droptail queue.
+func newTxQueue(loop *sim.Loop, queue Qdisc) txQueue {
+	if queue == nil {
+		queue = NewDropTail(0, 0)
+	}
+	return txQueue{loop: loop, queue: queue}
+}
+
+// Queue exposes the box's queue discipline, for telemetry.
+func (q *txQueue) Queue() Qdisc { return q.queue }
+
+// admit queues a train; the qdisc tail-drops (and recycles) on overflow.
+func (q *txQueue) admit(pkts []*Packet) {
+	now := q.loop.Now()
+	for _, pkt := range pkts {
+		q.stats.arrive(pkt)
+		q.queue.Enqueue(pkt, now)
+	}
+}
+
+// SwapQdisc atomically replaces the box's queue discipline — the scripted
+// AQM hot-swap. The packet committed to the transmitter is left to finish.
+// The old backlog is flushed per policy: DrainHold re-enqueues every packet
+// into the new discipline at the swap instant in FIFO order (sojourn
+// restarts; the new discipline's admission law may tail-drop), DrainFlush
+// recycles it with drop accounting. Returns how many backlogged packets
+// moved into the new queue and how many were dropped at the boundary.
+func (q *txQueue) SwapQdisc(next Qdisc, policy DrainPolicy) (moved, dropped int) {
+	if next == nil {
+		next = NewDropTail(0, 0)
+	}
+	old := q.queue
+	q.queue = next
+	now := q.loop.Now()
+	var flushDrops uint64
+	old.Flush(func(pkt *Packet) {
+		switch policy {
+		case DrainHold:
+			if next.Enqueue(pkt, now) {
+				moved++
+			} else {
+				dropped++ // the new discipline's admission law rejected it
+			}
+		default: // DrainFlush
+			dropped++
+			flushDrops++
+			pkt.Recycle()
+		}
+	})
+	q.carry.absorb(old.QueueStats(), flushDrops)
+	return moved, dropped
+}
+
+// Stats implements Box: queue gauges and drop counts are read through from
+// the qdisc, with the packet on the transmitter counted as queued.
+func (q *txQueue) Stats() BoxStats { return q.carry.readThrough(q.stats, q.queue, q.cur) }
 
 // qdiscCarry preserves a box's cumulative telemetry across scripted qdisc
 // swaps: when SwapQdisc discards the old discipline, its drop count and
@@ -278,12 +273,24 @@ func (c *qdiscCarry) absorb(qs *QueueStats, flushDrops uint64) {
 	}
 }
 
-// apply adjusts a BoxStats read-through with the carried history.
-func (c *qdiscCarry) apply(st *BoxStats) {
-	st.Dropped += c.drops
-	if c.maxLen > st.MaxQueueLen {
-		st.MaxQueueLen = c.maxLen
+// readThrough completes a queue-owning box's BoxStats from its current
+// qdisc and the carried history, so no path through the box can disagree
+// with the qdisc's own counters. cur, if not nil, is the packet in service:
+// it counts toward the instantaneous backlog, and since the qdisc's
+// enqueue-time high-water mark never saw it, the gauge pair is kept
+// consistent (max >= current).
+func (c *qdiscCarry) readThrough(st BoxStats, q Qdisc, cur *Packet) BoxStats {
+	qs := q.QueueStats()
+	st.Dropped = qs.Drops() + c.drops
+	st.QueueLen = q.Len()
+	st.QueueBytes = q.Bytes()
+	st.MaxQueueLen = max(qs.MaxLen, c.maxLen)
+	if cur != nil {
+		st.QueueLen++
+		st.QueueBytes += cur.Size
 	}
+	st.MaxQueueLen = max(st.MaxQueueLen, st.QueueLen)
+	return st
 }
 
 // NewRateBox returns a fixed-rate box. bitsPerSec must be positive. queue
@@ -293,16 +300,10 @@ func NewRateBox(loop *sim.Loop, bitsPerSec int64, queue Qdisc) *RateBox {
 	if bitsPerSec <= 0 {
 		panic(fmt.Sprintf("netem: non-positive rate %d", bitsPerSec))
 	}
-	if queue == nil {
-		queue = NewDropTail(0, 0)
-	}
-	r := &RateBox{loop: loop, bps: bitsPerSec, queue: queue}
+	r := &RateBox{txQueue: newTxQueue(loop, queue), bps: bitsPerSec}
 	r.timer = loop.NewTimer(r.finish)
 	return r
 }
-
-// Queue exposes the box's queue discipline, for telemetry.
-func (r *RateBox) Queue() Qdisc { return r.queue }
 
 // Rate reports the configured bit rate.
 func (r *RateBox) Rate() int64 { return r.bps }
@@ -319,71 +320,18 @@ func (r *RateBox) SetRate(bitsPerSec int64) {
 	r.bps = bitsPerSec
 }
 
-// SwapQdisc atomically replaces the box's queue discipline — the scripted
-// AQM hot-swap. The packet committed to the transmitter is left to finish.
-// The old backlog is flushed per policy: DrainHold re-enqueues every packet
-// into the new discipline at the swap instant in FIFO order (sojourn
-// restarts; the new discipline's admission law may tail-drop), DrainFlush
-// recycles it with drop accounting. Returns how many backlogged packets
-// moved into the new queue and how many were dropped at the boundary.
-func (r *RateBox) SwapQdisc(q Qdisc, policy DrainPolicy) (moved, dropped int) {
-	if q == nil {
-		q = NewDropTail(0, 0)
-	}
-	old := r.queue
-	r.queue = q
-	now := r.loop.Now()
-	var flushDrops uint64
-	old.Flush(func(pkt *Packet) {
-		switch policy {
-		case DrainHold:
-			if q.Enqueue(pkt, now) {
-				moved++
-			} else {
-				dropped++ // the new discipline's admission law rejected it
-			}
-		default: // DrainFlush
-			dropped++
-			flushDrops++
-			pkt.Recycle()
-		}
-	})
-	r.carry.absorb(old.QueueStats(), flushDrops)
-	return moved, dropped
-}
-
 // transmitTime is the serialization delay of a packet at the box's rate.
 func (r *RateBox) transmitTime(size int) sim.Time {
 	return sim.Time(int64(size) * 8 * int64(sim.Second) / r.bps)
 }
 
-// admit queues one packet; the qdisc tail-drops (and recycles) on overflow.
-func (r *RateBox) admit(pkt *Packet) {
-	r.stats.Arrived++
-	r.stats.ArrivedBytes += uint64(pkt.Size)
-	r.queue.Enqueue(pkt, r.loop.Now())
-}
-
 // Send implements Box.
-func (r *RateBox) Send(pkt *Packet) {
-	if r.sink == nil {
-		panic("netem: RateBox.Send before SetSink")
-	}
-	r.admit(pkt)
-	if !r.sending {
-		r.startNext()
-	}
-}
+func (r *RateBox) Send(pkt *Packet) { r.SendBatch(r.one(pkt)) }
 
 // SendBatch implements Box: the whole train is admitted in one pass, then
 // the transmitter is started once.
 func (r *RateBox) SendBatch(pkts []*Packet) {
-	if r.sink == nil {
-		panic("netem: RateBox.Send before SetSink")
-	}
-	for _, pkt := range pkts {
-		r.admit(pkt)
-	}
+	r.admit(pkts)
 	if !r.sending {
 		r.startNext()
 	}
@@ -391,7 +339,7 @@ func (r *RateBox) SendBatch(pkts []*Packet) {
 
 // startNext commits the next packet to the transmitter. The qdisc's drop
 // law runs here: startNext is only ever called when the transmitter is
-// idle (from Send) or has just finished (from finish), so the dequeue
+// idle (from SendBatch) or has just finished (from finish), so the dequeue
 // instant is the packet's serialization start.
 func (r *RateBox) startNext() {
 	pkt := r.queue.Dequeue(r.loop.Now())
@@ -405,42 +353,11 @@ func (r *RateBox) startNext() {
 }
 
 // finish completes the current packet's serialization and starts the next.
+// Serialization exits are distinct instants, so every train leaving a
+// RateBox is one packet long.
 func (r *RateBox) finish(sim.Time) {
 	pkt := r.cur
 	r.cur = nil
-	r.stats.Delivered++
-	r.stats.DeliveredBytes += uint64(pkt.Size)
-	r.sink(pkt)
+	r.emit(r.one(pkt))
 	r.startNext()
-}
-
-// SetSink implements Box.
-func (r *RateBox) SetSink(sink Sink) { r.sink = sink }
-
-// SetBatchSink implements Box (unused: serialization exits are distinct
-// instants, so egress is inherently per-packet).
-func (r *RateBox) SetBatchSink(BatchSink) {}
-
-// Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
-func (r *RateBox) Stats() BoxStats {
-	st := r.stats
-	qs := r.queue.QueueStats()
-	st.Dropped = qs.Drops()
-	st.QueueLen = r.queue.Len()
-	st.QueueBytes = r.queue.Bytes()
-	st.MaxQueueLen = qs.MaxLen
-	if r.cur != nil {
-		st.QueueLen++
-		st.QueueBytes += r.cur.Size
-	}
-	// The in-service packet counts toward the instantaneous backlog but
-	// the qdisc's enqueue-time high-water mark never saw it; keep the
-	// gauge pair consistent (max >= current).
-	if st.QueueLen > st.MaxQueueLen {
-		st.MaxQueueLen = st.QueueLen
-	}
-	r.carry.apply(&st)
-	return st
 }

@@ -20,20 +20,17 @@ import (
 // state changes come only from SetOn, the mutation a ScenarioScript drives
 // for outage windows pinned to exact virtual instants.
 type GateBox struct {
-	loop      *sim.Loop
-	on        sim.Time
-	off       sim.Time
-	jitter    float64 // fraction of period length, 0 = strictly periodic
-	rng       *sim.Rand
-	isOn      bool
-	scripted  bool // state changes come from SetOn, never self-scheduled
-	queue     Qdisc
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
-	carry     qdiscCarry
-	drain     []*Packet   // recycled scratch for the restore-time flush
-	flipFn    sim.Handler // flip pre-bound once, so periods schedule closure-free
+	port
+	loop     *sim.Loop
+	on       sim.Time
+	off      sim.Time
+	jitter   float64 // fraction of period length, 0 = strictly periodic
+	rng      *sim.Rand
+	isOn     bool
+	scripted bool // state changes come from SetOn, never self-scheduled
+	queue    Qdisc
+	carry    qdiscCarry
+	flipFn   sim.Handler // flip pre-bound once, so periods schedule closure-free
 }
 
 // NewGateBox returns an intermittent-link box that starts in the on state.
@@ -129,99 +126,36 @@ func (g *GateBox) flip(sim.Time) {
 // drainBacklog releases everything held during an outage, in order, and
 // reports how many packets survived the qdisc's drop law to go downstream.
 // The backlog leaves at one instant with nothing interleaved, so it
-// continues downstream as a single train when possible.
+// continues downstream as a single train.
 func (g *GateBox) drainBacklog() int {
 	now := g.loop.Now()
-	released := 0
-	if g.batchSink != nil && g.queue.Len() > 1 {
-		drain := g.drain[:0]
-		for {
-			pkt := g.queue.Dequeue(now)
-			if pkt == nil {
-				break
-			}
-			g.stats.Delivered++
-			g.stats.DeliveredBytes += uint64(pkt.Size)
-			drain = append(drain, pkt)
-		}
-		released = len(drain)
-		if len(drain) > 0 {
-			g.batchSink(drain)
-		}
-		for i := range drain {
-			drain[i] = nil
-		}
-		g.drain = drain[:0]
-		return released
+	drain := g.scratch
+	for pkt := g.queue.Dequeue(now); pkt != nil; pkt = g.queue.Dequeue(now) {
+		drain = append(drain, pkt)
 	}
-	for {
-		pkt := g.queue.Dequeue(now)
-		if pkt == nil {
-			break
-		}
-		released++
-		g.deliver(pkt)
-	}
-	return released
-}
-
-func (g *GateBox) deliver(pkt *Packet) {
-	g.stats.Delivered++
-	g.stats.DeliveredBytes += uint64(pkt.Size)
-	g.sink(pkt)
+	g.emitScratch(drain)
+	return len(drain)
 }
 
 // Send implements Box.
-func (g *GateBox) Send(pkt *Packet) {
-	if g.sink == nil {
-		panic("netem: GateBox.Send before SetSink")
-	}
-	g.stats.Arrived++
-	g.stats.ArrivedBytes += uint64(pkt.Size)
-	if g.isOn {
-		g.deliver(pkt)
-		return
-	}
-	g.queue.Enqueue(pkt, g.loop.Now())
-}
+func (g *GateBox) Send(pkt *Packet) { g.SendBatch(g.one(pkt)) }
 
 // SendBatch implements Box: an on-state train passes through as a train;
 // an off-state train is queued packet-by-packet (drops shorten it).
 func (g *GateBox) SendBatch(pkts []*Packet) {
-	if g.sink == nil {
-		panic("netem: GateBox.Send before SetSink")
+	for _, pkt := range pkts {
+		g.stats.arrive(pkt)
 	}
-	if g.isOn && g.batchSink != nil {
-		for _, pkt := range pkts {
-			g.stats.Arrived++
-			g.stats.ArrivedBytes += uint64(pkt.Size)
-			g.stats.Delivered++
-			g.stats.DeliveredBytes += uint64(pkt.Size)
-		}
-		g.batchSink(pkts)
+	if g.isOn {
+		g.emit(pkts)
 		return
 	}
+	now := g.loop.Now()
 	for _, pkt := range pkts {
-		g.Send(pkt)
+		g.queue.Enqueue(pkt, now)
 	}
 }
 
-// SetSink implements Box.
-func (g *GateBox) SetSink(sink Sink) { g.sink = sink }
-
-// SetBatchSink implements Box.
-func (g *GateBox) SetBatchSink(sink BatchSink) { g.batchSink = sink }
-
 // Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
-func (g *GateBox) Stats() BoxStats {
-	st := g.stats
-	qs := g.queue.QueueStats()
-	st.Dropped = qs.Drops()
-	st.QueueLen = g.queue.Len()
-	st.QueueBytes = g.queue.Bytes()
-	st.MaxQueueLen = qs.MaxLen
-	g.carry.apply(&st)
-	return st
-}
+// the qdisc.
+func (g *GateBox) Stats() BoxStats { return g.carry.readThrough(g.stats, g.queue, nil) }

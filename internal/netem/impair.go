@@ -53,32 +53,23 @@ func checkProbCorr(kind string, prob, corr float64) {
 // non-candidates alike, so the stream position is packet count, not a
 // function of gap phase); zero draws and pure passthrough when prob == 0.
 //
-// Displaced packets held to the same release instant share one train, like
-// DelayBox bursts; in-order packets pass through undelayed with their train
-// intact. This is what drives tcpsim's dupack machinery: an overtaken data
-// segment yields a run of duplicate ACKs at the receiver, and a
-// displacement longer than three later segments triggers fast retransmit
-// with the original still in flight.
+// Displaced packets are parked in a DelayBox of delay hold, so those held
+// to the same release instant share one train; in-order packets pass
+// through undelayed with their train intact. This is what drives tcpsim's
+// dupack machinery: an overtaken data segment yields a run of duplicate
+// ACKs at the receiver, and a displacement longer than three later
+// segments triggers fast retransmit with the original still in flight.
 type ReorderBox struct {
+	port
 	loop      *sim.Loop
 	prob      float64
 	corr      float64
 	gap       int
-	hold      sim.Time
 	rng       *sim.Rand
 	cd        corrDraw
 	count     uint64 // packets seen while enabled, for gap phase
 	displaced uint64
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
-	surv      []*Packet // recycled pass-through scratch for SendBatch
-	// open/mark/trains batch same-instant holds into one release event;
-	// releaseFn is pre-bound once (see DelayBox).
-	open      *train
-	mark      uint64
-	trains    trainPool
-	releaseFn sim.ArgHandler
+	park      *DelayBox // holds displaced packets; delivers through this box
 }
 
 // NewReorderBox returns a reordering box. prob and corr are the correlated
@@ -92,8 +83,8 @@ func NewReorderBox(loop *sim.Loop, prob, corr float64, gap int, hold sim.Time, r
 	if gap < 1 {
 		gap = 1
 	}
-	r := &ReorderBox{loop: loop, prob: prob, corr: corr, gap: gap, hold: hold, rng: rng}
-	r.releaseFn = r.release
+	r := &ReorderBox{loop: loop, prob: prob, corr: corr, gap: gap, rng: rng, park: NewDelayBox(loop, hold)}
+	r.park.SetBatchSink(r.emit)
 	return r
 }
 
@@ -106,141 +97,62 @@ func (r *ReorderBox) SetReorder(prob, corr float64) {
 }
 
 // Hold reports the displacement interval.
-func (r *ReorderBox) Hold() sim.Time { return r.hold }
+func (r *ReorderBox) Hold() sim.Time { return r.park.Delay() }
 
 // Displaced reports how many packets have been held for late release.
 func (r *ReorderBox) Displaced() uint64 { return r.displaced }
 
-// admit runs per-packet ingress accounting.
-func (r *ReorderBox) admit(pkt *Packet) {
-	r.stats.Arrived++
-	r.stats.ArrivedBytes += uint64(pkt.Size)
-	pkt.Sent = r.loop.Now()
-}
-
-// displace decides one packet's fate, consuming exactly one draw.
+// displace decides one packet's fate, consuming exactly one draw while the
+// box is enabled, and parks it when it is displaced.
 func (r *ReorderBox) displace(pkt *Packet) bool {
+	if r.prob == 0 {
+		return false
+	}
 	r.count++
 	hit := r.cd.hit(r.rng, r.prob, r.corr)
 	if !hit || r.count%uint64(r.gap) != 0 {
 		return false
 	}
 	r.displaced++
-	r.stats.QueueLen++
-	r.stats.QueueBytes += pkt.Size
-	if r.stats.QueueLen > r.stats.MaxQueueLen {
-		r.stats.MaxQueueLen = r.stats.QueueLen
-	}
-	exit := r.loop.Now() + r.hold
-	if r.open != nil && r.open.exit == exit && r.loop.SeqMark() == r.mark {
-		r.open.pkts = append(r.open.pkts, pkt)
-		return true
-	}
-	t := r.trains.get()
-	t.exit = exit
-	t.pkts = append(t.pkts, pkt)
-	r.open = t
-	r.loop.ScheduleArg(r.hold, r.releaseFn, t)
-	r.mark = r.loop.SeqMark()
+	r.park.Send(pkt)
 	return true
 }
 
-// deliver hands one in-order packet to the sink.
-func (r *ReorderBox) deliver(pkt *Packet) {
-	r.stats.Delivered++
-	r.stats.DeliveredBytes += uint64(pkt.Size)
-	r.sink(pkt)
-}
-
 // Send implements Box.
-func (r *ReorderBox) Send(pkt *Packet) {
-	if r.sink == nil {
-		panic("netem: ReorderBox.Send before SetSink")
-	}
-	r.admit(pkt)
-	if r.prob == 0 || !r.displace(pkt) {
-		r.deliver(pkt)
-	}
-}
+func (r *ReorderBox) Send(pkt *Packet) { r.SendBatch(r.one(pkt)) }
 
 // SendBatch implements Box: draws happen per packet in train order, the
 // in-order survivors continue as one train, and displaced packets join
 // hold trains.
 func (r *ReorderBox) SendBatch(pkts []*Packet) {
-	if r.sink == nil {
-		panic("netem: ReorderBox.Send before SetSink")
-	}
-	if r.prob == 0 {
-		for _, pkt := range pkts {
-			r.admit(pkt)
-			r.stats.Delivered++
-			r.stats.DeliveredBytes += uint64(pkt.Size)
-		}
-		if r.batchSink != nil {
-			r.batchSink(pkts)
-		} else {
-			for _, pkt := range pkts {
-				r.sink(pkt)
+	now := r.loop.Now()
+	var surv []*Packet
+	forked := false
+	for i, pkt := range pkts {
+		r.stats.arrive(pkt)
+		pkt.Sent = now
+		switch {
+		case r.displace(pkt):
+			if !forked {
+				surv, forked = r.fork(pkts, i), true
 			}
-		}
-		return
-	}
-	surv := r.surv[:0]
-	for _, pkt := range pkts {
-		r.admit(pkt)
-		if !r.displace(pkt) {
+		case forked:
 			surv = append(surv, pkt)
 		}
 	}
-	for _, pkt := range surv {
-		r.stats.Delivered++
-		r.stats.DeliveredBytes += uint64(pkt.Size)
+	if !forked {
+		r.emit(pkts)
+		return
 	}
-	if len(surv) > 0 {
-		if r.batchSink != nil {
-			r.batchSink(surv)
-		} else {
-			for _, pkt := range surv {
-				r.sink(pkt)
-			}
-		}
-	}
-	for i := range surv {
-		surv[i] = nil
-	}
-	r.surv = surv[:0]
+	r.emitScratch(surv)
 }
 
-// release delivers one hold train of displaced packets.
-func (r *ReorderBox) release(_ sim.Time, arg any) {
-	t := arg.(*train)
-	if r.open == t {
-		r.open = nil
-	}
-	for _, pkt := range t.pkts {
-		r.stats.QueueLen--
-		r.stats.QueueBytes -= pkt.Size
-		r.stats.Delivered++
-		r.stats.DeliveredBytes += uint64(pkt.Size)
-	}
-	if r.batchSink != nil {
-		r.batchSink(t.pkts)
-	} else {
-		for _, pkt := range t.pkts {
-			r.sink(pkt)
-		}
-	}
-	r.trains.put(t)
+// Stats implements Box: the queue gauges are those of the parked packets.
+func (r *ReorderBox) Stats() BoxStats {
+	st, held := r.stats, r.park.Stats()
+	st.QueueLen, st.QueueBytes, st.MaxQueueLen = held.QueueLen, held.QueueBytes, held.MaxQueueLen
+	return st
 }
-
-// SetSink implements Box.
-func (r *ReorderBox) SetSink(sink Sink) { r.sink = sink }
-
-// SetBatchSink implements Box.
-func (r *ReorderBox) SetBatchSink(sink BatchSink) { r.batchSink = sink }
-
-// Stats implements Box.
-func (r *ReorderBox) Stats() BoxStats { return r.stats }
 
 // DuplicateBox clones selected packets, delivering the copy immediately
 // after the original (tc-netem `duplicate`). The clone is a first-class
@@ -252,15 +164,12 @@ func (r *ReorderBox) Stats() BoxStats { return r.stats }
 // Draw contract: one draw per packet while prob > 0; zero draws and pure
 // passthrough when prob == 0.
 type DuplicateBox struct {
+	port
 	prob       float64
 	corr       float64
 	rng        *sim.Rand
 	cd         corrDraw
 	duplicated uint64
-	sink       Sink
-	batchSink  BatchSink
-	stats      BoxStats
-	surv       []*Packet // recycled out-train scratch for SendBatch
 }
 
 // NewDuplicateBox returns a box duplicating packets with correlated
@@ -280,92 +189,34 @@ func (d *DuplicateBox) SetDuplicate(prob, corr float64) {
 // Duplicated reports how many clones the box has emitted.
 func (d *DuplicateBox) Duplicated() uint64 { return d.duplicated }
 
-// admit runs per-packet ingress accounting.
-func (d *DuplicateBox) admit(pkt *Packet) {
-	d.stats.Arrived++
-	d.stats.ArrivedBytes += uint64(pkt.Size)
-}
-
-// emit counts one packet (original or clone) out of the box. Delivered
-// exceeds Arrived by exactly Duplicated.
-func (d *DuplicateBox) emit(pkt *Packet) {
-	d.stats.Delivered++
-	d.stats.DeliveredBytes += uint64(pkt.Size)
-}
-
 // Send implements Box.
-func (d *DuplicateBox) Send(pkt *Packet) {
-	if d.sink == nil {
-		panic("netem: DuplicateBox.Send before SetSink")
-	}
-	d.admit(pkt)
-	var cp *Packet
-	if d.prob > 0 && d.cd.hit(d.rng, d.prob, d.corr) {
-		d.duplicated++
-		cp = pkt.Clone()
-	}
-	d.emit(pkt)
-	d.sink(pkt)
-	if cp != nil {
-		d.emit(cp)
-		d.sink(cp)
-	}
-}
+func (d *DuplicateBox) Send(pkt *Packet) { d.SendBatch(d.one(pkt)) }
 
 // SendBatch implements Box: draws per packet in train order; clones are
 // spliced in right after their originals and the (possibly longer) train
-// continues whole.
+// continues whole. Delivered exceeds Arrived by exactly Duplicated.
 func (d *DuplicateBox) SendBatch(pkts []*Packet) {
-	if d.sink == nil {
-		panic("netem: DuplicateBox.Send before SetSink")
-	}
-	if d.prob == 0 {
-		for _, pkt := range pkts {
-			d.admit(pkt)
-			d.emit(pkt)
+	var out []*Packet
+	forked := false
+	for i, pkt := range pkts {
+		d.stats.arrive(pkt)
+		if forked {
+			out = append(out, pkt)
 		}
-		if d.batchSink != nil {
-			d.batchSink(pkts)
-		} else {
-			for _, pkt := range pkts {
-				d.sink(pkt)
+		if d.prob > 0 && d.cd.hit(d.rng, d.prob, d.corr) {
+			if !forked {
+				out, forked = d.fork(pkts, i+1), true
 			}
-		}
-		return
-	}
-	out := d.surv[:0]
-	for _, pkt := range pkts {
-		d.admit(pkt)
-		out = append(out, pkt)
-		if d.cd.hit(d.rng, d.prob, d.corr) {
 			d.duplicated++
 			out = append(out, pkt.Clone())
 		}
 	}
-	for _, pkt := range out {
-		d.emit(pkt)
+	if !forked {
+		d.emit(pkts)
+		return
 	}
-	if d.batchSink != nil {
-		d.batchSink(out)
-	} else {
-		for _, pkt := range out {
-			d.sink(pkt)
-		}
-	}
-	for i := range out {
-		out[i] = nil
-	}
-	d.surv = out[:0]
+	d.emitScratch(out)
 }
-
-// SetSink implements Box.
-func (d *DuplicateBox) SetSink(sink Sink) { d.sink = sink }
-
-// SetBatchSink implements Box.
-func (d *DuplicateBox) SetBatchSink(sink BatchSink) { d.batchSink = sink }
-
-// Stats implements Box.
-func (d *DuplicateBox) Stats() BoxStats { return d.stats }
 
 // CorruptBox flips the Corrupt flag on selected packets (tc-netem
 // `corrupt`). The packet still traverses the rest of the pipeline and is
@@ -377,14 +228,12 @@ func (d *DuplicateBox) Stats() BoxStats { return d.stats }
 // Draw contract: one draw per packet while prob > 0; zero draws and pure
 // passthrough when prob == 0.
 type CorruptBox struct {
+	port
 	prob      float64
 	corr      float64
 	rng       *sim.Rand
 	cd        corrDraw
 	corrupted uint64
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
 }
 
 // NewCorruptBox returns a box corrupting packets with correlated
@@ -404,50 +253,18 @@ func (c *CorruptBox) SetCorrupt(prob, corr float64) {
 // Corrupted reports how many packets have been flagged.
 func (c *CorruptBox) Corrupted() uint64 { return c.corrupted }
 
-// judge consumes one draw (when enabled) and flags the packet on a hit.
-func (c *CorruptBox) judge(pkt *Packet) {
-	c.stats.Arrived++
-	c.stats.ArrivedBytes += uint64(pkt.Size)
-	if c.prob > 0 && c.cd.hit(c.rng, c.prob, c.corr) {
-		c.corrupted++
-		pkt.Corrupt = true
-	}
-	c.stats.Delivered++
-	c.stats.DeliveredBytes += uint64(pkt.Size)
-}
-
 // Send implements Box.
-func (c *CorruptBox) Send(pkt *Packet) {
-	if c.sink == nil {
-		panic("netem: CorruptBox.Send before SetSink")
-	}
-	c.judge(pkt)
-	c.sink(pkt)
-}
+func (c *CorruptBox) Send(pkt *Packet) { c.SendBatch(c.one(pkt)) }
 
 // SendBatch implements Box: the train passes through whole; flags are set
-// in place.
+// in place, one draw per packet while enabled.
 func (c *CorruptBox) SendBatch(pkts []*Packet) {
-	if c.sink == nil {
-		panic("netem: CorruptBox.Send before SetSink")
-	}
 	for _, pkt := range pkts {
-		c.judge(pkt)
-	}
-	if c.batchSink != nil {
-		c.batchSink(pkts)
-	} else {
-		for _, pkt := range pkts {
-			c.sink(pkt)
+		c.stats.arrive(pkt)
+		if c.prob > 0 && c.cd.hit(c.rng, c.prob, c.corr) {
+			c.corrupted++
+			pkt.Corrupt = true
 		}
 	}
+	c.emit(pkts)
 }
-
-// SetSink implements Box.
-func (c *CorruptBox) SetSink(sink Sink) { c.sink = sink }
-
-// SetBatchSink implements Box.
-func (c *CorruptBox) SetBatchSink(sink BatchSink) { c.batchSink = sink }
-
-// Stats implements Box.
-func (c *CorruptBox) Stats() BoxStats { return c.stats }

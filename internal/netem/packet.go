@@ -173,32 +173,36 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{flow=%d seq=%d size=%d}", p.Flow, p.Seq, p.Size)
 }
 
-// Sink consumes delivered packets.
+// Sink consumes delivered packets one at a time: the per-packet adapter
+// that tests and benches install with SetSink. A box whose only sink is a
+// Sink hands it each train's packets in order.
 type Sink func(pkt *Packet)
 
 // BatchSink consumes a packet train: a contiguous run of packets delivered
 // at one virtual instant whose per-packet deliveries are provably adjacent
 // in event-firing order (nothing else may fire between them), so the whole
-// run can be handed over in one call. The slice is owned by the caller and
-// valid only for the duration of the call; consumers must not retain it.
+// run can be handed over in one call. It is how boxes are chained (Pipeline)
+// and how a link end crosses into its namespace (nsim.Connect). The slice is
+// owned by the caller and valid only for the duration of the call; consumers
+// must not retain it.
 type BatchSink func(pkts []*Packet)
 
-// Box is a unidirectional packet processor: packets enter via Send (or, as
-// a train, SendBatch) and are eventually handed to the sink (or dropped).
+// Box is a unidirectional packet processor whose one unit of work is the
+// train: packets enter through SendBatch and leave, as trains, through the
+// installed sink (or are dropped). A single packet is a one-element train.
 type Box interface {
-	// Send injects a packet into the box at the current virtual time.
+	// Send injects one packet at the current virtual time: SendBatch of a
+	// one-element train held in a slot the box owns, so it allocates
+	// nothing. It panics if no sink is installed.
 	Send(pkt *Packet)
-	// SendBatch injects a same-instant packet train. It is semantically
-	// identical to calling Send for each packet in order with nothing in
-	// between; boxes use the batch shape to do per-train instead of
-	// per-packet work (one delivery event, one queue arm).
+	// SendBatch injects a same-instant packet train. The box does per-train
+	// work where it can (one delivery event, one queue arm); the result is
+	// identical to sending the packets one by one with nothing in between.
 	SendBatch(pkts []*Packet)
-	// SetSink installs the delivery callback. It must be called before the
-	// first Send.
+	// SetSink installs a per-packet delivery callback; it is used only
+	// while no batch sink is installed.
 	SetSink(sink Sink)
-	// SetBatchSink installs the train delivery callback. Optional: a box
-	// whose downstream never sets one delivers trains packet-by-packet
-	// through the plain sink, which is behaviorally identical.
+	// SetBatchSink installs the train delivery callback.
 	SetBatchSink(sink BatchSink)
 	// Stats reports the box's counters.
 	Stats() BoxStats
@@ -223,56 +227,91 @@ type BoxStats struct {
 	MaxQueueLen int
 }
 
-// Wire is a zero-delay passthrough box, useful as the identity element of a
-// Pipeline and as the baseline in overhead experiments (Figure 2's
-// "ReplayShell alone" stack).
-type Wire struct {
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
+// arrive counts one packet into a box.
+func (s *BoxStats) arrive(pkt *Packet) {
+	s.Arrived++
+	s.ArrivedBytes += uint64(pkt.Size)
 }
+
+// port is the egress every box embeds: the installed sinks, the delivered
+// counters, the slot that carries Send's one-element train, and scratch for
+// boxes that deliver a train other than the one they were handed.
+type port struct {
+	sink    Sink
+	batch   BatchSink
+	stats   BoxStats
+	slot    [1]*Packet
+	scratch []*Packet
+}
+
+// SetSink implements Box.
+func (p *port) SetSink(sink Sink) { p.sink = sink }
+
+// SetBatchSink implements Box.
+func (p *port) SetBatchSink(sink BatchSink) { p.batch = sink }
+
+// Stats implements Box.
+func (p *port) Stats() BoxStats { return p.stats }
+
+// one returns pkt as a one-element train in the box's own slot. The slot is
+// safe to reuse on every call because no box is re-entered from its own
+// delivery: a link end always crosses into its namespace through the event
+// loop (nsim.Connect).
+func (p *port) one(pkt *Packet) []*Packet {
+	if p.sink == nil && p.batch == nil {
+		panic("netem: Send before SetSink")
+	}
+	p.slot[0] = pkt
+	return p.slot[:]
+}
+
+// emit delivers a train downstream and counts it delivered.
+func (p *port) emit(pkts []*Packet) {
+	for _, pkt := range pkts {
+		p.stats.Delivered++
+		p.stats.DeliveredBytes += uint64(pkt.Size)
+	}
+	if p.batch != nil {
+		p.batch(pkts)
+		return
+	}
+	for _, pkt := range pkts {
+		p.sink(pkt)
+	}
+}
+
+// fork starts the box's own copy of its outgoing train once that train
+// first departs from the incoming one at index i (a drop, a diversion, a
+// clone): pkts[:i] copied into the port's scratch. A train that passes
+// whole is never copied.
+func (p *port) fork(pkts []*Packet, i int) []*Packet { return append(p.scratch, pkts[:i]...) }
+
+// emitScratch delivers a train the box built in p.scratch (forked, or
+// drained from a queue) and clears the scratch for the next train.
+func (p *port) emitScratch(out []*Packet) {
+	if len(out) > 0 {
+		p.emit(out)
+	}
+	for i := range out {
+		out[i] = nil
+	}
+	p.scratch = out[:0]
+}
+
+// Wire is a zero-delay passthrough box: trains leave undivided at the
+// instant they arrive.
+type Wire struct{ port }
 
 // NewWire returns a passthrough box.
 func NewWire() *Wire { return &Wire{} }
 
-// Send implements Box: immediate, in-order delivery.
-func (w *Wire) Send(pkt *Packet) {
-	w.stats.Arrived++
-	w.stats.ArrivedBytes += uint64(pkt.Size)
-	w.stats.Delivered++
-	w.stats.DeliveredBytes += uint64(pkt.Size)
-	if w.sink == nil {
-		panic("netem: Wire.Send before SetSink")
-	}
-	w.sink(pkt)
-}
+// Send implements Box.
+func (w *Wire) Send(pkt *Packet) { w.SendBatch(w.one(pkt)) }
 
-// SendBatch implements Box: a train passes through untouched — and, when
-// the downstream installed a batch sink, undivided.
+// SendBatch implements Box.
 func (w *Wire) SendBatch(pkts []*Packet) {
-	if w.batchSink == nil {
-		for _, pkt := range pkts {
-			w.Send(pkt)
-		}
-		return
-	}
-	if w.sink == nil {
-		panic("netem: Wire.Send before SetSink")
-	}
 	for _, pkt := range pkts {
-		w.stats.Arrived++
-		w.stats.ArrivedBytes += uint64(pkt.Size)
-		w.stats.Delivered++
-		w.stats.DeliveredBytes += uint64(pkt.Size)
+		w.stats.arrive(pkt)
 	}
-	w.batchSink(pkts)
+	w.emit(pkts)
 }
-
-// SetSink implements Box.
-func (w *Wire) SetSink(sink Sink) { w.sink = sink }
-
-// SetBatchSink implements Box.
-func (w *Wire) SetBatchSink(sink BatchSink) { w.batchSink = sink }
-
-// Stats implements Box.
-func (w *Wire) Stats() BoxStats { return w.stats }

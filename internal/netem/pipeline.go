@@ -8,13 +8,13 @@ package netem
 // corresponds to appending each inner shell's boxes to the pipelines of both
 // directions.
 type Pipeline struct {
+	port
 	boxes []Box
-	tail  *Wire // terminal element so SetSink works uniformly
 }
 
 // NewPipeline chains the given boxes in order.
 func NewPipeline(boxes ...Box) *Pipeline {
-	p := &Pipeline{tail: NewWire()}
+	p := &Pipeline{}
 	for _, b := range boxes {
 		p.Append(b)
 	}
@@ -23,65 +23,42 @@ func NewPipeline(boxes ...Box) *Pipeline {
 
 // Append adds a box at the downstream end of the pipeline (just before the
 // sink). Must not be called after traffic has started flowing. Boxes are
-// chained through both the per-packet and the train path, so a train
-// formed anywhere upstream continues through the whole pipeline.
+// chained through their batch sinks, so a train formed anywhere upstream
+// continues through the whole pipeline.
 func (p *Pipeline) Append(b Box) {
-	if len(p.boxes) > 0 {
-		prev := p.boxes[len(p.boxes)-1]
-		prev.SetSink(b.Send)
-		prev.SetBatchSink(b.SendBatch)
+	if n := len(p.boxes); n > 0 {
+		p.boxes[n-1].SetBatchSink(b.SendBatch)
 	}
-	b.SetSink(p.tail.Send)
-	b.SetBatchSink(p.tail.SendBatch)
+	b.SetBatchSink(p.emit)
 	p.boxes = append(p.boxes, b)
 }
 
 // Send implements Box.
-func (p *Pipeline) Send(pkt *Packet) {
-	if len(p.boxes) == 0 {
-		p.tail.Send(pkt)
-		return
-	}
-	p.boxes[0].Send(pkt)
-}
+func (p *Pipeline) Send(pkt *Packet) { p.SendBatch(p.one(pkt)) }
 
 // SendBatch implements Box.
 func (p *Pipeline) SendBatch(pkts []*Packet) {
 	if len(p.boxes) == 0 {
-		p.tail.SendBatch(pkts)
+		p.emit(pkts)
 		return
 	}
 	p.boxes[0].SendBatch(pkts)
 }
 
-// SetSink implements Box.
-func (p *Pipeline) SetSink(sink Sink) { p.tail.SetSink(sink) }
-
-// SetBatchSink implements Box.
-func (p *Pipeline) SetBatchSink(sink BatchSink) { p.tail.SetBatchSink(sink) }
-
 // Stats implements Box: aggregate view where Arrived counts ingress to the
 // first box and Delivered counts egress from the last.
 func (p *Pipeline) Stats() BoxStats {
-	agg := p.tail.Stats()
-	var dropped uint64
-	var arrived, arrivedBytes uint64
-	if len(p.boxes) > 0 {
-		first := p.boxes[0].Stats()
-		arrived, arrivedBytes = first.Arrived, first.ArrivedBytes
-		for _, b := range p.boxes {
-			dropped += b.Stats().Dropped
-		}
-	} else {
-		arrived, arrivedBytes = agg.Arrived, agg.ArrivedBytes
+	st := BoxStats{Delivered: p.stats.Delivered, DeliveredBytes: p.stats.DeliveredBytes}
+	if len(p.boxes) == 0 {
+		st.Arrived, st.ArrivedBytes = st.Delivered, st.DeliveredBytes
+		return st
 	}
-	return BoxStats{
-		Arrived:        arrived,
-		ArrivedBytes:   arrivedBytes,
-		Delivered:      agg.Delivered,
-		DeliveredBytes: agg.DeliveredBytes,
-		Dropped:        dropped,
+	first := p.boxes[0].Stats()
+	st.Arrived, st.ArrivedBytes = first.Arrived, first.ArrivedBytes
+	for _, b := range p.boxes {
+		st.Dropped += b.Stats().Dropped
 	}
+	return st
 }
 
 // Boxes returns the boxes in upstream-to-downstream order, for inspection.

@@ -23,31 +23,20 @@ type OpportunitySource interface {
 // (dequeued at the start of its first opportunity), so a CoDel queue may
 // discard several stale packets before an opportunity delivers one.
 type TraceBox struct {
-	loop   *sim.Loop
+	txQueue
 	opps   OpportunitySource
-	queue  Qdisc
-	sink   Sink
-	stats  BoxStats
 	armed  bool
-	cur    *Packet   // packet committed to the transmitter (mid-delivery)
 	sentOf int       // bytes of cur already delivered
 	timer  sim.Timer // opportunity timer, rearmed across the trace
-	carry  qdiscCarry
 }
 
 // NewTraceBox returns a trace-driven box. queue is the queue discipline
 // bounding the backlog; pass nil for an unbounded (infinite) queue.
 func NewTraceBox(loop *sim.Loop, opps OpportunitySource, queue Qdisc) *TraceBox {
-	if queue == nil {
-		queue = NewDropTail(0, 0)
-	}
-	t := &TraceBox{loop: loop, opps: opps, queue: queue}
+	t := &TraceBox{txQueue: newTxQueue(loop, queue), opps: opps}
 	t.timer = loop.NewTimer(t.fire)
 	return t
 }
-
-// Queue exposes the box's queue discipline, for telemetry.
-func (t *TraceBox) Queue() Qdisc { return t.queue }
 
 // SetSource switches the box to a different opportunity source — the
 // scripted handover (LTE→wifi: same queue, same backlog, a new delivery
@@ -68,62 +57,15 @@ func (t *TraceBox) SetSource(opps OpportunitySource) {
 	t.arm()
 }
 
-// SwapQdisc atomically replaces the box's queue discipline — the scripted
-// AQM hot-swap; see RateBox.SwapQdisc for the policy semantics. The packet
-// committed to the transmitter finishes its opportunities untouched.
-func (t *TraceBox) SwapQdisc(q Qdisc, policy DrainPolicy) (moved, dropped int) {
-	if q == nil {
-		q = NewDropTail(0, 0)
-	}
-	old := t.queue
-	t.queue = q
-	now := t.loop.Now()
-	var flushDrops uint64
-	old.Flush(func(pkt *Packet) {
-		switch policy {
-		case DrainHold:
-			if q.Enqueue(pkt, now) {
-				moved++
-			} else {
-				dropped++
-			}
-		default: // DrainFlush
-			dropped++
-			flushDrops++
-			pkt.Recycle()
-		}
-	})
-	t.carry.absorb(old.QueueStats(), flushDrops)
-	return moved, dropped
-}
-
-// admit queues one packet; the qdisc tail-drops (and recycles) on overflow.
-func (t *TraceBox) admit(pkt *Packet) {
-	t.stats.Arrived++
-	t.stats.ArrivedBytes += uint64(pkt.Size)
-	t.queue.Enqueue(pkt, t.loop.Now())
-}
-
 // Send implements Box.
-func (t *TraceBox) Send(pkt *Packet) {
-	if t.sink == nil {
-		panic("netem: TraceBox.Send before SetSink")
-	}
-	t.admit(pkt)
-	t.arm()
-}
+func (t *TraceBox) Send(pkt *Packet) { t.SendBatch(t.one(pkt)) }
 
 // SendBatch implements Box: the train is admitted in one pass (qdisc drops
 // shorten it) and the opportunity timer is armed once. Delivery stays
 // per-opportunity, so a train longer than the current opportunity's capacity
 // is split across opportunities exactly as per-packet sends would be.
 func (t *TraceBox) SendBatch(pkts []*Packet) {
-	if t.sink == nil {
-		panic("netem: TraceBox.Send before SetSink")
-	}
-	for _, pkt := range pkts {
-		t.admit(pkt)
-	}
+	t.admit(pkts)
 	t.arm()
 }
 
@@ -156,43 +98,12 @@ func (t *TraceBox) fire(sim.Time) {
 		// Large packet: this opportunity moves MTU bytes; more needed.
 		t.sentOf += MTU
 	} else {
+		// Opportunities are distinct instants, so every train leaving a
+		// TraceBox is one packet long.
 		pkt := t.cur
 		t.cur = nil
 		t.sentOf = 0
-		t.stats.Delivered++
-		t.stats.DeliveredBytes += uint64(pkt.Size)
-		t.sink(pkt)
+		t.emit(t.one(pkt))
 	}
 	t.arm()
-}
-
-// SetSink implements Box.
-func (t *TraceBox) SetSink(sink Sink) { t.sink = sink }
-
-// SetBatchSink implements Box (unused: delivery opportunities are distinct
-// instants, so egress is inherently per-packet).
-func (t *TraceBox) SetBatchSink(BatchSink) {}
-
-// Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
-func (t *TraceBox) Stats() BoxStats {
-	st := t.stats
-	qs := t.queue.QueueStats()
-	st.Dropped = qs.Drops()
-	st.QueueLen = t.queue.Len()
-	st.QueueBytes = t.queue.Bytes()
-	st.MaxQueueLen = qs.MaxLen
-	if t.cur != nil {
-		st.QueueLen++
-		st.QueueBytes += t.cur.Size
-	}
-	// The in-service packet counts toward the instantaneous backlog but
-	// the qdisc's enqueue-time high-water mark never saw it; keep the
-	// gauge pair consistent (max >= current).
-	if st.QueueLen > st.MaxQueueLen {
-		st.MaxQueueLen = st.QueueLen
-	}
-	t.carry.apply(&st)
-	return st
 }

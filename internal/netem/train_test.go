@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -357,6 +358,60 @@ func TestTrainGateBoxDrainAsTrain(t *testing.T) {
 	for i, g := range got {
 		if g.at != 20*sim.Millisecond || g.seq != int64(i+1) {
 			t.Fatalf("delivery %d = %+v, want seq %d at 20ms", i, g, i+1)
+		}
+	}
+}
+
+// TestEveryBoxDeliversToBatchSinkAlone: pipelines and nsim link ends wire
+// boxes through batch sinks only, so every box must accept Send with no
+// per-packet sink installed and deliver every packet, in order, as
+// non-empty trains. Boxes whose exits are distinct instants (RateBox,
+// TraceBox) deliver one-element trains.
+func TestEveryBoxDeliversToBatchSinkAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(loop *sim.Loop) Box
+	}{
+		{"wire", func(*sim.Loop) Box { return NewWire() }},
+		{"delay", func(loop *sim.Loop) Box { return NewDelayBox(loop, sim.Millisecond) }},
+		{"loss", func(*sim.Loop) Box { return NewLossBox(0, sim.NewRand(1)) }},
+		{"rate", func(loop *sim.Loop) Box { return NewRateBox(loop, 12_000_000, nil) }},
+		{"trace", func(loop *sim.Loop) Box { return NewTraceBox(loop, stubOpps{sim.Millisecond}, nil) }},
+		{"gate", func(loop *sim.Loop) Box { return NewScriptedGateBox(loop, nil) }},
+		{"reorder", func(loop *sim.Loop) Box { return NewReorderBox(loop, 1, 0, 2, sim.Millisecond, sim.NewRand(1)) }},
+		{"duplicate", func(*sim.Loop) Box { return NewDuplicateBox(0, 0, sim.NewRand(1)) }},
+		{"corrupt", func(*sim.Loop) Box { return NewCorruptBox(1, 0, sim.NewRand(1)) }},
+		{"pipeline", func(loop *sim.Loop) Box {
+			return NewPipeline(NewDelayBox(loop, sim.Millisecond), NewRateBox(loop, 12_000_000, nil))
+		}},
+	} {
+		loop := sim.NewLoop()
+		box := tc.mk(loop)
+		var seqs []int64
+		maxTrain := 0
+		box.SetBatchSink(func(pkts []*Packet) {
+			if len(pkts) == 0 {
+				t.Errorf("%s: empty train delivered", tc.name)
+			}
+			maxTrain = max(maxTrain, len(pkts))
+			for _, p := range pkts {
+				seqs = append(seqs, p.Seq)
+			}
+		})
+		loop.Schedule(0, func(sim.Time) {
+			for i := int64(1); i <= 4; i++ {
+				box.Send(&Packet{Size: MTU, Seq: i})
+			}
+		})
+		loop.Run()
+		if len(seqs) != 4 || (tc.name != "reorder" && !slices.IsSorted(seqs)) {
+			t.Errorf("%s: delivered %v, want 4 packets in order", tc.name, seqs)
+		}
+		if (tc.name == "rate" || tc.name == "trace" || tc.name == "pipeline") && maxTrain != 1 {
+			t.Errorf("%s: longest train %d, want one-element trains", tc.name, maxTrain)
+		}
+		if st := box.Stats(); st.Arrived != 4 || st.Delivered != 4 {
+			t.Errorf("%s: stats %+v, want 4 arrived and delivered", tc.name, st)
 		}
 	}
 }

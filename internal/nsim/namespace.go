@@ -551,6 +551,21 @@ func (le *LinkEnd) transmit(dg *Datagram) {
 	le.pipe.Send(pkt)
 }
 
+// unwrap recycles a packet arriving at a link end and returns its datagram,
+// carrying over the marks the link put on the packet: CE from an AQM, and
+// Corrupt from a CorruptBox.
+func (n *Network) unwrap(p *netem.Packet) *Datagram {
+	dg := p.Payload.(*Datagram)
+	if p.CE {
+		dg.CE = true
+	}
+	if p.Corrupt {
+		dg.Corrupt = true
+	}
+	n.pools.pkts.Put(p)
+	return dg
+}
+
 // Connect creates a veth pair between two namespaces. Traffic from a to b
 // traverses ab (nil for an unshaped wire); traffic from b to a traverses
 // ba. The returned ends can be used as route targets.
@@ -578,53 +593,29 @@ func Connect(a, b *Namespace, ab, ba *netem.Pipeline) (*LinkEnd, *LinkEnd) {
 	// (e.g. an application writing from within its data handler must not
 	// observe the next inbound packet before its own handler returns), at
 	// zero virtual-time cost; same-timestamp events preserve FIFO order.
-	// Delivery callbacks are symmetric per direction. Train deliveries
-	// cross into the receiving namespace through one event carrying a
-	// pooled datagram batch; a single-packet train uses the per-packet
-	// path (no container churn). Either way the firing order is identical
-	// to per-packet delivery, because a train's packets are adjacent in
-	// event order by construction.
+	// Each direction has one sink: a train crosses into the receiving
+	// namespace through one event carrying a pooled datagram batch, and a
+	// one-packet train through one event carrying the datagram itself (no
+	// container churn). Either way the firing order is identical to
+	// per-packet delivery, because a train's packets are adjacent in event
+	// order by construction.
 	loop := a.net.loop
 	net := a.net
-	sinks := func(dst *Namespace) (netem.Sink, netem.BatchSink) {
-		sink := func(p *netem.Packet) {
-			dg := p.Payload.(*Datagram)
-			if p.CE {
-				dg.CE = true // the link's AQM marked this packet
-			}
-			if p.Corrupt {
-				dg.Corrupt = true // a CorruptBox damaged this packet
-			}
-			net.pools.pkts.Put(p)
-			loop.ScheduleArg(0, dst.recvArg, dg)
-		}
-		batchSink := func(pkts []*netem.Packet) {
+	sink := func(dst *Namespace) netem.BatchSink {
+		return func(pkts []*netem.Packet) {
 			if len(pkts) == 1 {
-				sink(pkts[0])
+				loop.ScheduleArg(0, dst.recvArg, net.unwrap(pkts[0]))
 				return
 			}
 			batch := net.getBatch()
 			for _, p := range pkts {
-				dg := p.Payload.(*Datagram)
-				if p.CE {
-					dg.CE = true
-				}
-				if p.Corrupt {
-					dg.Corrupt = true
-				}
-				batch.dgs = append(batch.dgs, dg)
-				net.pools.pkts.Put(p)
+				batch.dgs = append(batch.dgs, net.unwrap(p))
 			}
 			loop.ScheduleArg(0, dst.recvBatchArg, batch)
 		}
-		return sink, batchSink
 	}
-	abSink, abBatch := sinks(b)
-	ab.SetSink(abSink)
-	ab.SetBatchSink(abBatch)
-	baSink, baBatch := sinks(a)
-	ba.SetSink(baSink)
-	ba.SetBatchSink(baBatch)
+	ab.SetBatchSink(sink(b))
+	ba.SetBatchSink(sink(a))
 	a.links = append(a.links, ea)
 	b.links = append(b.links, eb)
 	return ea, eb
