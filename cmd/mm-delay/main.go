@@ -15,7 +15,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/webgen"
@@ -43,17 +43,11 @@ func main() {
 
 	page := webgen.GeneratePage(sim.NewRand(*seed), webgen.DefaultProfile("www.example.com", *servers))
 	for i := 0; i < *loads; i++ {
-		session := core.NewSession()
-		replay, err := session.NewReplay(core.ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page:       page,
 			Shells:     []shells.Shell{shells.NewDelayShell(sim.Time(ms) * sim.Millisecond)},
 			DNSLatency: sim.Millisecond,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mm-delay:", err)
-			os.Exit(1)
-		}
-		res := replay.LoadPage()
 		fmt.Printf("delay %dms load %d: PLT %v (%d resources, %d KB)\n",
 			ms, i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources, res.Bytes/1024)
 	}

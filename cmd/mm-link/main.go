@@ -39,7 +39,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/netem"
 	"repro/internal/shells"
 	"repro/internal/sim"
@@ -158,15 +158,10 @@ func main() {
 
 	page := webgen.GeneratePage(sim.NewRand(*seed), webgen.DefaultProfile("www.example.com", *servers))
 	for i := 0; i < *loads; i++ {
-		session := core.NewSession()
-		replay, err := session.NewReplay(core.ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page: page, Shells: shellList, DNSLatency: sim.Millisecond,
 			ECN: *ecn,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		res := replay.LoadPage()
 		fmt.Printf("load %d: PLT %v (%d resources, %d KB, %d errors)\n",
 			i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources, res.Bytes/1024, res.Errors)
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/archive"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/webgen"
 )
@@ -81,11 +81,7 @@ func TestRecordThenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.example.com", 3))
-	replay, err := core.NewSession().NewReplay(core.ReplayConfig{Page: page, Site: site, DNSLatency: sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := replay.LoadPage()
+	res := experiments.Load(experiments.LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond})
 	if res.Errors != 0 || res.Resources != len(site.Exchanges) {
 		t.Errorf("replay loaded %d resources with %d errors from %d recorded exchanges",
 			res.Resources, res.Errors, len(site.Exchanges))

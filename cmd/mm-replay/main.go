@@ -6,6 +6,12 @@
 // When -archive is omitted a synthetic site is generated and replayed,
 // which is convenient for smoke tests. -single collapses the site onto a
 // single server (the paper's §4 ablation).
+//
+// An archive holds wire data, not the page's dependency graph, so the
+// browser's page spec is rebuilt from -site, -servers and -seed; they must
+// be the flags mm-record was given. A replayed load in which any resource
+// errors or fails (a host, port or request the archive lacks) exits 1
+// naming them.
 package main
 
 import (
@@ -16,7 +22,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -63,6 +69,9 @@ func main() {
 		site = s
 		fmt.Printf("loaded archive %s: %d exchanges, %d origins\n",
 			*archiveDir, len(s.Exchanges), len(s.Origins()))
+		if len(s.Exchanges) == 0 {
+			fatal(fmt.Errorf("%s holds no recorded exchanges", *archiveDir))
+		}
 	}
 
 	var shellList []shells.Shell
@@ -79,17 +88,12 @@ func main() {
 
 	var plts []float64
 	for i := 0; i < *loads; i++ {
-		session := core.NewSession()
-		replay, err := session.NewReplay(core.ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page: page, Site: site,
 			Shells:       shellList,
 			SingleServer: *single,
 			DNSLatency:   sim.Millisecond,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		res := replay.LoadPage()
 		plts = append(plts, res.PLT.Milliseconds())
 		fmt.Printf("load %d: PLT %v, %d resources, %d KB, %d errors\n",
 			i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources,
@@ -100,6 +104,11 @@ func main() {
 					tm.Start.Milliseconds(), (tm.Done - tm.Start).Milliseconds(),
 					tm.Status, tm.URL)
 			}
+		}
+		if bad := res.Errors + res.Failed; site != nil && bad > 0 {
+			fatal(fmt.Errorf("%d of %d resources did not replay from %s: the page spec comes from "+
+				"-site %s -servers %d -seed %d, which must match the recording",
+				bad, res.Resources, *archiveDir, *siteName, *servers, *seed))
 		}
 	}
 	if *loads > 1 {

@@ -65,11 +65,11 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestReplaysRecordedArchive records a site the way mm-record does, saves
-// it in a temporary directory and replays it with mm-replay: every load
-// must finish without errors.
-func TestReplaysRecordedArchive(t *testing.T) {
-	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.example.com", 3))
+// recordArchive records www.example.com with the given origin count the way
+// mm-record does (seed 1) and saves it in a temporary directory.
+func recordArchive(t *testing.T, servers int) (dir string, site *archive.Site) {
+	t.Helper()
+	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.example.com", servers))
 	rec, err := core.NewSession().NewRecord(core.RecordConfig{
 		Page:   page,
 		Shells: []shells.Shell{shells.NewDelayShell(20 * sim.Millisecond)},
@@ -77,11 +77,18 @@ func TestReplaysRecordedArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, _ := rec.Record()
-	dir := filepath.Join(t.TempDir(), page.Name)
+	site, _ = rec.Record()
+	dir = filepath.Join(t.TempDir(), page.Name)
 	if err := archive.SaveSite(dir, site); err != nil {
 		t.Fatal(err)
 	}
+	return dir, site
+}
+
+// TestReplaysRecordedArchive replays a recorded archive with mm-replay:
+// every load must finish without errors.
+func TestReplaysRecordedArchive(t *testing.T) {
+	dir, site := recordArchive(t, 3)
 	out, stderr, code := mmReplay(t, "-archive", dir, "-servers", "3", "-delay", "30", "-rate", "12", "-loads", "2")
 	if code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
@@ -101,6 +108,26 @@ func TestReplaysRecordedArchive(t *testing.T) {
 	}
 }
 
+// TestMismatchedArchiveFails replays a 3-origin recording with the default
+// -servers 12 page spec. Most of that page's resources sit on hosts the
+// archive lacks: the load must still finish, report them, and exit 1
+// naming the flags the page spec is rebuilt from.
+func TestMismatchedArchiveFails(t *testing.T) {
+	dir, _ := recordArchive(t, 3)
+	out, stderr, code := mmReplay(t, "-archive", dir)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	if !strings.Contains(out, "load 1: PLT") || strings.Contains(out, " 0 resources") {
+		t.Errorf("the load did not finish:\n%s", out)
+	}
+	for _, flag := range []string{"-site", "-servers", "-seed"} {
+		if !strings.Contains(stderr, flag) {
+			t.Errorf("stderr does not name %s:\n%s", flag, stderr)
+		}
+	}
+}
+
 // TestRejectsCraftedArchive: an archive file whose response-length declares
 // 2,000,000,000 bytes it does not hold exits 1 naming the bad format,
 // instead of reserving the declared length.
@@ -115,5 +142,15 @@ func TestRejectsCraftedArchive(t *testing.T) {
 	stdout, stderr, code := mmReplay(t, "-archive", dir)
 	if code != 1 || !strings.Contains(stderr, "bad file format") || stdout != "" {
 		t.Errorf("exited %d with stdout %q, want 1 naming the bad file format; stderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestRejectsEmptyArchive: a directory holding no recorded exchanges exits
+// 1 naming it, instead of replaying a site with nothing to serve.
+func TestRejectsEmptyArchive(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := mmReplay(t, "-archive", dir)
+	if code != 1 || !strings.Contains(stderr, "no recorded exchanges") || strings.Contains(stdout, "load 1") {
+		t.Errorf("exited %d with stdout %q, want 1 naming the empty archive and no load; stderr:\n%s", code, stdout, stderr)
 	}
 }

@@ -11,5 +11,6 @@
 //
 // The cmd/ directory holds the command-line tools (mm-record, mm-replay,
 // mm-delay, mm-link, mm-trace, mm-bench); examples/ holds runnable
-// walkthroughs of the public API in internal/core.
+// walkthroughs of the public API: experiments.Load replays and measures a
+// page load (internal/experiments), and internal/core records one.
 package repro

@@ -14,7 +14,7 @@ import (
 	"log"
 
 	"repro/internal/browser"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -56,7 +56,7 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, conns int) float64 {
 	}
 	opts := browser.DefaultOptions()
 	opts.ConnsPerHost = conns
-	replay, err := core.NewSession().NewReplay(core.ReplayConfig{
+	return experiments.PLTms(experiments.LoadSpec{
 		Page: page,
 		Shells: []shells.Shell{
 			shells.NewDelayShell(delay),
@@ -65,8 +65,4 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, conns int) float64 {
 		DNSLatency: sim.Millisecond,
 		Browser:    &opts,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return replay.LoadPage().PLT.Milliseconds()
 }

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -68,7 +68,7 @@ func loadOnce(page *webgen.Page, down *trace.Trace) float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replay, err := core.NewSession().NewReplay(core.ReplayConfig{
+	return experiments.PLTms(experiments.LoadSpec{
 		Page: page,
 		Shells: []shells.Shell{
 			shells.NewDelayShell(30 * sim.Millisecond),
@@ -76,8 +76,4 @@ func loadOnce(page *webgen.Page, down *trace.Trace) float64 {
 		},
 		DNSLatency: sim.Millisecond,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return replay.LoadPage().PLT.Milliseconds()
 }

@@ -14,7 +14,7 @@ import (
 	"log"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,7 +45,7 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, single bool) float64
 	if err != nil {
 		log.Fatal(err)
 	}
-	replay, err := core.NewSession().NewReplay(core.ReplayConfig{
+	return experiments.PLTms(experiments.LoadSpec{
 		Page: page,
 		Shells: []shells.Shell{
 			shells.NewDelayShell(delay),
@@ -55,8 +55,4 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, single bool) float64
 		DNSLatency:   sim.Millisecond,
 		RequestCPU:   10 * sim.Millisecond,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return replay.LoadPage().PLT.Milliseconds()
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -56,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, delay := range []sim.Time{0, 30 * sim.Millisecond, 120 * sim.Millisecond} {
-		replay, err := core.NewSession().NewReplay(core.ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page: page, Site: reloaded,
 			Shells: []shells.Shell{
 				shells.NewDelayShell(delay),
@@ -64,10 +65,6 @@ func main() {
 			},
 			DNSLatency: sim.Millisecond,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := replay.LoadPage()
 		fmt.Printf("replay @ 14 Mbit/s, %3v one-way delay: PLT %v (%d errors)\n",
 			delay, res.PLT.Duration().Round(time.Millisecond), res.Errors)
 	}

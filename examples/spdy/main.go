@@ -14,7 +14,7 @@ import (
 	"log"
 
 	"repro/internal/browser"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -62,7 +62,7 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, opts browser.Options
 	if err != nil {
 		log.Fatal(err)
 	}
-	replay, err := core.NewSession().NewReplay(core.ReplayConfig{
+	return experiments.PLTms(experiments.LoadSpec{
 		Page: page,
 		Shells: []shells.Shell{
 			shells.NewDelayShell(delay),
@@ -71,8 +71,4 @@ func measure(page *webgen.Page, rate int64, delay sim.Time, opts browser.Options
 		DNSLatency: sim.Millisecond,
 		Browser:    &opts,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return replay.LoadPage().PLT.Milliseconds()
 }

@@ -215,9 +215,10 @@ type load struct {
 	// the qdisc like any other packet) hit the wire in a deterministic
 	// order rather than map-iteration order.
 	poolOrder []*pool
-	// resolving dedupes concurrent DNS lookups per host.
+	// resolving holds the fetches waiting on each outstanding DNS lookup,
+	// so concurrent lookups of one host are deduped.
 	resolved  map[string]nsim.Addr
-	resolving map[string][]func(nsim.Addr)
+	resolving map[string][]*fetch
 	pending   int // resources not yet fully done (net + cpu)
 	result    Result
 	done      func(Result)
@@ -271,7 +272,7 @@ func (b *Browser) Load(page *webgen.Page, done func(Result)) {
 		page:      page,
 		pools:     map[originKey]*pool{},
 		resolved:  map[string]nsim.Addr{},
-		resolving: map[string][]func(nsim.Addr){},
+		resolving: map[string][]*fetch{},
 		done:      done,
 		wireBuf:   sc.wireBuf[:0],
 	}
@@ -334,18 +335,18 @@ func (l *load) discover(idx int) {
 	f.discovered = true
 	f.timing.URL = f.res.URL()
 	f.timing.Discovered = l.b.loop.Now()
-	l.resolve(f.res.Host, func(addr nsim.Addr) {
-		l.enqueue(f, addr)
-	})
+	l.resolve(f)
 }
 
-// resolve performs a deduplicated, cached DNS lookup.
-func (l *load) resolve(host string, fn func(nsim.Addr)) {
+// resolve looks up f's host through a deduplicated, cached DNS lookup and
+// hands f to its origin pool once the address is known.
+func (l *load) resolve(f *fetch) {
+	host := f.res.Host
 	if addr, ok := l.resolved[host]; ok {
-		fn(addr)
+		l.enqueue(f, addr)
 		return
 	}
-	l.resolving[host] = append(l.resolving[host], fn)
+	l.resolving[host] = append(l.resolving[host], f)
 	if len(l.resolving[host]) > 1 {
 		return // lookup already outstanding
 	}
@@ -353,15 +354,18 @@ func (l *load) resolve(host string, fn func(nsim.Addr)) {
 		waiters := l.resolving[host]
 		delete(l.resolving, host)
 		if err != nil {
-			// Unresolvable host: count an error and finish the fetches.
-			for range waiters {
-				l.resourceNetDone(nil)
+			// Unresolvable host: each fetch errors (its timing keeps
+			// Status 0) and finishes like one whose connection died, so
+			// its children are still discovered and the load completes.
+			for _, w := range waiters {
+				l.result.Errors++
+				l.resourceNetDone(w)
 			}
 			return
 		}
 		l.resolved[host] = addr
 		for _, w := range waiters {
-			w(addr)
+			l.enqueue(w, addr)
 		}
 	})
 }
@@ -585,14 +589,8 @@ func (l *load) progress(f *fetch, bodyBytes int) {
 }
 
 // resourceNetDone handles network completion: charge CPU, then discovery of
-// remaining children, then completion accounting. A nil fetch records an
-// unresolvable resource.
+// remaining children, then completion accounting.
 func (l *load) resourceNetDone(f *fetch) {
-	if f == nil {
-		l.result.Errors++
-		l.complete()
-		return
-	}
 	if f.doneNet {
 		return
 	}

@@ -261,6 +261,59 @@ func TestUnresolvableHostCountsError(t *testing.T) {
 	}
 }
 
+// TestUnresolvableParentStillCompletes: a resource whose host does not
+// resolve, and which references children, must not wedge the load. The
+// fetch errors and finishes like one whose connection died, so its
+// children are still discovered: every resource is accounted for, and
+// exactly the resources on the dead host error.
+func TestUnresolvableParentStillCompletes(t *testing.T) {
+	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.dns.test", 6))
+	root := page.Resources[0].Host
+	victim := ""
+	for i := 1; i < len(page.Resources) && victim == ""; i++ {
+		p := page.Resources[i].Parent
+		if h := page.Resources[p].Host; p > 0 && h != root {
+			victim = h
+		}
+	}
+	if victim == "" {
+		t.Fatal("page has no parent resource off the root host")
+	}
+	onVictim := 0
+	for _, r := range page.Resources {
+		if r.Host == victim {
+			onVictim++
+		}
+	}
+	loop := sim.NewLoop()
+	network := nsim.NewNetwork(loop)
+	replay, err := replayshell.New(network, replayshell.Config{
+		Site: webgen.Materialize(page), DNSLatency: sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.Resolver.Remove(victim)
+	st := shells.Build(network, replay.NS, appAddr)
+	b := New(tcpsim.NewStack(st.App), replay.Resolver, appAddr, DefaultOptions())
+	var result Result
+	got := false
+	b.Load(page, func(r Result) { result = r; got = true })
+	loop.Run()
+	if !got {
+		t.Fatalf("load never completed with %s unresolvable", victim)
+	}
+	if result.Resources != len(page.Resources) || result.Errors != onVictim {
+		t.Fatalf("load: %d resources, %d errors; want %d resources, %d errors (those on %s)",
+			result.Resources, result.Errors, len(page.Resources), onVictim, victim)
+	}
+	for i, tm := range result.Timings {
+		if wantOK := page.Resources[i].Host != victim; (tm.Status == 200) != wantOK {
+			t.Errorf("resource %d (%s) status %d", i, tm.URL, tm.Status)
+		}
+	}
+}
+
 func TestMultiplexLoadCompletes(t *testing.T) {
 	page := smallPage()
 	r := loadOnce(t, page, MultiplexOptions(), shells.NewDelayShell(30*sim.Millisecond))

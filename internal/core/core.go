@@ -1,20 +1,15 @@
-// Package core is the toolkit's high-level public API, tying the shells,
-// record/replay engines, browser model and archive together the way the
-// mahimahi command-line tools compose on a real system.
+// Package core is the toolkit's record path: it ties the shells, the
+// man-in-the-middle proxy (RecordShell), the simulated live web and the
+// browser model together the way `mm-webrecord` composes on a real system.
 //
-// A Session owns one virtual clock and one isolated network. Within it you
-// can:
-//
-//   - replay a recorded (or synthesized) site under arbitrary nested
-//     shells and measure page load times (the mm-replay / mm-delay /
-//     mm-link workflow);
-//   - record a page load from the simulated live web through the
-//     man-in-the-middle proxy (the mm-webrecord workflow);
-//   - run several independent stacks concurrently with guaranteed
-//     isolation.
+// A Session owns one virtual clock and one isolated network. NewRecord
+// builds browser → shells → proxy → live web inside it, and Record loads
+// the page once through the proxy and returns the recorded archive.
+// Replaying and measuring a page — the mm-replay / mm-delay / mm-link
+// workflow — is experiments.Load.
 //
 // Everything is deterministic: the same Session configuration yields
-// bit-identical measurements.
+// bit-identical recordings.
 package core
 
 import (
@@ -26,124 +21,31 @@ import (
 	"repro/internal/inet"
 	"repro/internal/nsim"
 	"repro/internal/recordshell"
-	"repro/internal/replayshell"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/webgen"
 )
 
-// Session is an isolated measurement environment: one event loop, one
-// network, any number of independent shell stacks.
+// Session is an isolated recording environment: one event loop and one
+// network.
 type Session struct {
 	loop *sim.Loop
 	net  *nsim.Network
-	// appSeq allocates distinct app addresses for concurrent stacks.
+	// appSeq allocates distinct app addresses for the session's stacks.
 	appSeq uint32
 }
 
-// NewSession creates an empty measurement environment.
+// NewSession creates an empty recording environment.
 func NewSession() *Session {
 	loop := sim.NewLoop()
 	return &Session{loop: loop, net: nsim.NewNetwork(loop)}
 }
 
-// Loop exposes the virtual clock (for scheduling custom events in tests
-// and tools).
-func (s *Session) Loop() *sim.Loop { return s.loop }
-
-// Network exposes the namespace graph.
-func (s *Session) Network() *nsim.Network { return s.net }
-
-// Run drives the clock until all work completes, returning the final
-// virtual time.
-func (s *Session) Run() sim.Time { return s.loop.Run() }
-
 // nextAppAddr hands out 100.64.x.y addresses for app namespaces.
 func (s *Session) nextAppAddr() nsim.Addr {
 	s.appSeq++
 	return nsim.ParseAddr("100.64.0.0") + nsim.Addr(s.appSeq)
-}
-
-// ReplayConfig describes a replay stack.
-type ReplayConfig struct {
-	// Site is the recorded archive; if nil, Page is materialized instead.
-	Site *archive.Site
-	// Page is the page the browser will load (also the content source when
-	// Site is nil).
-	Page *webgen.Page
-	// Shells nest innermost-first between the browser and ReplayShell.
-	Shells []shells.Shell
-	// SingleServer enables the §4 ablation.
-	SingleServer bool
-	// DNSLatency is the replay resolver's uncached lookup cost.
-	DNSLatency sim.Time
-	// RequestCPU is the per-request replay server cost (CGI matcher).
-	RequestCPU sim.Time
-	// ECN enables RFC 3168 negotiation on both the browser's stack and the
-	// replay servers', so all replayed traffic is ECT and marking qdiscs
-	// (codel-ecn, PIE) signal it without drops.
-	ECN bool
-	// Browser overrides the browser model options.
-	Browser *browser.Options
-}
-
-// ReplayStack is an instantiated replay environment inside a Session.
-type ReplayStack struct {
-	session *Session
-	page    *webgen.Page
-	Replay  *replayshell.Shell
-	Stack   *shells.Stack
-	brow    *browser.Browser
-}
-
-// NewReplay builds a replay stack. Multiple replay stacks may coexist in
-// one session; they are fully isolated from each other.
-func (s *Session) NewReplay(cfg ReplayConfig) (*ReplayStack, error) {
-	if cfg.Page == nil {
-		return nil, errors.New("core: ReplayConfig.Page is required")
-	}
-	site := cfg.Site
-	if site == nil {
-		site = webgen.Materialize(cfg.Page)
-	}
-	replay, err := replayshell.New(s.net, replayshell.Config{
-		Site:         site,
-		SingleServer: cfg.SingleServer,
-		DNSLatency:   cfg.DNSLatency,
-		RequestCPU:   cfg.RequestCPU,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	appAddr := s.nextAppAddr()
-	st := shells.Build(s.net, replay.NS, appAddr, cfg.Shells...)
-	opts := browser.DefaultOptions()
-	if cfg.Browser != nil {
-		opts = *cfg.Browser
-	}
-	browserStack := tcpsim.NewStack(st.App)
-	if cfg.ECN {
-		browserStack.SetECN(true)
-		replay.Stack.SetECN(true)
-	}
-	b := browser.New(browserStack, replay.Resolver, appAddr, opts)
-	return &ReplayStack{session: s, page: cfg.Page, Replay: replay, Stack: st, brow: b}, nil
-}
-
-// LoadPage loads the stack's page once, runs the clock to completion, and
-// returns the result. For concurrent multi-stack experiments use StartLoad
-// on each stack and call Session.Run once.
-func (r *ReplayStack) LoadPage() browser.Result {
-	var result browser.Result
-	r.StartLoad(func(res browser.Result) { result = res })
-	r.session.Run()
-	return result
-}
-
-// StartLoad begins a page load without running the clock.
-func (r *ReplayStack) StartLoad(done func(browser.Result)) {
-	r.brow.Load(r.page, done)
 }
 
 // RecordConfig describes a record stack: browser → shells → MITM proxy →
@@ -194,6 +96,6 @@ func (s *Session) NewRecord(cfg RecordConfig) (*RecordStack, error) {
 func (r *RecordStack) Record() (*archive.Site, browser.Result) {
 	var result browser.Result
 	r.brow.Load(r.page, func(res browser.Result) { result = res })
-	r.session.Run()
+	r.session.loop.Run()
 	return r.Proxy.Site, result
 }

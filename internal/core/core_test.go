@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/browser"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/webgen"
@@ -18,17 +18,12 @@ func page(seed uint64) *webgen.Page {
 }
 
 func TestReplayLoad(t *testing.T) {
-	s := NewSession()
 	p := page(1)
-	r, err := s.NewReplay(ReplayConfig{
+	res := experiments.Load(experiments.LoadSpec{
 		Page:       p,
 		Shells:     []shells.Shell{shells.NewDelayShell(20 * sim.Millisecond)},
 		DNSLatency: sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.LoadPage()
 	if res.Errors != 0 || res.Resources != len(p.Resources) {
 		t.Fatalf("load: errors=%d resources=%d want %d", res.Errors, res.Resources, len(p.Resources))
 	}
@@ -37,52 +32,9 @@ func TestReplayLoad(t *testing.T) {
 	}
 }
 
-func TestReplayRequiresPage(t *testing.T) {
-	s := NewSession()
-	if _, err := s.NewReplay(ReplayConfig{}); err == nil {
-		t.Fatal("nil page accepted")
-	}
-	if _, err := s.NewRecord(RecordConfig{}); err == nil {
+func TestRecordRequiresPage(t *testing.T) {
+	if _, err := NewSession().NewRecord(RecordConfig{}); err == nil {
 		t.Fatal("nil page accepted for record")
-	}
-}
-
-func TestConcurrentStacksIsolated(t *testing.T) {
-	// Two stacks in one session must produce the same PLTs they produce
-	// alone — the paper's isolation property at the API level.
-	solo := func() sim.Time {
-		s := NewSession()
-		r, err := s.NewReplay(ReplayConfig{
-			Page:       page(2),
-			Shells:     []shells.Shell{shells.NewDelayShell(15 * sim.Millisecond)},
-			DNSLatency: sim.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.LoadPage().PLT
-	}
-	want := solo()
-
-	s := NewSession()
-	mk := func() *ReplayStack {
-		r, err := s.NewReplay(ReplayConfig{
-			Page:       page(2),
-			Shells:     []shells.Shell{shells.NewDelayShell(15 * sim.Millisecond)},
-			DNSLatency: sim.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := mk(), mk()
-	var pltA, pltB sim.Time
-	a.StartLoad(func(res browser.Result) { pltA = res.PLT })
-	b.StartLoad(func(res browser.Result) { pltB = res.PLT })
-	s.Run()
-	if pltA != want || pltB != want {
-		t.Fatalf("concurrent PLTs %v/%v differ from solo %v", pltA, pltB, want)
 	}
 }
 
@@ -103,15 +55,11 @@ func TestRecordThenReplayViaAPI(t *testing.T) {
 		t.Fatalf("recorded %d exchanges, want %d", len(site.Exchanges), len(p.Resources))
 	}
 
-	rep, err := NewSession().NewReplay(ReplayConfig{
+	res := experiments.Load(experiments.LoadSpec{
 		Page: p, Site: site,
 		Shells:     []shells.Shell{shells.NewDelayShell(10 * sim.Millisecond)},
 		DNSLatency: sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.LoadPage()
 	if res.Errors != 0 || res.Bytes != p.TotalBytes() {
 		t.Fatalf("replay: errors=%d bytes=%d want %d", res.Errors, res.Bytes, p.TotalBytes())
 	}
@@ -119,15 +67,10 @@ func TestRecordThenReplayViaAPI(t *testing.T) {
 
 func TestReplayDeterministicAcrossSessions(t *testing.T) {
 	run := func() sim.Time {
-		s := NewSession()
-		r, err := s.NewReplay(ReplayConfig{
+		return experiments.Load(experiments.LoadSpec{
 			Page:       page(4),
 			DNSLatency: sim.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.LoadPage().PLT
+		}).PLT
 	}
 	if run() != run() {
 		t.Fatal("identical sessions produced different PLTs")

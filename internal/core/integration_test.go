@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/browser"
+	"repro/internal/experiments"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/webgen"
@@ -12,7 +13,8 @@ import (
 
 // Property: for any generated page, a record → replay round trip through
 // the full pipeline (live web, MITM proxy, archive, replay servers,
-// browser) delivers every byte with zero matcher misses.
+// browser) delivers every byte with zero matcher misses (a miss is served
+// as a 404, so every resource answering 200 means none missed).
 func TestRecordReplayRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, serversRaw, resourcesRaw uint8) bool {
 		servers := 1 + int(serversRaw%8)
@@ -30,18 +32,18 @@ func TestRecordReplayRoundTripProperty(t *testing.T) {
 		if liveRes.Errors != 0 || len(site.Exchanges) != len(p.Resources) {
 			return false
 		}
-		rep, err := NewSession().NewReplay(ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page: p, Site: site, DNSLatency: sim.Millisecond,
 		})
-		if err != nil {
-			return false
-		}
-		res := rep.LoadPage()
 		if res.Errors != 0 || res.Bytes != p.TotalBytes() {
 			return false
 		}
-		_, _, miss := rep.Replay.Matcher.Stats()
-		return miss == 0
+		for _, tm := range res.Timings {
+			if tm.Status != 200 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -58,15 +60,11 @@ func TestPLTMonotoneInDelayProperty(t *testing.T) {
 	prev := sim.Time(-1)
 	for _, d := range []sim.Time{0, 10 * sim.Millisecond, 40 * sim.Millisecond,
 		100 * sim.Millisecond, 250 * sim.Millisecond} {
-		r, err := NewSession().NewReplay(ReplayConfig{
+		plt := experiments.Load(experiments.LoadSpec{
 			Page:       p,
 			Shells:     []shells.Shell{shells.NewDelayShell(d)},
 			DNSLatency: sim.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plt := r.LoadPage().PLT
+		}).PLT
 		if plt <= prev {
 			t.Fatalf("PLT not monotone: delay %v gives %v after %v", d, plt, prev)
 		}
@@ -83,14 +81,10 @@ func TestSingleServerCompletenessProperty(t *testing.T) {
 			HTMLSize: 10 << 10, MedianObject: 4 << 10, SigmaObject: 0.6,
 			CPUPerKB: 10 * sim.Microsecond, HTTPSShare: 0.3,
 		})
-		r, err := NewSession().NewReplay(ReplayConfig{
+		res := experiments.Load(experiments.LoadSpec{
 			Page: p, SingleServer: true, DNSLatency: sim.Millisecond,
 			RequestCPU: 2 * sim.Millisecond,
 		})
-		if err != nil {
-			return false
-		}
-		res := r.LoadPage()
 		return res.Errors == 0 && res.Bytes == p.TotalBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -107,13 +101,9 @@ func TestTransportsAgreeOnBytesProperty(t *testing.T) {
 			CPUPerKB: 10 * sim.Microsecond,
 		})
 		run := func(opts browser.Options) browser.Result {
-			r, err := NewSession().NewReplay(ReplayConfig{
+			return experiments.Load(experiments.LoadSpec{
 				Page: p, DNSLatency: sim.Millisecond, Browser: &opts,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r.LoadPage()
 		}
 		h1 := run(browser.DefaultOptions())
 		mux := run(browser.MultiplexOptions())

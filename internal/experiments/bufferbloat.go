@@ -5,11 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/archive"
-	"repro/internal/browser"
 	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
-	"repro/internal/replayshell"
+	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tcpsim"
@@ -41,17 +40,11 @@ type BufferbloatConfig struct {
 	// starts, so the measured load meets an already-standing queue.
 	HeadStart sim.Time
 	// DeepPackets and ShallowPackets are the two droptail buffer depths;
-	// the AQM cells use the deep physical buffer behind the control law.
+	// the AQM cells use the deep physical buffer behind the control law,
+	// with their RFC defaults (CoDel RFC 8289, PIE RFC 8033, fq_codel RFC
+	// 8290: 1024 buckets, one-MTU quantum).
 	DeepPackets    int
 	ShallowPackets int
-	// Target and Interval parameterize the CoDel cells (zero = RFC 8289
-	// defaults). The PIE cells run the RFC 8033 defaults.
-	Target   sim.Time
-	Interval sim.Time
-	// FQFlows and FQQuantum parameterize the fq_codel cells (zero = RFC
-	// 8290 defaults: 1024 buckets, one-MTU quantum).
-	FQFlows   int
-	FQQuantum int
 	// OneWayDelay is the propagation delay either side of the queue.
 	OneWayDelay sim.Time
 }
@@ -132,22 +125,18 @@ func (f FairnessRow) BulkShare() float64 {
 
 // BufferbloatResult is the full sweep in grid order (link-major).
 type BufferbloatResult struct {
-	Rows   []BufferbloatRow
-	Target sim.Time // the CoDel target the codel cells ran with
+	Rows []BufferbloatRow
 }
 
 // bufferbloatQdiscs enumerates the qdisc arm of the grid.
 func bufferbloatQdiscs(cfg BufferbloatConfig) []netem.QdiscSpec {
-	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets,
-		Target: cfg.Target, Interval: cfg.Interval}
+	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets}
 	codelECN := codel
 	codelECN.ECN = true
 	pie := netem.QdiscSpec{Kind: netem.QdiscPIE, Packets: cfg.DeepPackets}
 	pieECN := pie
 	pieECN.ECN = true
-	fq := netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: cfg.DeepPackets,
-		Target: cfg.Target, Interval: cfg.Interval,
-		Flows: cfg.FQFlows, Quantum: cfg.FQQuantum}
+	fq := netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: cfg.DeepPackets}
 	fqECN := fq
 	fqECN.ECN = true
 	return []netem.QdiscSpec{
@@ -207,12 +196,7 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 		row.Link = l.name
 		return row
 	})
-
-	target := cfg.Target
-	if target <= 0 {
-		target = netem.DefaultCoDelTarget
-	}
-	return BufferbloatResult{Rows: rows, Target: target}
+	return BufferbloatResult{Rows: rows}
 }
 
 // bufferbloatCell runs one cell on sh: a page load over a shaped link
@@ -221,26 +205,6 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 // row's Link.
 func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
 	payload []byte, up, down *trace.Trace, spec netem.QdiscSpec) BufferbloatRow {
-	loop := sh.Loop()
-	network := nsim.NewNetworkPooled(loop, sh.Pools())
-	replay, err := replayshell.New(network, replayshell.Config{
-		Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	world := replay.NS
-
-	// app ←(delay, link-up)→ linkNS ←wire→ world, the same chain
-	// shells.Build makes for [DelayShell, LinkShell], but built by hand so
-	// the downlink qdisc can be instrumented before traffic flows.
-	app := network.NewNamespace("app")
-	app.AddAddress(AppAddr)
-	linkNS := network.NewNamespace("link")
-	// Only the downlink discipline is swept: the uplink (requests and
-	// ACKs, a trickle next to the bulk data) keeps the default unbounded
-	// droptail queue so the qdisc arms differ in exactly one variable.
-	upQ := netem.QdiscSpec{}.Build()
 	downQ := spec.Build()
 	// The sojourn histogram covers the whole run: the bulk flow's
 	// slow-start transient, the AQM's converged phase, and the page's own
@@ -251,31 +215,28 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 	// Per-flow attribution on the contended queue feeds the fairness table;
 	// the per-flow sojourn distributions feed its per-class p95 columns.
 	downQ.QueueStats().TrackFlowSojourns()
-	upPipe := netem.NewPipeline(
-		netem.NewDelayBox(loop, cfg.OneWayDelay),
-		netem.NewTraceBox(loop, up.Cursor(), upQ),
-	)
-	downPipe := netem.NewPipeline(
-		netem.NewTraceBox(loop, down.Cursor(), downQ),
-		netem.NewDelayBox(loop, cfg.OneWayDelay),
-	)
-	inEnd, outEnd := nsim.Connect(app, linkNS, upPipe, downPipe)
-	app.AddDefaultRoute(inEnd)
-	linkNS.AddRoute(AppAddr, 32, outEnd)
-	l2w, w2l := nsim.Connect(linkNS, world, nil, nil)
-	linkNS.AddDefaultRoute(l2w)
-	world.AddRoute(AppAddr, 32, w2l)
+	// The ECN cells negotiate ECN on every connection — client, replay
+	// servers and bulk sender — so all traffic through the marking AQM is
+	// ECT and the control law resolves by marking, never dropping.
+	pl := build(LoadSpec{
+		Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
+		Shells:  []shells.Shell{&bloatLink{oneWay: cfg.OneWayDelay, up: up, down: down, downQ: downQ}},
+		ECN:     spec.ECN,
+		Scratch: scratchFor(sh),
+	})
+	world := pl.replay.NS
 
 	// The bulk sink lives in its own namespace one unshaped hop behind the
 	// replay servers, so its data shares the shaped downlink with the page.
 	bulkAddr := nsim.ParseAddr("100.64.0.9")
-	bulkNS := network.NewNamespace("bulk")
+	bulkNS := pl.net.NewNamespace("bulk")
 	bulkNS.AddAddress(bulkAddr)
 	b2w, w2b := nsim.Connect(bulkNS, world, nil, nil)
 	bulkNS.AddDefaultRoute(b2w)
 	world.AddRoute(bulkAddr, 32, w2b)
 	bulkAP := nsim.AddrPort{Addr: bulkAddr, Port: 5001}
 	bulkStack := tcpsim.NewStack(bulkNS)
+	bulkStack.SetECN(spec.ECN)
 	if err := bulkStack.Listen(bulkAP, func(c *tcpsim.Conn) {
 		c.OnData(func([]byte) {})
 		c.WriteStable(payload)
@@ -285,31 +246,16 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 	}
 
 	// Client side: the browser's stack also carries the bulk download.
-	stack := tcpsim.NewStack(app)
-	// The ECN cells negotiate ECN on every connection — client, replay
-	// servers and bulk sender — so all traffic through the marking AQM is
-	// ECT and the control law resolves by marking, never dropping.
-	if spec.ECN {
-		stack.SetECN(true)
-		bulkStack.SetECN(true)
-		replay.Stack.SetECN(true)
-	}
 	bulkGot := 0
-	loop.Schedule(0, func(sim.Time) {
-		conn, err := stack.Dial(AppAddr, bulkAP)
+	pl.loop.Schedule(0, func(sim.Time) {
+		conn, err := pl.stack.Dial(AppAddr, bulkAP)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
 		conn.OnData(func(p []byte) { bulkGot += len(p) })
 		conn.Close() // half-close: the server still writes the payload
 	})
-
-	b := browser.New(stack, replay.Resolver, AppAddr, browser.DefaultOptions())
-	var result browser.Result
-	loop.Schedule(cfg.HeadStart, func(sim.Time) {
-		b.Load(page, func(r browser.Result) { result = r })
-	})
-	loop.Run()
+	result := pl.run(cfg.HeadStart, nil)
 
 	qs := downQ.QueueStats()
 	s := sojourn.Sample()
@@ -325,6 +271,35 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 		BulkBytes:     bulkGot,
 		Fairness:      fairnessRow(qs),
 	}
+}
+
+// bloatLink is the cell's one shaped hop between the app and the world:
+// the one-way delay and a trace-driven link in each direction. Only the
+// downlink discipline is swept, and the cell builds and instruments it
+// before traffic flows, so a bloatLink serves one Build. The uplink
+// (requests and ACKs, a trickle next to the bulk data) keeps the default
+// unbounded droptail queue so the qdisc arms differ in exactly one
+// variable.
+type bloatLink struct {
+	oneWay   sim.Time
+	up, down *trace.Trace
+	downQ    netem.Qdisc
+}
+
+// Name implements shells.Shell.
+func (l *bloatLink) Name() string { return "bloat" }
+
+// Boxes implements shells.Shell.
+func (l *bloatLink) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
+	up := netem.NewPipeline(
+		netem.NewDelayBox(loop, l.oneWay),
+		netem.NewTraceBox(loop, l.up.Cursor(), netem.QdiscSpec{}.Build()),
+	)
+	down := netem.NewPipeline(
+		netem.NewTraceBox(loop, l.down.Cursor(), l.downQ),
+		netem.NewDelayBox(loop, l.oneWay),
+	)
+	return up, down
 }
 
 // fairnessRow attributes the queue's per-flow telemetry to the bulk flow
@@ -408,7 +383,7 @@ func medianFlowP95(samples []*stats.Sample) float64 {
 // per-flow fairness attribution of every cell's downlink queue.
 func (r BufferbloatResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Bufferbloat: page load vs a bulk flow through one queue (CoDel target %v)\n", r.Target)
+	fmt.Fprintf(&b, "Bufferbloat: page load vs a bulk flow through one queue (CoDel target %v)\n", netem.DefaultCoDelTarget)
 	fmt.Fprintf(&b, "  %-10s %-16s %9s %8s %8s %7s %7s %7s %7s\n",
 		"link", "qdisc", "PLT ms", "p95q ms", "meanq ms", "taildrp", "aqmdrp", "aqmmark", "maxq")
 	for _, row := range r.Rows {

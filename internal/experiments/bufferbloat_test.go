@@ -105,7 +105,7 @@ func TestBufferbloatOrdering(t *testing.T) {
 		// the page's), which CoDel tolerates by design — it controls the
 		// standing queue, not transients; the contrast is with droptail,
 		// which sustains buffer-bound delay (hundreds of ms here).
-		targetMs := res.Target.Milliseconds()
+		targetMs := netem.DefaultCoDelTarget.Milliseconds()
 		if codelRow.MeanSojournMs > 10*targetMs {
 			t.Errorf("%s: codel mean sojourn %.1fms outside the target band (target %.0fms)",
 				link, codelRow.MeanSojournMs, targetMs)

@@ -31,14 +31,6 @@ type ContentionConfig struct {
 	BulkBytes int
 	// OneWayDelay is the propagation delay either side of the queue.
 	OneWayDelay sim.Time
-	// DeepPackets/ShallowPackets/Target/Interval/FQFlows/FQQuantum
-	// parameterize the qdisc grid exactly as in BufferbloatConfig.
-	DeepPackets    int
-	ShallowPackets int
-	Target         sim.Time
-	Interval       sim.Time
-	FQFlows        int
-	FQQuantum      int
 }
 
 // DefaultContention returns the reference configuration: 96 flows at 6:1:3
@@ -51,7 +43,6 @@ func DefaultContention() ContentionConfig {
 		Shards:      1,
 		BulkBytes:   256 << 10,
 		OneWayDelay: 20 * sim.Millisecond,
-		DeepPackets: 600, ShallowPackets: 32,
 	}
 }
 
@@ -79,12 +70,8 @@ type ContentionSweepResult struct {
 // results land index-aligned, so the rendered artifact does not depend on
 // Shards.
 func Contention(cfg ContentionConfig) ContentionSweepResult {
-	bbcfg := BufferbloatConfig{
-		DeepPackets: cfg.DeepPackets, ShallowPackets: cfg.ShallowPackets,
-		Target: cfg.Target, Interval: cfg.Interval,
-		FQFlows: cfg.FQFlows, FQQuantum: cfg.FQQuantum,
-	}
-	qdiscs := bufferbloatQdiscs(bbcfg)
+	// The qdisc grid is bufferbloat's at its default buffer depths.
+	qdiscs := bufferbloatQdiscs(DefaultBufferbloat())
 
 	constLink, err := trace.Constant(12_000_000, 2000)
 	if err != nil {

@@ -291,26 +291,7 @@ func (r DynamicsResult) String() string {
 		fmt.Fprintf(&b, "%-10s %-14s outcome=%-9s plt=%8.1fms resources=%-3d failed=%-2d errors=%d\n",
 			row.Scenario, row.Qdisc.String(), row.Outcome, row.PLTms,
 			row.Resources, row.Failed, row.Errors)
-		renderRow(&b, row)
+		netem.RenderTranscript(&b, row.Transitions, row.Epochs)
 	}
 	return b.String()
-}
-
-// renderRow writes one cell's transcript block.
-func renderRow(b *strings.Builder, row DynamicsRow) {
-	for _, tr := range row.Transitions {
-		fmt.Fprintf(b, "  @%-9v %-24s moved=%-4d dropped=%d\n",
-			tr.At, tr.Label, tr.Moved, tr.Dropped)
-	}
-	if len(row.Epochs) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "  %-34s %6s %6s %7s %7s %7s %7s %8s\n",
-		"phase", "enq", "deq", "taildrp", "aqmdrp", "aqmmark", "flushed", "meanq ms")
-	for _, e := range row.Epochs {
-		fmt.Fprintf(b, "  %-34s %6d %6d %7d %7d %7d %7d %8.1f\n",
-			fmt.Sprintf("%v..%v %s", e.From, e.To, e.Label),
-			e.Enqueued, e.Dequeued,
-			e.TailDrops, e.AQMDrops, e.AQMMarks, e.Flushed, e.MeanSojournMs())
-	}
 }

@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/archive"
-	"repro/internal/browser"
 	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
-	"repro/internal/replayshell"
 	"repro/internal/shells"
 	"repro/internal/sim"
-	"repro/internal/tcpsim"
 	"repro/internal/webgen"
 )
 
@@ -33,30 +29,29 @@ type IsolationResult struct {
 func (r IsolationResult) Identical() bool { return r.SoloPLT == r.ConcurrentPLT }
 
 // Isolation loads a page alone, then again while a second namespace pair
-// blasts bulk traffic over its own emulated link in the same Network. The
-// two arms are declared as two cells ("solo" and "concurrent" shell
-// coordinates) so they run on the same engine as every other experiment —
-// and, at two or more shards, concurrently, which is itself an isolation
-// statement: two whole simulations sharing a process must not perturb each
-// other either.
+// blasts bulk traffic over its own emulated link in the same Network. Both
+// arms build the load with Load's builder and differ only by the
+// neighbour. The two arms are declared as two cells ("solo" and
+// "concurrent" shell coordinates) so they run on the same engine as every
+// other experiment — and, at two or more shards, concurrently, which is
+// itself an isolation statement: two whole simulations sharing a process
+// must not perturb each other either.
 func Isolation(seed uint64, shards int) IsolationResult {
 	page := webgen.GeneratePage(sim.NewRand(seed), webgen.WikiHowLike())
 	site := webgen.Materialize(page)
-	mkShells := func() []shells.Shell {
-		return []shells.Shell{shells.NewDelayShell(30 * sim.Millisecond)}
-	}
 
 	cells := []Cell{
 		{Site: "wikihow-like", Shell: "solo"},
 		{Site: "wikihow-like", Shell: "concurrent"},
 	}
 	results := runCells(shards, seed, cells, func(sh *engine.Shard, _ int, c Cell, _ uint64) isolationArm {
+		spec := LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond,
+			Shells:  []shells.Shell{shells.NewDelayShell(30 * sim.Millisecond)},
+			Scratch: scratchFor(sh)}
 		if c.Shell == "solo" {
-			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells(),
-				Scratch: scratchFor(sh)}).PLT
-			return isolationArm{plt: plt}
+			return isolationArm{plt: Load(spec).PLT}
 		}
-		return isolationConcurrent(sh, page, site, mkShells())
+		return isolationConcurrent(spec)
 	})
 	return IsolationResult{
 		SoloPLT:       results[0].plt,
@@ -72,21 +67,13 @@ type isolationArm struct {
 	cross uint64
 }
 
-// isolationConcurrent runs the measured load on sh while a noisy neighbour
-// in the same Network (same event loop) continuously saturates its own
-// link, returning the measured PLT and the neighbour's delivered datagram
-// count.
-func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site, shellList []shells.Shell) isolationArm {
-	loop := sh.Loop()
-	network := nsim.NewNetworkPooled(loop, sh.Pools())
-	replay, err := replayshell.New(network, replayshell.Config{
-		Site: site, DNSLatency: sim.Millisecond,
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	st := shells.Build(network, replay.NS, AppAddr, shellList...)
-	b := browser.New(tcpsim.NewStack(st.App), replay.Resolver, AppAddr, browser.DefaultOptions())
+// isolationConcurrent builds spec's load exactly as the solo arm does, adds
+// a noisy neighbour to the same Network (same event loop) that
+// continuously saturates its own link, and runs the load, returning the
+// measured PLT and the neighbour's delivered datagram count.
+func isolationConcurrent(spec LoadSpec) isolationArm {
+	pl := build(spec)
+	loop, network := pl.loop, pl.net
 
 	// The neighbour: two namespaces with a rate-limited link, flooded.
 	noisyA := network.NewNamespace("noisy-a")
@@ -116,13 +103,8 @@ func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site
 	}
 	loop.Schedule(0, flood)
 
-	var result browser.Result
-	b.Load(page, func(r browser.Result) {
-		result = r
-		flooding = false // stop the flood so the loop drains
-	})
-	loop.Run()
-
+	// Stop the flood as the load completes so the loop drains.
+	result := pl.run(0, func() { flooding = false })
 	return isolationArm{plt: result.PLT, cross: crossDelivered}
 }
 

@@ -1,14 +1,24 @@
-// Package experiments contains one driver per table and figure in the
-// paper's evaluation, plus an open-ended scenario sweep. Each driver
-// declares its site × shell-stack × trial grid as a list of Cells and runs
-// it on the sharded engine (internal/engine); every cell builds fresh
-// namespaces per page load (as Mahimahi does per shell invocation) on its
-// shard's event loop and pools, runs the load on a virtual clock, and
-// reports the same statistics the paper prints. Per-cell random seeds are
-// derived from the cell's coordinates alone (sim.DeriveSeed), so every
-// artifact is byte-identical at any shard count. The benchmarks in the
-// repository root and cmd/mm-bench both call into this package, so the
-// numbers in EXPERIMENTS.md are regenerated from exactly this code.
+// Package experiments is the toolkit's page-load entry point and holds one
+// driver per table and figure in the paper's evaluation, plus an
+// open-ended scenario sweep.
+//
+// Load replays one page through a nest of shells and measures it, the
+// analogue of `mm-delay 50 mm-link up down -- browser`: it builds fresh
+// namespaces (as Mahimahi does per shell invocation) — ReplayShell serving
+// the recorded or synthesized site, the shells, the browser's stack — and
+// runs the load on a virtual clock. The command-line tools, the examples
+// and the drivers replay through its builder (dynamics alone wires its
+// scripted link by hand), so a load run by hand is the load an experiment
+// measures.
+//
+// Each driver declares its site × shell-stack × trial grid as a list of
+// Cells and runs it on the sharded engine (internal/engine); every cell's
+// loads run on its shard's event loop and pools and report the same
+// statistics the paper prints. Per-cell random seeds are derived from the
+// cell's coordinates alone (sim.DeriveSeed), so every artifact is
+// byte-identical at any shard count. The benchmarks in the repository root
+// and cmd/mm-bench both call into this package, so the numbers in
+// EXPERIMENTS.md are regenerated from exactly this code.
 package experiments
 
 import (
@@ -50,6 +60,10 @@ type LoadSpec struct {
 	// RequestCPU is the per-request replay-server processing cost (the
 	// CGI matcher); see replayshell.Config.RequestCPU.
 	RequestCPU sim.Time
+	// ECN enables RFC 3168 negotiation on both the browser's stack and the
+	// replay servers', so all replayed traffic is ECT and marking qdiscs
+	// (codel-ecn, pie-ecn, fq_codel-ecn) signal it without drops.
+	ECN bool
 	// CPUJitterSigma perturbs the browser's compute scale per load,
 	// modelling host-machine noise (Table 1's machine-to-machine and
 	// load-to-load variation). Zero gives bit-deterministic loads.
@@ -110,11 +124,30 @@ var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 // from a shared recycled scratch when nil — so sequential loads reuse one
 // warmed set of pools instead of reallocating it per load.
 func Load(spec LoadSpec) browser.Result {
-	sc := spec.Scratch
-	if sc == nil {
-		sc = scratchPool.Get().(*Scratch)
+	if spec.Scratch == nil {
+		sc := scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
+		spec.Scratch = sc
 	}
+	return build(spec).run(0, nil)
+}
+
+// pageLoad is a built page load that has not started: the network on the
+// scratch's shard, ReplayShell, the shell stack and the browser. Drivers
+// that share the network with other traffic (isolation's noisy neighbour,
+// bufferbloat's bulk flow) add it between build and run.
+type pageLoad struct {
+	loop    *sim.Loop
+	net     *nsim.Network
+	replay  *replayshell.Shell
+	stack   *tcpsim.Stack // the browser's transport, in the app namespace
+	browser *browser.Browser
+	page    *webgen.Page
+}
+
+// build assembles spec's page load on spec.Scratch, which must be set.
+func build(spec LoadSpec) pageLoad {
+	sc := spec.Scratch
 	loop := sc.shard.Loop()
 	network := nsim.NewNetworkPooled(loop, sc.shard.Pools())
 	site := spec.Site
@@ -144,11 +177,31 @@ func Load(spec LoadSpec) browser.Result {
 			opts.CPUScale = 0.1
 		}
 	}
-	b := browser.New(tcpsim.NewStackPool(st.App, sc.shard.Segments()), replay.Resolver, AppAddr, opts)
+	stack := tcpsim.NewStackPool(st.App, sc.shard.Segments())
+	stack.SetECN(spec.ECN)
+	replay.Stack.SetECN(spec.ECN)
+	b := browser.New(stack, replay.Resolver, AppAddr, opts)
 	b.UseScratch(&sc.browser)
+	return pageLoad{loop: loop, net: network, replay: replay, stack: stack, browser: b, page: spec.Page}
+}
+
+// run starts the load at virtual time at (0: now) and drains the loop.
+// done, when set, runs as the load completes, so a driver can stop the
+// traffic it added and let the loop drain.
+func (l pageLoad) run(at sim.Time, done func()) browser.Result {
 	var result browser.Result
-	b.Load(spec.Page, func(r browser.Result) { result = r })
-	loop.Run()
+	finish := func(r browser.Result) {
+		result = r
+		if done != nil {
+			done()
+		}
+	}
+	if at > 0 {
+		l.loop.Schedule(at, func(sim.Time) { l.browser.Load(l.page, finish) })
+	} else {
+		l.browser.Load(l.page, finish)
+	}
+	l.loop.Run()
 	return result
 }
 

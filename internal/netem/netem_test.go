@@ -541,30 +541,6 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
-func TestDuplexNest(t *testing.T) {
-	loop := sim.NewLoop()
-	inner := NewDuplex(
-		NewPipeline(NewDelayBox(loop, 10*sim.Millisecond)),
-		NewPipeline(NewDelayBox(loop, 10*sim.Millisecond)),
-	)
-	outer := NewDuplex(
-		NewPipeline(NewDelayBox(loop, 5*sim.Millisecond)),
-		NewPipeline(NewDelayBox(loop, 5*sim.Millisecond)),
-	)
-	combined := inner.Nest(outer)
-	var upAt, downAt sim.Time
-	combined.Up.SetSink(func(*Packet) { upAt = loop.Now() })
-	combined.Down.SetSink(func(*Packet) { downAt = loop.Now() })
-	loop.Schedule(0, func(sim.Time) {
-		combined.Up.Send(&Packet{Size: MTU})
-		combined.Down.Send(&Packet{Size: MTU})
-	})
-	loop.Run()
-	if upAt != 15*sim.Millisecond || downAt != 15*sim.Millisecond {
-		t.Fatalf("nested delivery up=%v down=%v, want 15ms each", upAt, downAt)
-	}
-}
-
 func TestPacketString(t *testing.T) {
 	p := &Packet{Flow: 3, Seq: 9, Size: 1500}
 	if p.String() != "pkt{flow=3 seq=9 size=1500}" {

@@ -11,9 +11,10 @@
 //     opportunity (LinkShell, §2).
 //
 // Boxes are unidirectional and composable in series (Pipeline); a
-// bidirectional link is a pair of pipelines (Duplex). Shell nesting in
-// Mahimahi (`mm-delay 50 mm-link up down -- app`) corresponds to
-// concatenating each shell's boxes onto both directions.
+// bidirectional link is a pair of pipelines, one per direction
+// (nsim.Connect). Shell nesting in Mahimahi (`mm-delay 50 mm-link up down
+// -- app`) corresponds to concatenating each shell's boxes onto both
+// directions.
 package netem
 
 import (

@@ -63,39 +63,3 @@ func (p *Pipeline) Stats() BoxStats {
 
 // Boxes returns the boxes in upstream-to-downstream order, for inspection.
 func (p *Pipeline) Boxes() []Box { return p.boxes }
-
-// Duplex is a bidirectional link: an uplink pipeline (client to server) and
-// a downlink pipeline (server to client). Mahimahi maintains "a separate
-// queue ... for packets traversing the link in each direction" (paper §2).
-type Duplex struct {
-	// Up carries packets from the inner (application) side to the outer
-	// (world) side.
-	Up *Pipeline
-	// Down carries packets from the outer side to the inner side.
-	Down *Pipeline
-}
-
-// NewDuplex pairs two pipelines into a bidirectional link.
-func NewDuplex(up, down *Pipeline) *Duplex {
-	if up == nil {
-		up = NewPipeline()
-	}
-	if down == nil {
-		down = NewPipeline()
-	}
-	return &Duplex{Up: up, Down: down}
-}
-
-// Nest places this duplex inside outer: traffic leaving this link uplink
-// continues into outer's uplink, and traffic arriving from outer's downlink
-// enters this link's downlink. It returns the combined duplex whose Up is
-// inner.Up→outer.Up and Down is outer.Down→inner.Down.
-func (d *Duplex) Nest(outer *Duplex) *Duplex {
-	combinedUp := NewPipeline()
-	combinedUp.Append(d.Up)
-	combinedUp.Append(outer.Up)
-	combinedDown := NewPipeline()
-	combinedDown.Append(outer.Down)
-	combinedDown.Append(d.Down)
-	return &Duplex{Up: combinedUp, Down: combinedDown}
-}

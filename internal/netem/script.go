@@ -75,24 +75,6 @@ func (e Epoch) MeanSojournMs() float64 {
 	return (e.SojournSum / sim.Time(e.SojournCount)).Milliseconds()
 }
 
-// epochBase is the counter snapshot an epoch's deltas are taken against.
-type epochBase struct {
-	enqueued, dequeued  uint64
-	tailDrops, aqmDrops uint64
-	aqmMarks, flushed   uint64
-	sojournCount        uint64
-	sojournSum          sim.Time
-}
-
-func snapshotStats(qs *QueueStats) epochBase {
-	return epochBase{
-		enqueued: qs.Enqueued, dequeued: qs.Dequeued,
-		tailDrops: qs.TailDrops, aqmDrops: qs.AQMDrops,
-		aqmMarks: qs.AQMMarks, flushed: qs.Flushed,
-		sojournCount: qs.SojournCount, sojournSum: qs.SojournSum,
-	}
-}
-
 // ScenarioScript is a virtual-clock-scheduled mutation plan: a list of
 // (instant, mutation) steps armed at setup time, each rewriting link,
 // qdisc or loss parameters of live boxes when the clock reaches it — link
@@ -113,9 +95,11 @@ type ScenarioScript struct {
 	transitions []Transition
 	epochs      []Epoch
 	watched     Qdisc
-	base        epochBase
-	lastAt      sim.Time
-	finished    bool
+	// base is the watched queue's counters at the running epoch's start,
+	// the snapshot its deltas are taken against.
+	base     QueueStats
+	lastAt   sim.Time
+	finished bool
 }
 
 // NewScenarioScript returns an empty script bound to the loop. Add steps
@@ -128,7 +112,7 @@ func NewScenarioScript(loop *sim.Loop) *ScenarioScript {
 // downlink queue). Call at setup, before traffic flows.
 func (s *ScenarioScript) Watch(q Qdisc) {
 	s.watched = q
-	s.base = snapshotStats(q.QueueStats())
+	s.base = *q.QueueStats()
 	s.lastAt = s.loop.Now()
 }
 
@@ -144,7 +128,7 @@ func (s *ScenarioScript) At(t sim.Time, label string, fn func(now sim.Time) (mov
 		s.closeEpoch(now, label)
 		if watch != nil && watch != s.watched {
 			s.watched = watch
-			s.base = snapshotStats(watch.QueueStats())
+			s.base = *watch.QueueStats()
 		}
 	})
 }
@@ -156,18 +140,17 @@ func (s *ScenarioScript) closeEpoch(now sim.Time, label string) {
 	if s.watched == nil {
 		return
 	}
-	qs := s.watched.QueueStats()
-	cur := snapshotStats(qs)
+	cur := *s.watched.QueueStats()
 	s.epochs = append(s.epochs, Epoch{
 		From: s.lastAt, To: now, Label: label,
-		Enqueued:     cur.enqueued - s.base.enqueued,
-		Dequeued:     cur.dequeued - s.base.dequeued,
-		TailDrops:    cur.tailDrops - s.base.tailDrops,
-		AQMDrops:     cur.aqmDrops - s.base.aqmDrops,
-		AQMMarks:     cur.aqmMarks - s.base.aqmMarks,
-		Flushed:      cur.flushed - s.base.flushed,
-		SojournCount: cur.sojournCount - s.base.sojournCount,
-		SojournSum:   cur.sojournSum - s.base.sojournSum,
+		Enqueued:     cur.Enqueued - s.base.Enqueued,
+		Dequeued:     cur.Dequeued - s.base.Dequeued,
+		TailDrops:    cur.TailDrops - s.base.TailDrops,
+		AQMDrops:     cur.AQMDrops - s.base.AQMDrops,
+		AQMMarks:     cur.AQMMarks - s.base.AQMMarks,
+		Flushed:      cur.Flushed - s.base.Flushed,
+		SojournCount: cur.SojournCount - s.base.SojournCount,
+		SojournSum:   cur.SojournSum - s.base.SojournSum,
 	})
 	s.base = cur
 	s.lastAt = now
@@ -221,14 +204,6 @@ func (s *ScenarioScript) RateStep(t sim.Time, r *RateBox, bitsPerSec int64) {
 func (s *ScenarioScript) Handover(t sim.Time, tb *TraceBox, opps OpportunitySource, label string) {
 	s.At(t, "handover-"+label, func(sim.Time) (int, int, Qdisc) {
 		tb.SetSource(opps)
-		return 0, 0, nil
-	})
-}
-
-// LossStep schedules a Bernoulli loss-rate change on a LossBox.
-func (s *ScenarioScript) LossStep(t sim.Time, l *LossBox, prob float64) {
-	s.At(t, fmt.Sprintf("loss-%g", prob), func(sim.Time) (int, int, Qdisc) {
-		l.SetProb(prob)
 		return 0, 0, nil
 	})
 }
@@ -287,22 +262,23 @@ func (s *ScenarioScript) SwapQdisc(t sim.Time, h QdiscHolder, spec QdiscSpec, po
 	})
 }
 
-// RenderTranscript renders the transition transcript and epoch table as
-// artifact text: one line per transition, one per phase. Experiment
-// drivers embed it in their deterministic output.
-func (s *ScenarioScript) RenderTranscript(b *strings.Builder, indent string) {
-	for _, tr := range s.transitions {
-		fmt.Fprintf(b, "%s@%-9v %-24s moved=%-4d dropped=%d\n",
-			indent, tr.At, tr.Label, tr.Moved, tr.Dropped)
+// RenderTranscript renders a script's transition transcript and epoch
+// table as artifact text, each line indented by two spaces: one line per
+// transition, then one per phase. Experiment drivers embed it in their
+// deterministic output.
+func RenderTranscript(b *strings.Builder, transitions []Transition, epochs []Epoch) {
+	for _, tr := range transitions {
+		fmt.Fprintf(b, "  @%-9v %-24s moved=%-4d dropped=%d\n",
+			tr.At, tr.Label, tr.Moved, tr.Dropped)
 	}
-	if len(s.epochs) == 0 {
+	if len(epochs) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "%s%-34s %6s %6s %7s %7s %7s %7s %8s\n",
-		indent, "phase", "enq", "deq", "taildrp", "aqmdrp", "aqmmark", "flushed", "meanq ms")
-	for _, e := range s.epochs {
-		fmt.Fprintf(b, "%s%-34s %6d %6d %7d %7d %7d %7d %8.1f\n",
-			indent, fmt.Sprintf("%v..%v %s", e.From, e.To, e.Label),
+	fmt.Fprintf(b, "  %-34s %6s %6s %7s %7s %7s %7s %8s\n",
+		"phase", "enq", "deq", "taildrp", "aqmdrp", "aqmmark", "flushed", "meanq ms")
+	for _, e := range epochs {
+		fmt.Fprintf(b, "  %-34s %6d %6d %7d %7d %7d %7d %8.1f\n",
+			fmt.Sprintf("%v..%v %s", e.From, e.To, e.Label),
 			e.Enqueued, e.Dequeued,
 			e.TailDrops, e.AQMDrops, e.AQMMarks, e.Flushed, e.MeanSojournMs())
 	}

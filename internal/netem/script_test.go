@@ -44,7 +44,7 @@ func TestScenarioScriptGoldenTranscript(t *testing.T) {
 	script.Finish(loop.Now())
 
 	var b strings.Builder
-	script.RenderTranscript(&b, "  ")
+	RenderTranscript(&b, script.Transitions(), script.Epochs())
 	got := b.String()
 	const want = `  @60ms      rate-2000000bps          moved=0    dropped=0
   @120ms     qdisc-codel-hold         moved=15   dropped=0
