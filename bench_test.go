@@ -479,7 +479,7 @@ func benchLoopSchedule(b *testing.B, standing, spread int) {
 			// Distinct deadlines: the unclustered tail.
 			loop.Schedule(sim.Time(100+j)*sim.Microsecond, h)
 		}
-		loop.RunFor(sim.Millisecond)
+		loop.RunUntil(loop.Now() + sim.Millisecond)
 		if loop.Pending() != standing {
 			b.Fatalf("standing population disturbed: %d", loop.Pending())
 		}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,10 +112,12 @@ func TestReplaysRecordedArchive(t *testing.T) {
 // TestMismatchedArchiveFails replays a 3-origin recording with the default
 // -servers 12 page spec. Most of that page's resources sit on hosts the
 // archive lacks: the load must still finish, report them, and exit 1
-// naming the flags the page spec is rebuilt from.
+// naming the flags the page spec is rebuilt from. No resource may take
+// over 10 s: one on a port the archive serves only for another address is
+// refused at once, not after the dialer's SYN retransmissions.
 func TestMismatchedArchiveFails(t *testing.T) {
 	dir, _ := recordArchive(t, 3)
-	out, stderr, code := mmReplay(t, "-archive", dir)
+	out, stderr, code := mmReplay(t, "-archive", dir, "-v")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stdout:\n%s\nstderr:\n%s", code, out, stderr)
 	}
@@ -124,6 +127,16 @@ func TestMismatchedArchiveFails(t *testing.T) {
 	for _, flag := range []string{"-site", "-servers", "-seed"} {
 		if !strings.Contains(stderr, flag) {
 			t.Errorf("stderr does not name %s:\n%s", flag, stderr)
+		}
+	}
+	timing := regexp.MustCompile(`(?m)^\s*[0-9.]+ms \+\s*([0-9.]+)ms `)
+	matches := timing.FindAllStringSubmatch(out, -1)
+	if len(matches) == 0 {
+		t.Fatalf("no per-resource timings printed:\n%s", out)
+	}
+	for _, m := range matches {
+		if ms, err := strconv.ParseFloat(m[1], 64); err != nil || ms > 10_000 {
+			t.Errorf("resource timing %q: want at most 10 s", strings.TrimSpace(m[0]))
 		}
 	}
 }

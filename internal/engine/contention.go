@@ -118,14 +118,13 @@ type ContentionSpec struct {
 	ArrivalWindow sim.Time
 
 	// Web class: WebTransfers objects per flow (default 2), sizes Pareto
-	// (WebMinBytes scale, WebAlpha shape, clamped to WebMaxBytes; defaults
-	// 4 KB / 1.3 / 256 KB), exponential think time with mean WebThink
+	// (WebMinBytes scale, shape webAlpha, clamped to WebMaxBytes; defaults
+	// 4 KB and 256 KB), exponential think time with mean WebThink
 	// (default 200 ms) between objects.
 	WebTransfers int
 	WebThink     sim.Time
 	WebMinBytes  int
 	WebMaxBytes  int
-	WebAlpha     float64
 
 	// Bulk class: one BulkBytes download per flow (default 512 KB).
 	BulkBytes int
@@ -167,9 +166,6 @@ func (s ContentionSpec) withDefaults() ContentionSpec {
 	}
 	if s.WebMaxBytes <= 0 {
 		s.WebMaxBytes = 256 << 10
-	}
-	if s.WebAlpha <= 0 {
-		s.WebAlpha = 1.3
 	}
 	if s.BulkBytes <= 0 {
 		s.BulkBytes = 512 << 10
@@ -234,6 +230,9 @@ const (
 	rpcPort  = 8081
 	bulkPort = 9000
 )
+
+// webAlpha is the shape of the web class's Pareto object sizes.
+const webAlpha = 1.3
 
 var (
 	contentionClientAddr = nsim.ParseAddr("10.1.0.1")
@@ -351,7 +350,7 @@ func RunContention(sh *Shard, spec ContentionSpec) ContentionResult {
 	qs := downQ.QueueStats()
 	var classOf map[uint64]Class
 	if spec.TrackClassSojourns {
-		qs.TrackFlowSojourns()
+		qs.TrackFlows()
 		classOf = make(map[uint64]Class, spec.Flows)
 	}
 	upPipe := netem.NewPipeline(
@@ -529,13 +528,7 @@ func aggregateClassQueue(res *ContentionResult, qs *netem.QueueStats, classOf ma
 			continue // handshake-only flow the queue saw before class tagging
 		}
 		f := qs.Flow(id)
-		a := &agg[cls]
-		a.DequeuedBytes += f.DequeuedBytes
-		a.TailDrops += f.TailDrops
-		a.AQMDrops += f.AQMDrops
-		a.AQMMarks += f.AQMMarks
-		a.SojournCount += f.SojournCount
-		a.SojournSum += f.SojournSum
+		agg[cls].Add(f)
 		samples[cls] = append(samples[cls], f.SojournSample())
 	}
 	for cls := Class(0); cls < numClasses; cls++ {
@@ -559,7 +552,7 @@ func (r *contentionRun) startTransfer(f *cflow) {
 	switch f.class {
 	case ClassWeb:
 		port = webPort
-		size := f.rng.Pareto(float64(r.spec.WebMinBytes), r.spec.WebAlpha)
+		size := f.rng.Pareto(float64(r.spec.WebMinBytes), webAlpha)
 		f.want = int(size)
 		if f.want > r.spec.WebMaxBytes {
 			f.want = r.spec.WebMaxBytes

@@ -39,15 +39,18 @@ type BufferbloatConfig struct {
 	// HeadStart is how long the bulk flow runs before the page load
 	// starts, so the measured load meets an already-standing queue.
 	HeadStart sim.Time
-	// DeepPackets and ShallowPackets are the two droptail buffer depths;
-	// the AQM cells use the deep physical buffer behind the control law,
-	// with their RFC defaults (CoDel RFC 8289, PIE RFC 8033, fq_codel RFC
-	// 8290: 1024 buckets, one-MTU quantum).
-	DeepPackets    int
-	ShallowPackets int
-	// OneWayDelay is the propagation delay either side of the queue.
-	OneWayDelay sim.Time
 }
+
+// The bufferbloat link: a 20 ms one-way delay either side of the queue,
+// and the two droptail buffer depths. The AQM cells use the deep physical
+// buffer behind the control law, with their RFC defaults (CoDel RFC 8289,
+// PIE RFC 8033, fq_codel RFC 8290: 1024 buckets, one-MTU quantum). The
+// contention grid uses the same delay and buffer depths.
+const (
+	bloatOneWay         = 20 * sim.Millisecond
+	bloatDeepPackets    = 600
+	bloatShallowPackets = 32
+)
 
 // DefaultBufferbloat returns the reference configuration: a 12 Mbit/s
 // link (≈1 packet/ms, so a 600-packet buffer is ≈600 ms of standing
@@ -56,12 +59,10 @@ type BufferbloatConfig struct {
 // overshoot before the measured load begins.
 func DefaultBufferbloat() BufferbloatConfig {
 	return BufferbloatConfig{
-		Seed:        11,
-		BulkBytes:   16 << 20,
-		HeadStart:   3 * sim.Second,
-		DeepPackets: 600, ShallowPackets: 32,
-		OneWayDelay: 20 * sim.Millisecond,
-		Shards:      1,
+		Seed:      11,
+		BulkBytes: 16 << 20,
+		HeadStart: 3 * sim.Second,
+		Shards:    1,
 	}
 }
 
@@ -100,7 +101,7 @@ type FairnessRow struct {
 	// BulkMeanQMs and WebMeanQMs are per-class mean sojourn times.
 	BulkMeanQMs, WebMeanQMs float64
 	// BulkP95QMs and WebP95QMs are per-class p95 sojourn times, from the
-	// per-flow distributions TrackFlowSojourns records. BulkP95QMs is the
+	// per-flow distributions TrackFlows records. BulkP95QMs is the
 	// bulk flow's own p95; WebP95QMs is the median web flow's p95 (see
 	// medianFlowP95) — the typical page flow's tail queueing delay, the
 	// number flow queueing exists to decouple from the bulk backlog.
@@ -129,25 +130,25 @@ type BufferbloatResult struct {
 }
 
 // bufferbloatQdiscs enumerates the qdisc arm of the grid.
-func bufferbloatQdiscs(cfg BufferbloatConfig) []netem.QdiscSpec {
-	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets}
+func bufferbloatQdiscs() []netem.QdiscSpec {
+	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: bloatDeepPackets}
 	codelECN := codel
 	codelECN.ECN = true
-	pie := netem.QdiscSpec{Kind: netem.QdiscPIE, Packets: cfg.DeepPackets}
+	pie := netem.QdiscSpec{Kind: netem.QdiscPIE, Packets: bloatDeepPackets}
 	pieECN := pie
 	pieECN.ECN = true
-	fq := netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: cfg.DeepPackets}
+	fq := netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: bloatDeepPackets}
 	fqECN := fq
 	fqECN.ECN = true
 	return []netem.QdiscSpec{
-		{Packets: cfg.DeepPackets},    // droptail-deep: the bufferbloated buffer
-		{Packets: cfg.ShallowPackets}, // droptail-shallow: low delay, lossy
-		codel,                         // AQM on the deep buffer, dropping
-		codelECN,                      // same law, CE-marking ECT packets
-		pie,                           // RFC 8033 on the deep buffer, dropping
-		pieECN,                        // PIE marking
-		fq,                            // RFC 8290: per-flow CoDel + DRR
-		fqECN,                         // fq_codel marking
+		{Packets: bloatDeepPackets},    // droptail-deep: the bufferbloated buffer
+		{Packets: bloatShallowPackets}, // droptail-shallow: low delay, lossy
+		codel,                          // AQM on the deep buffer, dropping
+		codelECN,                       // same law, CE-marking ECT packets
+		pie,                            // RFC 8033 on the deep buffer, dropping
+		pieECN,                         // PIE marking
+		fq,                             // RFC 8290: per-flow CoDel + DRR
+		fqECN,                          // fq_codel marking
 	}
 }
 
@@ -182,7 +183,7 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 		{"const12", constUp, constDown},
 		{"cellular", constUp, cellDown},
 	}
-	qdiscs := bufferbloatQdiscs(cfg)
+	qdiscs := bufferbloatQdiscs()
 
 	var cells []Cell
 	for _, l := range links {
@@ -214,13 +215,13 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 	downQ.QueueStats().RecordSojourn(sojourn)
 	// Per-flow attribution on the contended queue feeds the fairness table;
 	// the per-flow sojourn distributions feed its per-class p95 columns.
-	downQ.QueueStats().TrackFlowSojourns()
+	downQ.QueueStats().TrackFlows()
 	// The ECN cells negotiate ECN on every connection — client, replay
 	// servers and bulk sender — so all traffic through the marking AQM is
 	// ECT and the control law resolves by marking, never dropping.
 	pl := build(LoadSpec{
 		Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-		Shells:  []shells.Shell{&bloatLink{oneWay: cfg.OneWayDelay, up: up, down: down, downQ: downQ}},
+		Shells:  []shells.Shell{&bloatLink{up: up, down: down, downQ: downQ}},
 		ECN:     spec.ECN,
 		Scratch: scratchFor(sh),
 	})
@@ -281,7 +282,6 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 // unbounded droptail queue so the qdisc arms differ in exactly one
 // variable.
 type bloatLink struct {
-	oneWay   sim.Time
 	up, down *trace.Trace
 	downQ    netem.Qdisc
 }
@@ -292,12 +292,12 @@ func (l *bloatLink) Name() string { return "bloat" }
 // Boxes implements shells.Shell.
 func (l *bloatLink) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
 	up := netem.NewPipeline(
-		netem.NewDelayBox(loop, l.oneWay),
+		netem.NewDelayBox(loop, bloatOneWay),
 		netem.NewTraceBox(loop, l.up.Cursor(), netem.QdiscSpec{}.Build()),
 	)
 	down := netem.NewPipeline(
 		netem.NewTraceBox(loop, l.down.Cursor(), l.downQ),
-		netem.NewDelayBox(loop, l.oneWay),
+		netem.NewDelayBox(loop, bloatOneWay),
 	)
 	return up, down
 }
@@ -318,19 +318,11 @@ func fairnessRow(qs *netem.QueueStats) FairnessRow {
 	var bulkSamples, webSamples []*stats.Sample
 	for _, id := range ids {
 		f := qs.Flow(id)
-		into := &web
 		if id == bulkID {
-			into = &bulk
-		}
-		into.DequeuedBytes += f.DequeuedBytes
-		into.TailDrops += f.TailDrops
-		into.AQMDrops += f.AQMDrops
-		into.AQMMarks += f.AQMMarks
-		into.SojournCount += f.SojournCount
-		into.SojournSum += f.SojournSum
-		if id == bulkID {
+			bulk.Add(f)
 			bulkSamples = append(bulkSamples, f.SojournSample())
 		} else {
+			web.Add(f)
 			webSamples = append(webSamples, f.SojournSample())
 		}
 	}

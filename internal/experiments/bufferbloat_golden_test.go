@@ -10,9 +10,9 @@ import (
 
 // bufferbloatGoldenPR5 pins every measurement of the pre-fq_codel
 // bufferbloat grid (the 12 droptail/codel/pie cells, captured before
-// FQCoDel existed) on a reduced workload. Growing the grid — and switching
-// the per-flow telemetry from TrackFlows to TrackFlowSojourns — must not
-// move a single digit in any pre-existing cell: cell seeds derive from the
+// FQCoDel existed) on a reduced workload. Growing the grid — and recording
+// per-flow sojourn distributions — must not move a single digit in any
+// pre-existing cell: cell seeds derive from the
 // cell's (site, shell) labels, not its index, so appended cells cannot
 // reshuffle established ones, and the sojourn histograms only record.
 // A diff here means fq_codel's introduction perturbed settled physics.

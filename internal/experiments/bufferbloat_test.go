@@ -67,7 +67,7 @@ func TestBufferbloatOrdering(t *testing.T) {
 				fqECNRow = row
 			case row.Qdisc.Kind == netem.QdiscFQCoDel:
 				fqRow = row
-			case row.Qdisc.Packets == cfg.DeepPackets:
+			case row.Qdisc.Packets == bloatDeepPackets:
 				deepRow = row
 			default:
 				shallowRow = row

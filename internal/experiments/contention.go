@@ -29,20 +29,17 @@ type ContentionConfig struct {
 	Shards int
 	// BulkBytes sizes the bulk class's downloads.
 	BulkBytes int
-	// OneWayDelay is the propagation delay either side of the queue.
-	OneWayDelay sim.Time
 }
 
 // DefaultContention returns the reference configuration: 96 flows at 6:1:3
 // over the 12 Mbit/s constant and synthetic cellular links.
 func DefaultContention() ContentionConfig {
 	return ContentionConfig{
-		Seed:        17,
-		Flows:       96,
-		Mix:         engine.Mix{Web: 6, Bulk: 1, RPC: 3},
-		Shards:      1,
-		BulkBytes:   256 << 10,
-		OneWayDelay: 20 * sim.Millisecond,
+		Seed:      17,
+		Flows:     96,
+		Mix:       engine.Mix{Web: 6, Bulk: 1, RPC: 3},
+		Shards:    1,
+		BulkBytes: 256 << 10,
 	}
 }
 
@@ -70,8 +67,8 @@ type ContentionSweepResult struct {
 // results land index-aligned, so the rendered artifact does not depend on
 // Shards.
 func Contention(cfg ContentionConfig) ContentionSweepResult {
-	// The qdisc grid is bufferbloat's at its default buffer depths.
-	qdiscs := bufferbloatQdiscs(DefaultBufferbloat())
+	// The qdisc grid and the link's delay are bufferbloat's.
+	qdiscs := bufferbloatQdiscs()
 
 	constLink, err := trace.Constant(12_000_000, 2000)
 	if err != nil {
@@ -107,7 +104,7 @@ func Contention(cfg ContentionConfig) ContentionSweepResult {
 			Qdisc:              qdiscs[cell%len(qdiscs)],
 			Up:                 l.up,
 			Down:               l.down,
-			OneWayDelay:        cfg.OneWayDelay,
+			OneWayDelay:        bloatOneWay,
 			BulkBytes:          cfg.BulkBytes,
 			TrackClassSojourns: true,
 		}

@@ -29,43 +29,33 @@ type DynamicsConfig struct {
 	Seed uint64
 	// Shards is the sharded engine's lane count (<= 0 = GOMAXPROCS).
 	Shards int
-	// LinkRate is the shaped link's base rate; StepRate is what the
-	// ratestep scenario drops it to mid-load.
-	LinkRate, StepRate int64
-	// OneWayDelay is the propagation delay either side of the queue.
-	OneWayDelay sim.Time
-	// DeepPackets bounds the downlink queue.
-	DeepPackets int
-	// OutageStart/OutageEnd bound the outage scenario's link-down window.
-	OutageStart, OutageEnd sim.Time
-	// MutateAt is when the single-step scenarios (handover, ratestep,
-	// lossburst onset, qdisc swap) fire; LossClearAt ends the loss burst.
-	MutateAt, LossClearAt sim.Time
-	// ResponseTimeout is the browser's per-connection silence deadline —
-	// what turns a dead origin into a partial-page outcome instead of a
-	// wedged load. Must be > 0: the outage cell's contract is that it
-	// completes.
-	ResponseTimeout sim.Time
 }
 
-// DefaultDynamics returns the reference configuration: a 4 Mbit/s link
-// (slow enough that a WikiHow-class page is still mid-load at 1 s), a
-// 1–4 s outage riding the browser's 20 s response deadline, and mutations
-// at 1 s, when the load is in full flight.
+// The grid's link and fault timeline. The shaped link runs at 4 Mbit/s
+// (slow enough that a WikiHow-class page is still mid-load at 1 s) with a
+// 20 ms one-way delay either side of a 200-packet downlink queue; the
+// ratestep scenario drops it to 800 kbit/s. The outage holds the link down
+// from 1 s to 4 s; the single-step scenarios (handover, ratestep, lossburst
+// onset, qdisc swap) fire at 1 s, when the load is in full flight, and the
+// loss burst clears at 3 s.
+const (
+	dynLinkRate     = 4_000_000
+	dynStepRate     = 800_000
+	dynOneWay       = 20 * sim.Millisecond
+	dynQueuePackets = 200
+	dynOutageStart  = 1 * sim.Second
+	dynOutageEnd    = 4 * sim.Second
+	dynMutateAt     = 1 * sim.Second
+	dynLossClearAt  = 3 * sim.Second
+	// dynResponseTimeout is the browser's per-connection silence deadline:
+	// it turns a dead origin into a partial-page outcome instead of a
+	// wedged load, so the outage cell completes.
+	dynResponseTimeout = 20 * sim.Second
+)
+
+// DefaultDynamics returns the reference configuration.
 func DefaultDynamics() DynamicsConfig {
-	return DynamicsConfig{
-		Seed:            17,
-		LinkRate:        4_000_000,
-		StepRate:        800_000,
-		OneWayDelay:     20 * sim.Millisecond,
-		DeepPackets:     200,
-		OutageStart:     1 * sim.Second,
-		OutageEnd:       4 * sim.Second,
-		MutateAt:        1 * sim.Second,
-		LossClearAt:     3 * sim.Second,
-		ResponseTimeout: 20 * sim.Second,
-		Shards:          1,
-	}
+	return DynamicsConfig{Seed: 17, Shards: 1}
 }
 
 // DynamicsRow is one cell's outcome: the load-level verdict plus the
@@ -97,11 +87,11 @@ type DynamicsResult struct {
 func dynamicsScenarios() []string { return []string{"outage", "handover", "ratestep"} }
 
 // dynamicsQdiscs enumerates the AQM arm.
-func dynamicsQdiscs(cfg DynamicsConfig) []netem.QdiscSpec {
+func dynamicsQdiscs() []netem.QdiscSpec {
 	return []netem.QdiscSpec{
-		{Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets},
-		{Kind: netem.QdiscFQCoDel, Packets: cfg.DeepPackets},
-		{Kind: netem.QdiscPIE, Packets: cfg.DeepPackets},
+		{Kind: netem.QdiscCoDel, Packets: dynQueuePackets},
+		{Kind: netem.QdiscFQCoDel, Packets: dynQueuePackets},
+		{Kind: netem.QdiscPIE, Packets: dynQueuePackets},
 	}
 }
 
@@ -110,9 +100,6 @@ func dynamicsQdiscs(cfg DynamicsConfig) []netem.QdiscSpec {
 // merge index-aligned, so the artifact is byte-identical at any shard
 // count and under any placement.
 func Dynamics(cfg DynamicsConfig) DynamicsResult {
-	if cfg.ResponseTimeout <= 0 {
-		panic("experiments: Dynamics requires a browser ResponseTimeout (the no-hang contract)")
-	}
 	page := webgen.GeneratePage(sim.NewRand(sim.DeriveSeed(cfg.Seed, "page")), webgen.WikiHowLike())
 	site := webgen.Materialize(page)
 	// The handover cell's two radio faces: a jittery LTE-class trace and a
@@ -128,14 +115,14 @@ func Dynamics(cfg DynamicsConfig) DynamicsResult {
 	}
 
 	scenarios := dynamicsScenarios()
-	qdiscs := dynamicsQdiscs(cfg)
+	qdiscs := dynamicsQdiscs()
 	var cells []string
 	for _, sc := range scenarios {
 		for _, spec := range qdiscs {
 			cells = append(cells, sc+"+"+spec.String())
 		}
 	}
-	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets}
+	codel := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: dynQueuePackets}
 	cells = append(cells,
 		"lossburst+"+codel.String(),
 		"aqmswap-hold+droptail",
@@ -152,7 +139,7 @@ func Dynamics(cfg DynamicsConfig) DynamicsResult {
 		case scenario == "lossburst":
 			spec = codel
 		default: // aqmswap cells start on a deep droptail
-			spec = netem.QdiscSpec{Packets: cfg.DeepPackets}
+			spec = netem.QdiscSpec{Packets: dynQueuePackets}
 		}
 		return dynamicsCell(sh, cfg, page, site, lte, wifi, scenario, spec)
 	}})
@@ -202,18 +189,18 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 		downTrace = netem.NewTraceBox(loop, lte.Cursor(), downQ)
 		downBottleneck = downTrace
 	} else {
-		downRate = netem.NewRateBox(loop, cfg.LinkRate, downQ)
+		downRate = netem.NewRateBox(loop, dynLinkRate, downQ)
 		downBottleneck = downRate
 	}
-	upPipe := netem.NewPipeline(netem.NewDelayBox(loop, cfg.OneWayDelay))
-	upPipe.Append(netem.NewRateBox(loop, cfg.LinkRate, upQ))
+	upPipe := netem.NewPipeline(netem.NewDelayBox(loop, dynOneWay))
+	upPipe.Append(netem.NewRateBox(loop, dynLinkRate, upQ))
 	upPipe.Append(upGate)
 	downPipe := netem.NewPipeline(downBottleneck)
 	lossBox := netem.NewLossBox(0, sim.NewRand(sim.DeriveSeed(cfg.Seed, "loss", scenario)))
 	if scenario == "lossburst" {
 		downPipe.Append(lossBox)
 	}
-	downPipe.Append(netem.NewDelayBox(loop, cfg.OneWayDelay))
+	downPipe.Append(netem.NewDelayBox(loop, dynOneWay))
 	downPipe.Append(downGate)
 	inEnd, outEnd := nsim.Connect(app, world, upPipe, downPipe)
 	app.AddDefaultRoute(inEnd)
@@ -223,24 +210,24 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 	outageFired := false
 	switch scenario {
 	case "outage":
-		script.LinkDown(cfg.OutageStart, upGate)
-		script.LinkDown(cfg.OutageStart, downGate)
-		script.LinkUp(cfg.OutageEnd, upGate, netem.DrainFlush)
-		script.LinkUp(cfg.OutageEnd, downGate, netem.DrainFlush)
+		script.LinkDown(dynOutageStart, upGate)
+		script.LinkDown(dynOutageStart, downGate)
+		script.LinkUp(dynOutageEnd, upGate, netem.DrainFlush)
+		script.LinkUp(dynOutageEnd, downGate, netem.DrainFlush)
 		outageFired = true
 	case "handover":
-		script.Handover(cfg.MutateAt, downTrace, wifi.Cursor(), "wifi")
+		script.Handover(dynMutateAt, downTrace, wifi.Cursor(), "wifi")
 	case "ratestep":
-		script.RateStep(cfg.MutateAt, downRate, cfg.StepRate)
+		script.RateStep(dynMutateAt, downRate, dynStepRate)
 	case "lossburst":
-		script.LossModelSwap(cfg.MutateAt, lossBox, netem.NewGilbertElliott(0.3, 0.3))
-		script.LossModelSwap(cfg.LossClearAt, lossBox, netem.NewBernoulli(0))
+		script.LossModelSwap(dynMutateAt, lossBox, netem.NewGilbertElliott(0.3, 0.3))
+		script.LossModelSwap(dynLossClearAt, lossBox, netem.NewBernoulli(0))
 	case "aqmswap-hold":
-		script.SwapQdisc(cfg.MutateAt, downRate, netem.QdiscSpec{
-			Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets}, netem.DrainHold)
+		script.SwapQdisc(dynMutateAt, downRate, netem.QdiscSpec{
+			Kind: netem.QdiscCoDel, Packets: dynQueuePackets}, netem.DrainHold)
 	case "aqmswap-flush":
-		script.SwapQdisc(cfg.MutateAt, downRate, netem.QdiscSpec{
-			Kind: netem.QdiscCoDel, Packets: cfg.DeepPackets}, netem.DrainFlush)
+		script.SwapQdisc(dynMutateAt, downRate, netem.QdiscSpec{
+			Kind: netem.QdiscCoDel, Packets: dynQueuePackets}, netem.DrainFlush)
 	default:
 		panic("experiments: unknown dynamics scenario " + scenario)
 	}
@@ -250,12 +237,11 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 	// needs less, but the raised cap is the outage-survival contract under
 	// longer scripted windows too).
 	stack := tcpsim.NewStackPool(app, sh.Segments())
-	stack.SetConnPool(sh.Conns())
 	stack.SetMaxRTORetries(30)
 	replay.Stack.SetMaxRTORetries(30)
 
 	opts := browser.DefaultOptions()
-	opts.ResponseTimeout = cfg.ResponseTimeout
+	opts.ResponseTimeout = dynResponseTimeout
 	b := browser.New(stack, replay.Resolver, AppAddr, opts)
 	var result browser.Result
 	b.Load(page, func(r browser.Result) { result = r })

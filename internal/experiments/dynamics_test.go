@@ -115,16 +115,3 @@ func TestDynamicsShardInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestDynamicsRequiresResponseTimeout: the no-hang contract is enforced at
-// the door — a config that disables the browser deadline is refused.
-func TestDynamicsRequiresResponseTimeout(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dynamics accepted ResponseTimeout=0")
-		}
-	}()
-	cfg := DefaultDynamics()
-	cfg.ResponseTimeout = 0
-	Dynamics(cfg)
-}

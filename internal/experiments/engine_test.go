@@ -141,12 +141,7 @@ var parallelArtifacts = []struct {
 	}},
 	// Figure 3 shares per-trial RTT draws and adds jitter.
 	{"fig3", "fig3.golden", func(shards int) string {
-		cfg := Fig3Config{
-			Loads: 6, Seed: 3,
-			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-			Shards: shards,
-		}
-		return Fig3(cfg).String()
+		return Fig3(Fig3Config{Loads: 6, Seed: 3, Shards: shards}).String()
 	}},
 	{"isolation", "isolation.golden", func(shards int) string {
 		return Isolation(5, shards).String()

@@ -141,10 +141,7 @@ func TestTable2SmallShape(t *testing.T) {
 }
 
 func TestFig3SmallShape(t *testing.T) {
-	r := Fig3(Fig3Config{
-		Loads: 12, Seed: 3,
-		MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-	})
+	r := Fig3(Fig3Config{Loads: 12, Seed: 3})
 	// Multi-origin replay must track the web more closely than the
 	// single-server ablation (paper: 7.9% vs 29.6%).
 	if r.MultiGap >= r.SingleGap {

@@ -22,21 +22,21 @@ type Fig3Config struct {
 	// Seed roots the scenario grid: the live web's variability and the
 	// per-load RTT draws all derive from it per trial.
 	Seed uint64
-	// MinRTTBase/MinRTTSpread: each load's path minimum RTT is drawn
-	// uniformly from [Base, Base+Spread]; as in the paper, the same
-	// per-load minimum RTT is fed to DelayShell for the replay arms.
-	MinRTTBase, MinRTTSpread sim.Time
 	// Shards is the engine shard count (<= 0: GOMAXPROCS).
 	Shards int
 }
 
+// Each load's path minimum RTT is drawn uniformly from [fig3MinRTTBase,
+// fig3MinRTTBase+fig3MinRTTSpread]; as in the paper, the same per-load
+// minimum RTT is fed to DelayShell for the replay arms.
+const (
+	fig3MinRTTBase   = 20 * sim.Millisecond
+	fig3MinRTTSpread = 20 * sim.Millisecond
+)
+
 // DefaultFig3 mirrors the paper's setup.
 func DefaultFig3() Fig3Config {
-	return Fig3Config{
-		Loads: 100, Seed: 3,
-		MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-		Shards: 1,
-	}
+	return Fig3Config{Loads: 100, Seed: 3, Shards: 1}
 }
 
 // Fig3Result holds the three PLT distributions of Figure 3.
@@ -64,18 +64,18 @@ func Fig3(cfg Fig3Config) Fig3Result {
 	}
 	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, _ int, _ Cell, seed uint64) fig3Trial {
 		rng := sim.NewRand(seed)
-		minRTT := cfg.MinRTTBase + rng.Duration(cfg.MinRTTSpread+1)
+		minRTT := fig3MinRTTBase + rng.Duration(fig3MinRTTSpread+1)
 		webSeed := rng.Uint64()
 		web := liveLoad(sh, page, minRTT/2, webSeed)
 		stack := []shells.Shell{shells.NewDelayShell(minRTT / 2)}
 		sc := scratchFor(sh)
 		multi := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: stack,
-			CPUJitterSigma: 0.015, Rand: rng, Scratch: sc,
+			CPUJitterSigma: hostJitterSigma, Rand: rng, Scratch: sc,
 		})
 		single := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: stack,
-			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng, Scratch: sc,
+			SingleServer: true, CPUJitterSigma: hostJitterSigma, Rand: rng, Scratch: sc,
 		})
 		return fig3Trial{web, multi, single}
 	})

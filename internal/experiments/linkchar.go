@@ -30,22 +30,18 @@ type LinkcharConfig struct {
 	Shards int
 	// BulkBytes is the downloaded payload size per cell.
 	BulkBytes int
-	// PeriodMS is the synthesized corpus trace length.
-	PeriodMS int
-	// OneWayDelay is the propagation delay either side of the link.
-	OneWayDelay sim.Time
 }
 
-// DefaultLinkchar returns the reference configuration: 1 MB downloads over
-// 30-second corpus traces with 20 ms one-way delay.
+// Every cell's link: a 30-second corpus trace with a 20 ms one-way delay
+// either side.
+const (
+	linkcharPeriodMS = 30_000
+	linkcharOneWay   = 20 * sim.Millisecond
+)
+
+// DefaultLinkchar returns the reference configuration: 1 MB downloads.
 func DefaultLinkchar() LinkcharConfig {
-	return LinkcharConfig{
-		Seed:        23,
-		Shards:      1,
-		BulkBytes:   1 << 20,
-		PeriodMS:    30_000,
-		OneWayDelay: 20 * sim.Millisecond,
-	}
+	return LinkcharConfig{Seed: 23, Shards: 1, BulkBytes: 1 << 20}
 }
 
 // linkcharImpair is one arm of the impairment axis: a name plus a factory
@@ -137,7 +133,7 @@ type LinkcharResult struct {
 // each cell's boxes draw from streams forked off the cell seed, so the
 // artifact is byte-identical at any shard count.
 func Linkchar(cfg LinkcharConfig) LinkcharResult {
-	corpus, err := trace.Corpus(sim.DeriveSeed(cfg.Seed, "corpus"), cfg.PeriodMS)
+	corpus, err := trace.Corpus(sim.DeriveSeed(cfg.Seed, "corpus"), linkcharPeriodMS)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -165,7 +161,7 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 		l := corpus[i/perLink]
 		imp := impairs[(i%perLink)/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
-		return linkcharCell(sh, cfg, payload, upTrace, l, imp, spec, seed)
+		return linkcharCell(sh, payload, upTrace, l, imp, spec, seed)
 	})
 	return LinkcharResult{Rows: rows}
 }
@@ -173,7 +169,7 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 // linkcharCell runs one cell on sh: a bulk download from a server
 // namespace to a client across a downlink shaped by trace + qdisc +
 // impairment box.
-func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
+func linkcharCell(sh *engine.Shard, payload []byte, up, down *trace.Trace,
 	imp linkcharImpair, spec netem.QdiscSpec, seed uint64) LinkcharRow {
 	loop := sh.Loop()
 	network := nsim.NewNetworkPooled(loop, sh.Pools())
@@ -190,14 +186,14 @@ func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down
 
 	downQ := spec.Build()
 	upPipe := netem.NewPipeline(
-		netem.NewDelayBox(loop, cfg.OneWayDelay),
+		netem.NewDelayBox(loop, linkcharOneWay),
 		netem.NewTraceBox(loop, up.Cursor(), netem.QdiscSpec{}.Build()),
 	)
 	boxes := []netem.Box{netem.NewTraceBox(loop, down.Cursor(), downQ)}
 	if box != nil {
 		boxes = append(boxes, box)
 	}
-	boxes = append(boxes, netem.NewDelayBox(loop, cfg.OneWayDelay))
+	boxes = append(boxes, netem.NewDelayBox(loop, linkcharOneWay))
 	downPipe := netem.NewPipeline(boxes...)
 	ec, es := nsim.Connect(cns, sns, upPipe, downPipe)
 	cns.AddDefaultRoute(ec)

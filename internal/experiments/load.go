@@ -45,6 +45,11 @@ var AppAddr = nsim.ParseAddr("100.64.0.2")
 // costs low milliseconds on 2014 hardware).
 const DefaultRequestCPU = 10 * sim.Millisecond
 
+// hostJitterSigma is the per-load host noise (LoadSpec.CPUJitterSigma) of
+// the drivers whose repeated loads differ: Table 1, Figure 3 and the sweep.
+// The paper's standard deviations are within 1.6% of the mean.
+const hostJitterSigma = 0.015
+
 // LoadSpec describes a single replayed page load.
 type LoadSpec struct {
 	// Page drives the browser; Site is the archive to replay (defaults to

@@ -24,9 +24,6 @@ type SweepConfig struct {
 	Seed  uint64
 	// Trials is the number of jittered loads per (site, stack) coordinate.
 	Trials int
-	// CPUJitterSigma is the per-load host-noise sigma applied when Trials
-	// draws differ (zero makes all trials of a coordinate identical).
-	CPUJitterSigma float64
 	// Delays, Rates and LossProbs span the stack grid. An empty LossProbs
 	// means no loss stage; a zero loss probability adds no LossShell.
 	Delays    []sim.Time
@@ -40,7 +37,7 @@ type SweepConfig struct {
 // × 2 loss settings × 20 sites × 2 trials.
 func DefaultSweep() SweepConfig {
 	return SweepConfig{
-		Sites: 20, Seed: 4, Trials: 2, CPUJitterSigma: 0.015,
+		Sites: 20, Seed: 4, Trials: 2,
 		Delays:    []sim.Time{30 * sim.Millisecond, 120 * sim.Millisecond},
 		Rates:     []int64{14_000_000},
 		LossProbs: []float64{0, 0.01},
@@ -129,16 +126,14 @@ func Sweep(cfg SweepConfig) SweepResult {
 				Seed: sim.DeriveSeed(seed, "loss"),
 			})
 		}
-		spec := LoadSpec{
+		return PLTms(LoadSpec{
 			Page: page, Site: site,
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-			Shells: stack, Scratch: scratchFor(sh),
-		}
-		if cfg.CPUJitterSigma > 0 {
-			spec.CPUJitterSigma = cfg.CPUJitterSigma
-			spec.Rand = sim.NewRand(sim.DeriveSeed(seed, "jitter"))
-		}
-		return PLTms(spec)
+			Shells:         stack,
+			CPUJitterSigma: hostJitterSigma,
+			Rand:           sim.NewRand(sim.DeriveSeed(seed, "jitter")),
+			Scratch:        scratchFor(sh),
+		})
 	})
 	out := SweepResult{Cells: len(cells)}
 	for si, st := range stacks {

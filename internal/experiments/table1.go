@@ -20,26 +20,23 @@ type Table1Config struct {
 	// folded into its machine's cell coordinates, so the two machines draw
 	// independent jitter streams.
 	MachineSeeds [2]uint64
-	// CPUJitterSigma models load-to-load host noise; the paper's standard
-	// deviations are within 1.6% of the mean.
-	CPUJitterSigma float64
-	// LinkRate and Delay are the reference network conditions the loads
-	// run under.
-	LinkRate int64
-	Delay    sim.Time
 	// Shards is the engine shard count (<= 0: GOMAXPROCS).
 	Shards int
 }
 
+// The reference network conditions Table 1's loads run under: a
+// 14 Mbit/s downlink (a quarter of that up) behind a 40 ms DelayShell.
+const (
+	table1LinkRate = 14_000_000
+	table1Delay    = 40 * sim.Millisecond
+)
+
 // DefaultTable1 mirrors the paper: 100 loads per site per machine.
 func DefaultTable1() Table1Config {
 	return Table1Config{
-		Loads:          100,
-		MachineSeeds:   [2]uint64{1001, 2002},
-		CPUJitterSigma: 0.015,
-		LinkRate:       14_000_000,
-		Delay:          40 * sim.Millisecond,
-		Shards:         1,
+		Loads:        100,
+		MachineSeeds: [2]uint64{1001, 2002},
+		Shards:       1,
 	}
 }
 
@@ -79,11 +76,11 @@ type Table1Result struct {
 // host-noise seed folded into the machine label), so per-load draws do not
 // depend on how many loads ran before them or on which goroutine ran them.
 func Table1(cfg Table1Config) Table1Result {
-	down, err := trace.Constant(cfg.LinkRate, 2000)
+	down, err := trace.Constant(table1LinkRate, 2000)
 	if err != nil {
 		panic(err)
 	}
-	up, err := trace.Constant(cfg.LinkRate/4, 2000)
+	up, err := trace.Constant(table1LinkRate/4, 2000)
 	if err != nil {
 		panic(err)
 	}
@@ -115,10 +112,10 @@ func Table1(cfg Table1Config) Table1Result {
 			Page: pages[pi], Site: sites[pi],
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 			Shells: []shells.Shell{
-				shells.NewDelayShell(cfg.Delay),
+				shells.NewDelayShell(table1Delay),
 				shells.NewLinkShell(up, down),
 			},
-			CPUJitterSigma: cfg.CPUJitterSigma,
+			CPUJitterSigma: hostJitterSigma,
 			Rand:           sim.NewRand(seed),
 			Scratch:        scratchFor(sh),
 		})

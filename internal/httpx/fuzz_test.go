@@ -1,7 +1,9 @@
 package httpx
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,64 @@ func FuzzResponseParserModes(f *testing.F) {
 			}
 		}
 		parseResponses(t, methods, raw[:i], raw[i:j], raw[j:])
+	})
+}
+
+// FuzzRequestParser feeds the same bytes to one RequestParser whole and to
+// another cut into three pieces at fuzzer-chosen offsets. Both must yield
+// the same requests (method, target, proto, header fields, body) and the
+// same error; feeding the pieces stops at the first error.
+//
+// CI runs it for a bounded time:
+//
+//	go test -run '^$' -fuzz FuzzRequestParser -fuzztime 10s ./internal/httpx/
+func FuzzRequestParser(f *testing.F) {
+	// The request vectors of the parser's unit tests: pipelined GETs, a
+	// Content-Length body, and a chunked body with an extension and a
+	// trailer.
+	seeds := []string{
+		"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n",
+		"GET /index.html?x=1 HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n",
+		"POST /submit HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello",
+		"GET /a HTTP/1.1\r\nHost: h\r\n\r\nPOST /b HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n\r\nxyz",
+		"POST /u HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n" +
+			"5;ext=1\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: v\r\n\r\n",
+		fmt.Sprintf("POST /big HTTP/1.1\r\nContent-Length: %d\r\n\r\n", MaxBodySize+1),
+	}
+	for _, s := range seeds {
+		n := uint16(len(s))
+		f.Add([]byte(s), uint16(0), uint16(0))
+		f.Add([]byte(s), n/3, n/3)
+		f.Add([]byte(s), n/2-1, uint16(1))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, cut1, cut2 uint16) {
+		i := int(cut1) % (len(raw) + 1)
+		j := i + int(cut2)%(len(raw)-i+1)
+		var whole, cut RequestParser
+		want, wantErr := whole.Feed(raw)
+		var got []*Request
+		var gotErr error
+		for _, piece := range [][]byte{raw[:i], raw[i:j], raw[j:]} {
+			reqs, err := cut.Feed(piece)
+			got = append(got, reqs...)
+			if gotErr = err; err != nil {
+				break
+			}
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("cut at %d, %d: error %v, whole: error %v", i, j, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cut at %d, %d: %d requests, whole: %d", i, j, len(got), len(want))
+		}
+		for k, w := range want {
+			g := got[k]
+			if g.Method != w.Method || g.Target != w.Target || g.Proto != w.Proto ||
+				!slices.Equal(g.Header.Fields(), w.Header.Fields()) || !bytes.Equal(g.Body, w.Body) {
+				t.Errorf("request %d cut at %d, %d: %q %q %q %v body %q, whole: %q %q %q %v body %q",
+					k, i, j, g.Method, g.Target, g.Proto, g.Header.Fields(), g.Body,
+					w.Method, w.Target, w.Proto, w.Header.Fields(), w.Body)
+			}
+		}
 	})
 }

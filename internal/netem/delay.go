@@ -43,9 +43,6 @@ func NewDelayBox(loop *sim.Loop, delay sim.Time) *DelayBox {
 	return d
 }
 
-// Delay reports the configured one-way delay.
-func (d *DelayBox) Delay() sim.Time { return d.delay }
-
 // Send implements Box.
 func (d *DelayBox) Send(pkt *Packet) { d.SendBatch(d.one(pkt)) }
 
@@ -98,7 +95,7 @@ func (d *DelayBox) release(_ sim.Time, arg any) {
 // LossBox drops packets according to a pluggable LossModel (Mahimahi's
 // mm-loss extension; Bernoulli by default). Drops are drawn from a
 // dedicated sim.Rand stream so loss patterns are reproducible, and the
-// model is swappable mid-run (SetModel/SetProb) for scripted loss steps —
+// model is swappable mid-run (SetModel) for scripted loss steps —
 // a ScenarioScript mutation that takes effect from the next packet.
 type LossBox struct {
 	port
@@ -120,9 +117,6 @@ func NewLossBoxModel(model LossModel, rng *sim.Rand) *LossBox {
 	return &LossBox{model: model, rng: rng}
 }
 
-// Model reports the box's current loss model.
-func (l *LossBox) Model() LossModel { return l.model }
-
 // SetModel replaces the loss model from the next packet on. The RNG stream
 // continues where it left off — position in the stream is determined by
 // the packets already judged, so a scripted swap is deterministic.
@@ -132,10 +126,6 @@ func (l *LossBox) SetModel(model LossModel) {
 	}
 	l.model = model
 }
-
-// SetProb replaces the model with a Bernoulli of the given probability —
-// the scripted loss-rate step.
-func (l *LossBox) SetProb(prob float64) { l.model = NewBernoulli(prob) }
 
 // Send implements Box.
 func (l *LossBox) Send(pkt *Packet) { l.SendBatch(l.one(pkt)) }

@@ -299,14 +299,7 @@ func TestFlowAttributionBalances(t *testing.T) {
 	}
 	var sum FlowQueueStats
 	for _, id := range ids {
-		f := qs.Flow(id)
-		sum.Enqueued += f.Enqueued
-		sum.Dequeued += f.Dequeued
-		sum.TailDrops += f.TailDrops
-		sum.AQMDrops += f.AQMDrops
-		sum.AQMMarks += f.AQMMarks
-		sum.SojournCount += f.SojournCount
-		sum.SojournSum += f.SojournSum
+		sum.Add(qs.Flow(id))
 	}
 	if sum.Enqueued != qs.Enqueued || sum.Dequeued != qs.Dequeued ||
 		sum.TailDrops != qs.TailDrops || sum.AQMDrops != qs.AQMDrops ||

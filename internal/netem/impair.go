@@ -96,9 +96,6 @@ func (r *ReorderBox) SetReorder(prob, corr float64) {
 	r.prob, r.corr = prob, corr
 }
 
-// Hold reports the displacement interval.
-func (r *ReorderBox) Hold() sim.Time { return r.park.Delay() }
-
 // Displaced reports how many packets have been held for late release.
 func (r *ReorderBox) Displaced() uint64 { return r.displaced }
 
@@ -157,9 +154,9 @@ func (r *ReorderBox) Stats() BoxStats {
 // DuplicateBox clones selected packets, delivering the copy immediately
 // after the original (tc-netem `duplicate`). The clone is a first-class
 // pooled packet: it comes from the original's pool (the get/put ledger
-// counts it) and carries an independently-owned payload via the pool's
-// ClonePayload hook, so either copy can be dropped downstream without
-// corrupting the other's refcounts.
+// counts it) and carries an independently-owned payload (Payload.Clone),
+// so either copy can be dropped downstream without corrupting the other's
+// refcounts.
 //
 // Draw contract: one draw per packet while prob > 0; zero draws and pure
 // passthrough when prob == 0.

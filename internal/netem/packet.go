@@ -62,7 +62,9 @@ type Packet struct {
 	// holding it, stamped by Qdisc.Enqueue; sojourn-time AQM (CoDel) and
 	// per-queue delay telemetry read it at dequeue.
 	enq sim.Time
-	// Payload is opaque transport data (e.g. a *tcpsim.Segment).
+	// Payload is opaque transport data (e.g. an *nsim.Datagram). A payload
+	// that implements Payload is released when the packet is dropped and
+	// cloned when it is duplicated.
 	Payload any
 	// pool is the packet's origin pool (nil for hand-built packets), so a
 	// drop anywhere in the data plane can recycle without knowing the
@@ -71,25 +73,26 @@ type Packet struct {
 	pooled bool
 }
 
+// Payload is a packet payload that holds pooled or reference-counted state
+// of the layers above netem: nsim's datagrams, and the tcpsim segments
+// inside them. A drop anywhere in the data plane releases it and a
+// duplicate clones it, so netem needs to know nothing of those layers.
+type Payload interface {
+	// Release gives back what the dropped packet held: the datagram goes
+	// back to its pool and the segment inside loses the wire copy's
+	// reference.
+	Release()
+	// Clone returns a copy the duplicate owns, so that the two copies can
+	// each be delivered or dropped, in any order.
+	Clone() any
+}
+
 // PacketPool recycles Packets within one event loop. The simulation is
 // single-goroutine per loop, so the free list needs no synchronization.
 // Packets dropped anywhere in the data plane (qdisc tail or AQM drops,
 // probabilistic loss) are recycled via Packet.Recycle.
 type PacketPool struct {
 	free []*Packet
-	// ReleasePayload, when set, receives the payload of every dropped
-	// packet recycled through Packet.Recycle, so the layer that wrapped the
-	// payload can free it too (nsim recycles the datagram and forwards to
-	// the transport's segment refcount). Delivered packets are recycled
-	// with Put by the sink that consumed the payload, which bypasses the
-	// hook.
-	ReleasePayload func(payload any)
-	// ClonePayload, when set, produces an independently-owned copy of a
-	// packet's payload for Packet.Clone (DuplicateBox). The copy must be
-	// safe to release through ReleasePayload without affecting the
-	// original: nsim clones the datagram and takes a fresh reference on
-	// the transport segment underneath.
-	ClonePayload func(payload any) any
 	// rings lends qdisc packet storage: a queue grows from the origin pool
 	// of the packets it holds and hands its array back through
 	// Qdisc.ReleaseStorage, so queues rebuilt cell after cell on one pool
@@ -134,26 +137,23 @@ func (pp *PacketPool) Outstanding() int64 { return int64(pp.gets) - int64(pp.put
 // leak pooled packets.
 //
 // A dropped packet's payload is dead too: nothing downstream will ever see
-// it. The pool's ReleasePayload hook (installed by nsim) therefore receives
-// it here, recycling the pooled nsim.Datagram and releasing the wire copy's
-// segment reference through the transport's refcounts — the drop-release
-// chain that closes the last drop-path allocation leak.
+// it, so a Payload is released here. Delivered packets are recycled with
+// Put by the sink that consumed the payload.
 func (p *Packet) Recycle() {
 	if p == nil || p.pool == nil {
 		return
 	}
-	if p.Payload != nil && p.pool.ReleasePayload != nil {
-		p.pool.ReleasePayload(p.Payload)
+	if pl, ok := p.Payload.(Payload); ok {
+		pl.Release()
 	}
 	p.pool.Put(p)
 }
 
 // Clone returns an independently-owned copy of the packet (DuplicateBox's
 // wire duplicate). Pooled packets clone through their origin pool — the
-// get/put ledger sees the copy as a first-class packet — and the payload is
-// cloned through the pool's ClonePayload hook so both copies can be
-// delivered or dropped in any order. Without a hook (hand-built test
-// packets, payload-less benches) the clone carries a nil payload.
+// get/put ledger sees the copy as a first-class packet — and a Payload is
+// cloned so both copies can be delivered or dropped in any order. Any
+// other payload is not copied: the clone carries nil.
 func (p *Packet) Clone() *Packet {
 	var cp *Packet
 	if p.pool != nil {
@@ -163,8 +163,8 @@ func (p *Packet) Clone() *Packet {
 	}
 	cp.Size, cp.Flow, cp.Seq, cp.Sent = p.Size, p.Flow, p.Seq, p.Sent
 	cp.ECT, cp.CE, cp.Corrupt, cp.enq = p.ECT, p.CE, p.Corrupt, p.enq
-	if p.Payload != nil && p.pool != nil && p.pool.ClonePayload != nil {
-		cp.Payload = p.pool.ClonePayload(p.Payload)
+	if pl, ok := p.Payload.(Payload); ok {
+		cp.Payload = pl.Clone()
 	}
 	return cp
 }

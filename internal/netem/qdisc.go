@@ -106,10 +106,6 @@ type QueueStats struct {
 	// to the Flow id on every packet. Disabled (nil) by default so the
 	// per-packet hot path pays only a nil check.
 	flows map[uint64]*FlowQueueStats
-	// flowHist, set by TrackFlowSojourns, additionally gives every flow
-	// record its own sojourn accumulator, so per-class percentiles (the
-	// fairness table's web-flow p95) can be computed after the run.
-	flowHist bool
 }
 
 // FlowQueueStats is one flow's share of a queue's telemetry: throughput
@@ -129,19 +125,32 @@ type FlowQueueStats struct {
 	SojournSum    sim.Time
 	SojournMax    sim.Time
 
-	// hist receives every delivered packet's sojourn in milliseconds when
-	// the owning QueueStats runs with TrackFlowSojourns.
+	// hist receives every delivered packet's sojourn in milliseconds.
 	hist *stats.Accumulator
 }
 
 // SojournSample freezes the flow's per-packet sojourn distribution (in
-// milliseconds), or returns an empty sample when TrackFlowSojourns was not
-// enabled before traffic flowed.
+// milliseconds); a sum made with Add has none and returns an empty sample.
 func (f *FlowQueueStats) SojournSample() *stats.Sample {
 	if f.hist == nil {
 		return stats.New(nil)
 	}
 	return f.hist.Sample()
+}
+
+// Add folds o's counters into f, so per-flow records sum to per-class
+// ones; SojournMax keeps the larger. The sojourn distributions are not
+// merged: merge the flows' SojournSamples for class percentiles.
+func (f *FlowQueueStats) Add(o *FlowQueueStats) {
+	f.Enqueued += o.Enqueued
+	f.Dequeued += o.Dequeued
+	f.DequeuedBytes += o.DequeuedBytes
+	f.TailDrops += o.TailDrops
+	f.AQMDrops += o.AQMDrops
+	f.AQMMarks += o.AQMMarks
+	f.SojournCount += o.SojournCount
+	f.SojournSum += o.SojournSum
+	f.SojournMax = max(f.SojournMax, o.SojournMax)
 }
 
 // MeanSojourn reports the flow's mean queueing delay over its delivered
@@ -166,21 +175,14 @@ func (s *QueueStats) MeanSojourn() sim.Time {
 
 // TrackFlows enables per-flow attribution: from this call on, every
 // enqueue, dequeue, drop and mark is also accounted against the packet's
-// Flow id. Call before traffic flows; the map lookups cost a few ns per
-// packet, which is why attribution is opt-in.
+// Flow id, and every flow records its per-packet sojourn distribution, for
+// per-class percentiles (the fairness table's p95 columns). Call before
+// traffic flows; the map lookups cost a few ns per packet, which is why
+// attribution is opt-in.
 func (s *QueueStats) TrackFlows() {
 	if s.flows == nil {
 		s.flows = make(map[uint64]*FlowQueueStats)
 	}
-}
-
-// TrackFlowSojourns enables per-flow attribution (as TrackFlows) and
-// additionally records every flow's per-packet sojourn distribution, for
-// per-class percentile reporting (the fairness table's p95 columns). Like
-// TrackFlows it must be called before traffic flows.
-func (s *QueueStats) TrackFlowSojourns() {
-	s.TrackFlows()
-	s.flowHist = true
 }
 
 // Flow returns the attribution record for one flow id, or nil when the
@@ -206,10 +208,7 @@ func (s *QueueStats) flow(id uint64) *FlowQueueStats {
 	}
 	f := s.flows[id]
 	if f == nil {
-		f = &FlowQueueStats{}
-		if s.flowHist {
-			f.hist = stats.NewAccumulator()
-		}
+		f = &FlowQueueStats{hist: stats.NewAccumulator()}
 		s.flows[id] = f
 	}
 	return f
@@ -267,9 +266,7 @@ func (s *QueueStats) noteDeliver(pkt *Packet, d sim.Time) {
 		if d > f.SojournMax {
 			f.SojournMax = d
 		}
-		if f.hist != nil {
-			f.hist.Add(d.Milliseconds())
-		}
+		f.hist.Add(d.Milliseconds())
 	}
 }
 

@@ -252,22 +252,15 @@ func runConformance(t *testing.T, spec QdiscSpec, seed uint64, nFlows int) {
 		t.Fatalf("pool leak: %d packets outstanding after drain", pool.Outstanding())
 	}
 	// Per-flow attribution sums to the aggregate, counter by counter.
-	var fe, fd, ft, fa, fm, fsc uint64
-	var fss sim.Time
+	var f FlowQueueStats
 	for _, id := range s.Flows() {
-		f := s.Flow(id)
-		fe += f.Enqueued
-		fd += f.Dequeued
-		ft += f.TailDrops
-		fa += f.AQMDrops
-		fm += f.AQMMarks
-		fsc += f.SojournCount
-		fss += f.SojournSum
+		f.Add(s.Flow(id))
 	}
-	if fe != s.Enqueued || fd != s.Dequeued || ft != s.TailDrops ||
-		fa != s.AQMDrops || fm != s.AQMMarks || fsc != s.SojournCount || fss != s.SojournSum {
-		t.Fatalf("per-flow sums diverge from aggregate:\nflows: enq=%d deq=%d tail=%d aqm=%d mark=%d sc=%d ss=%v\naggr:  enq=%d deq=%d tail=%d aqm=%d mark=%d sc=%d ss=%v",
-			fe, fd, ft, fa, fm, fsc, fss,
-			s.Enqueued, s.Dequeued, s.TailDrops, s.AQMDrops, s.AQMMarks, s.SojournCount, s.SojournSum)
+	if f.Enqueued != s.Enqueued || f.Dequeued != s.Dequeued || f.TailDrops != s.TailDrops ||
+		f.AQMDrops != s.AQMDrops || f.AQMMarks != s.AQMMarks || f.SojournCount != s.SojournCount ||
+		f.SojournSum != s.SojournSum || f.SojournMax != s.SojournMax {
+		t.Fatalf("per-flow sums diverge from aggregate:\nflows: enq=%d deq=%d tail=%d aqm=%d mark=%d sc=%d ss=%v sm=%v\naggr:  enq=%d deq=%d tail=%d aqm=%d mark=%d sc=%d ss=%v sm=%v",
+			f.Enqueued, f.Dequeued, f.TailDrops, f.AQMDrops, f.AQMMarks, f.SojournCount, f.SojournSum, f.SojournMax,
+			s.Enqueued, s.Dequeued, s.TailDrops, s.AQMDrops, s.AQMMarks, s.SojournCount, s.SojournSum, s.SojournMax)
 	}
 }

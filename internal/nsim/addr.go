@@ -106,11 +106,14 @@ type Datagram struct {
 	// from a netem.Packet a CorruptBox flagged. The receiving transport
 	// discards it as a checksum failure.
 	Corrupt bool
-	// Payload is transport data, opaque to the network layer.
+	// Payload is transport data, opaque to the network layer. A payload
+	// that implements netem.Payload is released when the network drops
+	// the datagram and cloned when it duplicates it.
 	Payload any
-	// pooled marks datagrams allocated via Network.NewDatagram; only those
-	// are recycled once consumed.
-	pooled bool
+	// pools is the datagram's origin pool set (nil for literals, which are
+	// never recycled), so a drop anywhere in the data plane can recycle it
+	// without knowing the topology.
+	pools *PoolSet
 }
 
 // DefaultTTL is applied to datagrams sent with a zero TTL.

@@ -23,15 +23,6 @@ type Network struct {
 	// pools recycles the netem packets that wrap datagrams crossing links
 	// and the pooled datagrams themselves (see NewDatagram).
 	pools *PoolSet
-	// payloadRelease, when set (by the transport, see SetPayloadRelease),
-	// receives the payload of every datagram dropped inside the network —
-	// qdisc drops, loss, TTL expiry, no-route, no-socket — so the
-	// transport can release the wire copy's reference on it.
-	payloadRelease func(payload any)
-	// payloadRetain, when set (see SetPayloadRetain), takes an additional
-	// reference on a datagram's payload when the network clones the
-	// datagram (DuplicateBox), so each copy owns a release of its own.
-	payloadRetain func(payload any)
 }
 
 // PoolSet holds a network's recycled packet and datagram free lists. Pool
@@ -110,105 +101,72 @@ func NewNetworkPooled(loop *sim.Loop, pools *PoolSet) *Network {
 	if pools == nil {
 		pools = &PoolSet{}
 	}
-	n := &Network{loop: loop, pools: pools}
-	// Dropped wrappers release their datagram (and, through the
-	// transport's hook, its payload) right at the drop point. A PoolSet
-	// threaded through sequential networks is re-pointed at each new
-	// network; only one runs at a time, so the latest binding is always
-	// the live one.
-	pools.pkts.ReleasePayload = n.releaseDroppedPacket
-	pools.pkts.ClonePayload = n.cloneWirePayload
-	return n
+	return &Network{loop: loop, pools: pools}
 }
 
 // Pools exposes the network's pool set, for leak accounting in tests.
 func (n *Network) Pools() *PoolSet { return n.pools }
 
-// SetPayloadRetain installs the transport's duplication hook: fn takes one
-// additional reference on a transport payload when the network clones a
-// datagram carrying it (a netem DuplicateBox emitting a wire copy), so the
-// clone's eventual delivery or drop releases a reference the payload
-// actually holds. Without the hook, cloned datagrams carry a nil payload —
-// size-accurate on the wire but invisible to the transport.
-func (n *Network) SetPayloadRetain(fn func(payload any)) { n.payloadRetain = fn }
-
-// cloneWirePayload is the packet pool's clone hook (netem.Packet.Clone,
-// used by DuplicateBox): the datagram inside the duplicated packet is
-// cloned through the pool, and the transport payload underneath gains a
-// reference of its own, making the two wire copies independently droppable.
-func (n *Network) cloneWirePayload(payload any) any {
-	dg, ok := payload.(*Datagram)
-	if !ok {
-		return nil
-	}
-	cp := n.NewDatagram()
-	pooled := cp.pooled
-	*cp = *dg
-	cp.pooled = pooled
-	if cp.Payload != nil {
-		if n.payloadRetain != nil {
-			n.payloadRetain(cp.Payload)
-		} else {
-			cp.Payload = nil
-		}
-	}
-	return cp
-}
-
-// SetPayloadRelease installs the transport's drop hook: fn receives the
-// payload of every datagram the network drops, so reference-counted
-// transport objects (tcpsim segments) are released instead of leaking to
-// the garbage collector. The transport installs it once per stack; payloads
-// of other types must be ignored by fn.
-func (n *Network) SetPayloadRelease(fn func(payload any)) { n.payloadRelease = fn }
-
-// releaseDroppedPacket is the packet pool's drop hook: a netem box dropped
-// a wrapper (qdisc tail/AQM drop, loss), so the datagram inside is dead —
-// release its payload through the transport and recycle it.
-func (n *Network) releaseDroppedPacket(payload any) {
-	dg, ok := payload.(*Datagram)
-	if !ok {
-		return
-	}
-	n.dropDatagram(dg)
-}
-
-// dropDatagram consumes a datagram that will never reach a socket:
-// the transport's payload hook releases the wire copy's reference, then
-// the datagram itself is recycled.
-func (n *Network) dropDatagram(dg *Datagram) {
-	if n.payloadRelease != nil && dg.Payload != nil {
-		n.payloadRelease(dg.Payload)
-	}
-	n.freeDatagram(dg)
-}
-
 // NewDatagram returns a zeroed datagram from the network's pool. Pooled
 // datagrams are recycled automatically once delivered to a socket or
-// dropped (TTL, no route, no socket); the receiving handler must therefore
-// not retain the datagram itself beyond its callback — only its Payload,
-// whose lifetime the transport manages. Datagrams built with a composite
-// literal are never recycled, so existing callers are unaffected.
-func (n *Network) NewDatagram() *Datagram {
-	n.pools.dgGets++
-	free := n.pools.dgFree
-	if ln := len(free); ln > 0 {
-		dg := free[ln-1]
-		free[ln-1] = nil
-		n.pools.dgFree = free[:ln-1]
+// dropped (qdisc, loss, TTL, no route, no socket); the receiving handler
+// must therefore not retain the datagram itself beyond its callback — only
+// its Payload, whose lifetime the transport manages. Datagrams built with
+// a composite literal are never recycled, so existing callers are
+// unaffected.
+func (n *Network) NewDatagram() *Datagram { return n.pools.newDatagram() }
+
+func (ps *PoolSet) newDatagram() *Datagram {
+	ps.dgGets++
+	if ln := len(ps.dgFree); ln > 0 {
+		dg := ps.dgFree[ln-1]
+		ps.dgFree[ln-1] = nil
+		ps.dgFree = ps.dgFree[:ln-1]
 		return dg
 	}
-	return &Datagram{pooled: true}
+	return &Datagram{pools: ps}
 }
 
-// freeDatagram recycles a pooled datagram; literals are ignored.
-func (n *Network) freeDatagram(dg *Datagram) {
-	if !dg.pooled {
+// free recycles a pooled datagram into its origin pool; literals are
+// ignored.
+func (d *Datagram) free() {
+	ps := d.pools
+	if ps == nil {
 		return
 	}
-	n.pools.dgPuts++
-	*dg = Datagram{pooled: true}
-	n.pools.dgFree = append(n.pools.dgFree, dg)
+	ps.dgPuts++
+	*d = Datagram{pools: ps}
+	ps.dgFree = append(ps.dgFree, d)
+}
+
+var _ netem.Payload = (*Datagram)(nil)
+
+// Release implements netem.Payload. The network dropped the datagram (a
+// qdisc or loss drop, TTL expiry, no route, no socket): its payload is
+// released, then the datagram is recycled.
+func (d *Datagram) Release() {
+	if pl, ok := d.Payload.(netem.Payload); ok {
+		pl.Release()
+	}
+	d.free()
+}
+
+// Clone implements netem.Payload for a duplicated wire copy (DuplicateBox):
+// the copy comes from the original's pool (a literal's copy is a literal)
+// and clones the payload underneath, so the two copies are independently
+// droppable.
+func (d *Datagram) Clone() any {
+	var cp *Datagram
+	if d.pools != nil {
+		cp = d.pools.newDatagram()
+	} else {
+		cp = new(Datagram)
+	}
+	*cp = *d
+	if pl, ok := d.Payload.(netem.Payload); ok {
+		cp.Payload = pl.Clone()
+	}
+	return cp
 }
 
 // Loop returns the network's event loop.
@@ -461,7 +419,7 @@ func (ns *Namespace) Send(dg *Datagram) error {
 	via := ns.lookup(dg.Dst.Addr)
 	if via == nil {
 		ns.stats.NoRoute++
-		ns.net.freeDatagram(dg)
+		dg.free()
 		return fmt.Errorf("%w: %s from %s", ErrNoRoute, dg.Dst, ns.name)
 	}
 	via.transmit(dg)
@@ -482,7 +440,7 @@ func (ns *Namespace) receive(dg *Datagram) {
 	}
 	if ns.intercept != nil && ns.intercept(dg) {
 		ns.stats.DeliveredLocal++
-		ns.net.freeDatagram(dg)
+		dg.free()
 		return
 	}
 	// Forward. Drops here consume a datagram that already entered the
@@ -490,13 +448,13 @@ func (ns *Namespace) receive(dg *Datagram) {
 	dg.TTL--
 	if dg.TTL <= 0 {
 		ns.stats.TTLExceeded++
-		ns.net.dropDatagram(dg)
+		dg.Release()
 		return
 	}
 	via := ns.lookup(dg.Dst.Addr)
 	if via == nil {
 		ns.stats.NoRoute++
-		ns.net.dropDatagram(dg)
+		dg.Release()
 		return
 	}
 	ns.stats.Forwarded++
@@ -514,12 +472,12 @@ func (ns *Namespace) deliverLocal(dg *Datagram) {
 		// No socket: nothing consumed the payload, so release the wire
 		// copy's reference before recycling.
 		ns.stats.NoSocket++
-		ns.net.dropDatagram(dg)
+		dg.Release()
 		return
 	}
 	// The handler has returned; the datagram is consumed (the handler
 	// released or retained the payload itself).
-	ns.net.freeDatagram(dg)
+	dg.free()
 }
 
 // LinkEnd is one side of a veth pair attached to a namespace.

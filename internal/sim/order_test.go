@@ -6,15 +6,15 @@ import (
 )
 
 // TestFiringOrderOracle drives a seeded random mix of every scheduling
-// entry point — Schedule, ScheduleAt (past times included), SchedulePriority,
-// ScheduleArg, zero-delay now-queue events, schedules made from inside
-// handlers, Event.Cancel, Timer.Reset rearms of pending timers and
-// Timer.Stop — through RunUntil deadlines, full drains and Loop.Reset reuse.
-// Every firing is checked against an independent reference: a flat list of
-// the live events' (at, priority, seq) keys, where seq is the order of the
-// scheduling calls. The event that fires must be the minimum of that list
-// and fire at its own time; canceled, stopped and pre-Reset events must
-// never fire, and every other event must fire exactly once.
+// entry point — Schedule, ScheduleAt (past times included), ScheduleArg,
+// zero-delay now-queue events, schedules made from inside handlers,
+// Timer.Reset rearms of pending timers and Timer.Stop — through RunUntil
+// deadlines, full drains and Loop.Reset reuse. Every firing is checked
+// against an independent reference: a flat list of the live events'
+// (at, seq) keys, where seq is the order of the scheduling calls. The event
+// that fires must be the minimum of that list and fire at its own time;
+// stopped and pre-Reset events must never fire, and every other event must
+// fire exactly once.
 func TestFiringOrderOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -29,10 +29,8 @@ func TestFiringOrderOracle(t *testing.T) {
 // oracleEvent is the reference record of one scheduling call. Its index in
 // firingOracle.events is its seq.
 type oracleEvent struct {
-	at       Time
-	priority int
-	live     bool
-	ev       Event // zero for timer armings
+	at   Time
+	live bool
 }
 
 type firingOracle struct {
@@ -50,7 +48,7 @@ type firingOracle struct {
 // deadlines with more schedules between them, optionally drains, and then
 // resets the loop with whatever is still queued.
 func (o *firingOracle) round(drain bool) {
-	stale, staleTimers := o.events, o.timers
+	staleTimers := o.timers
 	o.events = nil
 	o.timers = make([]Timer, 4)
 	o.armed = make([]int, len(o.timers))
@@ -69,11 +67,8 @@ func (o *firingOracle) round(drain bool) {
 	for i := 0; i < 200; i++ {
 		o.act()
 	}
-	// Handles from before the last Reset are inert: they must not cancel
-	// the events now occupying their slots.
-	for i := range stale {
-		stale[i].ev.Cancel()
-	}
+	// Timers from before the last Reset are inert: they must not stop the
+	// events now occupying their slots.
 	for i := range staleTimers {
 		staleTimers[i].Stop()
 	}
@@ -124,17 +119,14 @@ func (o *firingOracle) round(drain bool) {
 
 // act performs one random operation on the loop and the reference.
 func (o *firingOracle) act() {
-	switch k := o.rng.Intn(10); {
-	case k < 6:
+	if o.rng.Intn(10) < 7 {
 		o.schedule()
-	case k < 8:
-		o.cancel()
-	default:
-		if i := o.rng.Intn(len(o.timers)); o.armed[i] >= 0 {
-			o.events[o.armed[i]].live = false
-			o.armed[i] = -1
-			o.timers[i].Stop()
-		}
+		return
+	}
+	if i := o.rng.Intn(len(o.timers)); o.armed[i] >= 0 {
+		o.events[o.armed[i]].live = false
+		o.armed[i] = -1
+		o.timers[i].Stop()
 	}
 }
 
@@ -148,18 +140,13 @@ func (o *firingOracle) schedule() {
 	id := len(o.events)
 	o.events = append(o.events, oracleEvent{at: at, live: true})
 	fire := func(now Time) { o.fire(id, now) }
-	var ev Event
-	switch o.rng.Intn(5) {
+	switch o.rng.Intn(4) {
 	case 0:
-		ev = o.l.Schedule(delay, fire)
+		o.l.Schedule(delay, fire)
 	case 1:
-		ev = o.l.ScheduleAt(now+delay, fire)
+		o.l.ScheduleAt(now+delay, fire)
 	case 2:
-		p := o.rng.Intn(5) - 2
-		o.events[id].priority = p
-		ev = o.l.SchedulePriority(delay, p, fire)
-	case 3:
-		ev = o.l.ScheduleArg(delay, func(now Time, arg any) { o.fire(arg.(int), now) }, id)
+		o.l.ScheduleArg(delay, func(now Time, arg any) { o.fire(arg.(int), now) }, id)
 	default:
 		i := o.rng.Intn(len(o.timers))
 		if prev := o.armed[i]; prev >= 0 {
@@ -167,26 +154,7 @@ func (o *firingOracle) schedule() {
 		}
 		o.armed[i] = id
 		o.timers[i].Reset(delay)
-		return
 	}
-	if ev.At() != at {
-		o.t.Fatalf("event %d At() = %v, want %v", id, ev.At(), at)
-	}
-	o.events[id].ev = ev
-}
-
-// cancel cancels a random event handle from this round, live or not;
-// canceling a fired or already-canceled event is a no-op.
-func (o *firingOracle) cancel() {
-	if len(o.events) == 0 {
-		return
-	}
-	e := &o.events[o.rng.Intn(len(o.events))]
-	if e.ev == (Event{}) {
-		return // a timer arming: Stop and Reset cover it
-	}
-	e.ev.Cancel()
-	e.live = false
 }
 
 // fire checks one firing against the reference, then acts from inside the
@@ -194,15 +162,14 @@ func (o *firingOracle) cancel() {
 func (o *firingOracle) fire(id int, now Time) {
 	e := &o.events[id]
 	if !e.live {
-		o.t.Fatalf("event %d fired after cancel, stop or an earlier firing", id)
+		o.t.Fatalf("event %d fired after a stop or an earlier firing", id)
 	}
 	if now != e.at || now > o.deadline {
 		o.t.Fatalf("event %d for %v fired at %v (deadline %v)", id, e.at, now, o.deadline)
 	}
 	if want := o.next(); want != id {
 		w := o.events[want]
-		o.t.Fatalf("fired event %d (at %v, priority %d), want %d (at %v, priority %d)",
-			id, e.at, e.priority, want, w.at, w.priority)
+		o.t.Fatalf("fired event %d (at %v), want %d (at %v)", id, e.at, want, w.at)
 	}
 	e.live = false
 	o.fired++
@@ -211,7 +178,7 @@ func (o *firingOracle) fire(id int, now Time) {
 	}
 }
 
-// next returns the live event with the least (at, priority, seq).
+// next returns the live event with the least (at, seq).
 func (o *firingOracle) next() int {
 	best := -1
 	for id, e := range o.events {
@@ -222,8 +189,7 @@ func (o *firingOracle) next() int {
 			best = id
 			continue
 		}
-		b := o.events[best]
-		if e.at < b.at || e.at == b.at && e.priority < b.priority {
+		if e.at < o.events[best].at {
 			best = id
 		}
 	}

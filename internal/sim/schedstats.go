@@ -7,8 +7,8 @@ import "sync/atomic"
 // already touch the same cache lines). Scheduled − NowFast is the number of
 // events that went through the heap.
 type SchedCounters struct {
-	// Scheduled counts events entered into the queue (including later
-	// canceled ones and Timer.Reset rearms); Fired counts events that
+	// Scheduled counts events entered into the queue (including timer
+	// firings later stopped, and Timer.Reset rearms); Fired counts events that
 	// executed.
 	Scheduled uint64
 	Fired     uint64
@@ -28,7 +28,7 @@ func (l *Loop) Counters() SchedCounters {
 // statsSink aggregates counters across every loop in the process when
 // enabled (mm-bench -schedstats). Experiments create one loop per page
 // load across many workers, so the sink is atomic; loops flush deltas when
-// a Run/RunUntil/RunWhile call returns.
+// a Run/RunUntil call returns.
 var statsSink struct {
 	enabled    atomic.Bool
 	loops      atomic.Uint64 // flush calls ≈ loop drains
@@ -40,9 +40,6 @@ var statsSink struct {
 
 // EnableSchedStats turns the process-wide scheduler-stats sink on or off.
 func EnableSchedStats(on bool) { statsSink.enabled.Store(on) }
-
-// SchedStatsEnabled reports whether the sink is collecting.
-func SchedStatsEnabled() bool { return statsSink.enabled.Load() }
 
 // SchedStatsSnapshot returns the aggregated counters and the number of
 // loop-drain flushes that contributed to them.

@@ -5,20 +5,20 @@
 // the same queueing algorithms on a virtual clock so that experiments are
 // deterministic, isolated from host load, and orders of magnitude faster
 // than real time. Every packet release, TCP timer, and browser event is an
-// Event scheduled on a Loop.
+// event scheduled on a Loop.
 //
-// Determinism guarantees: events fire in (time, priority, sequence) order,
-// where sequence is the order of scheduling. Two runs of the same workload
-// with the same seeds produce identical traces.
+// Determinism guarantees: events fire in (time, sequence) order, where
+// sequence is the order of scheduling. Two runs of the same workload with
+// the same seeds produce identical traces.
 //
 // The loop is allocation-free in steady state: events live in a slab of
 // value-typed slots recycled through a free list, so scheduling costs no
 // heap allocation and firing order never depends on memory layout.
 //
 // Future events are ordered by an inlined indexed binary min-heap of slot
-// indices. Events scheduled for the current instant at default priority
-// skip the heap through a FIFO now-queue; Step merge-compares the two
-// heads, so firing order is exactly (time, priority, sequence).
+// indices. Events scheduled for the current instant skip the heap through
+// a FIFO now-queue; Step merge-compares the two heads, so firing order is
+// exactly (time, sequence).
 package sim
 
 import (
@@ -67,59 +67,27 @@ type ArgHandler func(now Time, arg any)
 // value-typed, recycled through the loop's free list, and addressed by
 // index, so scheduling allocates nothing once the slab has grown to the
 // workload's high-water mark. gen increments on every recycle, which lets
-// outstanding Event/Timer handles detect that their slot has moved on.
+// outstanding Timer handles detect that their slot has moved on.
 type eventSlot struct {
-	at       Time
-	seq      uint64
-	fn       Handler
-	afn      ArgHandler
-	arg      any
-	priority int32
-	gen      uint32
+	at  Time
+	seq uint64
+	fn  Handler
+	afn ArgHandler
+	arg any
+	gen uint32
 	// heapIdx is the slot's heap position; -1 when the slot is in the
 	// now-queue or free.
-	heapIdx  int32
+	heapIdx int32
+	// canceled is set by Timer.Stop; Step discards the slot unfired.
 	canceled bool
 }
 
-// Event is a cancelable handle to a scheduled callback, returned by the
-// scheduling methods (e.g. so a test can cancel a pending event). It is a
-// value: copy it freely. The zero Event is inert.
-type Event struct {
-	loop     *Loop
-	slot     int32
-	gen      uint32
-	at       Time
-	canceled bool
-}
-
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel has been called on this handle.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.loop == nil {
-		return
-	}
-	s := &e.loop.slots[e.slot]
-	if s.gen == e.gen {
-		s.canceled = true
-	}
-}
-
-// Timer is a rearmable event bound to one handler. Unlike Schedule, whose
-// per-call handler is typically a freshly allocated closure, a Timer
-// captures its handler once at creation and then rearms allocation-free —
-// the pattern TCP retransmission timers need, where the timer is reset on
-// every ACK. The zero Timer is not usable; create one with Loop.NewTimer.
+// Timer is a rearmable event bound to one handler, and the loop's only
+// cancelable event. Unlike Schedule, whose per-call handler is typically a
+// freshly allocated closure, a Timer captures its handler once at creation
+// and then rearms allocation-free — the pattern TCP retransmission timers
+// need, where the timer is reset on every ACK. The zero Timer is not
+// usable; create one with Loop.NewTimer.
 type Timer struct {
 	loop  *Loop
 	fn    Handler
@@ -162,7 +130,7 @@ func (t *Timer) Reset(delay Time) {
 		}
 	}
 	t.Stop()
-	t.slot, t.gen = l.scheduleSlot(l.now+delay, 0, t.fn, nil, nil)
+	t.slot, t.gen = l.scheduleSlot(l.now+delay, t.fn, nil, nil)
 	t.armed = true
 }
 
@@ -184,16 +152,16 @@ func (t *Timer) Stop() {
 type Loop struct {
 	now   Time
 	slots []eventSlot
-	heap  []int32 // slot indices ordered by (at, priority, seq)
+	heap  []int32 // slot indices ordered by (at, seq)
 	free  []int32 // recycled slot indices
 	// nowq is the fast path for events scheduled at exactly the current
-	// time with default priority — the zero-delay deliveries that dominate
-	// packet-forwarding workloads. Entries are in seq order by
-	// construction (appended in scheduling order, and seq increases), so
-	// the queue is a FIFO ring consumed from nowHead; it is provably empty
-	// whenever the clock advances, because its entries sort before any
-	// later-timed heap event. Step merge-compares the ring head with the
-	// heap's minimum, so firing order remains exactly (at, priority, seq).
+	// time — the zero-delay deliveries that dominate packet-forwarding
+	// workloads. Entries are in seq order by construction (appended in
+	// scheduling order, and seq increases), so the queue is a FIFO ring
+	// consumed from nowHead; it is provably empty whenever the clock
+	// advances, because its entries sort before any later-timed heap
+	// event. Step merge-compares the ring head with the heap's minimum, so
+	// firing order remains exactly (at, seq).
 	nowq     []int32
 	nowHead  int
 	nextSeq  uint64
@@ -211,8 +179,8 @@ func NewLoop() *Loop { return &Loop{} }
 // now-queue), so a driver running many sequential simulations can reuse
 // one warmed loop instead of regrowing these structures per run (see
 // experiments.Scratch). Any events still pending are discarded.
-// Event/Timer handles issued before the reset must not be used afterwards:
-// slot generations advance, which makes stale handles inert.
+// Timers armed before the reset are disarmed: slot generations advance,
+// which makes their stale handles inert.
 func (l *Loop) Reset() {
 	if l.running {
 		panic("sim: Reset while running")
@@ -240,8 +208,8 @@ func (l *Loop) Reset() {
 // Now reports the current virtual time.
 func (l *Loop) Now() Time { return l.now }
 
-// Pending reports the number of events currently queued (including canceled
-// events that have not yet been discarded).
+// Pending reports the number of events currently queued (including stopped
+// timer firings that have not yet been discarded).
 func (l *Loop) Pending() int { return len(l.heap) + len(l.nowq) - l.nowHead }
 
 // SeqMark returns an opaque marker that changes whenever a new event is
@@ -257,59 +225,41 @@ func (l *Loop) Fired() uint64 { return l.fired }
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero: the event runs at the current time, after events already queued for
 // that time.
-func (l *Loop) Schedule(delay Time, fn Handler) Event {
+func (l *Loop) Schedule(delay Time, fn Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	return l.ScheduleAt(l.now+delay, fn)
+	l.ScheduleAt(l.now+delay, fn)
 }
 
 // ScheduleAt queues fn to run at the absolute virtual time at. Times in the
 // past are clamped to now.
-func (l *Loop) ScheduleAt(at Time, fn Handler) Event {
+func (l *Loop) ScheduleAt(at Time, fn Handler) {
 	if fn == nil {
 		panic("sim: Schedule with nil handler")
 	}
-	return l.newEvent(at, 0, fn, nil, nil)
-}
-
-// SchedulePriority queues fn to run after delay with an explicit priority.
-// Among events at the same time, lower priorities fire first; equal
-// priorities fire in scheduling order.
-func (l *Loop) SchedulePriority(delay Time, priority int, fn Handler) Event {
-	if fn == nil {
-		panic("sim: Schedule with nil handler")
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	return l.newEvent(l.now+delay, int32(priority), fn, nil, nil)
+	l.scheduleSlot(at, fn, nil, nil)
 }
 
 // ScheduleArg queues fn to run after delay, passing arg when it fires. It
 // is the allocation-free alternative to Schedule for hot paths: the handler
 // is bound once at setup and the per-event state travels in arg (interface
 // conversion of a pointer allocates nothing).
-func (l *Loop) ScheduleArg(delay Time, fn ArgHandler, arg any) Event {
+func (l *Loop) ScheduleArg(delay Time, fn ArgHandler, arg any) {
 	if fn == nil {
 		panic("sim: Schedule with nil handler")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	return l.newEvent(l.now+delay, 0, nil, fn, arg)
-}
-
-func (l *Loop) newEvent(at Time, priority int32, fn Handler, afn ArgHandler, arg any) Event {
-	slot, gen := l.scheduleSlot(at, priority, fn, afn, arg)
-	return Event{loop: l, slot: slot, gen: gen, at: l.slots[slot].at}
+	l.scheduleSlot(l.now+delay, nil, fn, arg)
 }
 
 // scheduleSlot places a callback in the slab and heap, returning its slot
 // index and generation. This is the single scheduling primitive every
 // public method funnels through; it performs no allocation once the slab
 // and heap have reached the workload's high-water mark.
-func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler, arg any) (int32, uint32) {
+func (l *Loop) scheduleSlot(at Time, fn Handler, afn ArgHandler, arg any) (int32, uint32) {
 	if at < l.now {
 		at = l.now
 	}
@@ -323,7 +273,6 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 	}
 	s := &l.slots[idx]
 	s.at = at
-	s.priority = priority
 	s.seq = l.nextSeq
 	s.fn = fn
 	s.afn = afn
@@ -331,7 +280,7 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 	s.canceled = false
 	l.nextSeq++
 	l.counters.Scheduled++
-	if at == l.now && priority == 0 {
+	if at == l.now {
 		s.heapIdx = -1
 		l.nowq = append(l.nowq, idx)
 		l.counters.NowFast++
@@ -346,14 +295,11 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 	return idx, s.gen
 }
 
-// less orders slots by (at, priority, seq) — the documented firing order.
+// less orders slots by (at, seq) — the documented firing order.
 func (l *Loop) less(a, b int32) bool {
 	sa, sb := &l.slots[a], &l.slots[b]
 	if sa.at != sb.at {
 		return sa.at < sb.at
-	}
-	if sa.priority != sb.priority {
-		return sa.priority < sb.priority
 	}
 	return sa.seq < sb.seq
 }
@@ -471,8 +417,9 @@ func (l *Loop) freeSlot(idx int32) {
 	l.free = append(l.free, idx)
 }
 
-// Step fires the single earliest pending non-canceled event, advancing the
-// clock to its timestamp. It reports false when no events remain.
+// Step fires the single earliest pending event that was not stopped,
+// advancing the clock to its timestamp. It reports false when no events
+// remain.
 func (l *Loop) Step() bool {
 	for {
 		idx, ok := l.popNext()
@@ -542,22 +489,6 @@ func (l *Loop) RunUntil(deadline Time) {
 	}
 	if l.now < deadline {
 		l.now = deadline
-	}
-	l.flushStats()
-}
-
-// RunFor runs the loop for d virtual time from the current clock.
-func (l *Loop) RunFor(d Time) { l.RunUntil(l.now + d) }
-
-// RunWhile fires events until cond returns false or the queue drains. cond
-// is evaluated before each event.
-func (l *Loop) RunWhile(cond func() bool) {
-	if l.running {
-		panic("sim: RunWhile called reentrantly")
-	}
-	l.running = true
-	defer func() { l.running = false }()
-	for cond() && l.Step() {
 	}
 	l.flushStats()
 }

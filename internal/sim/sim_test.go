@@ -46,17 +46,6 @@ func TestSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestPriorityOrdering(t *testing.T) {
-	l := NewLoop()
-	var order []string
-	l.SchedulePriority(Millisecond, 5, func(Time) { order = append(order, "low") })
-	l.SchedulePriority(Millisecond, 1, func(Time) { order = append(order, "high") })
-	l.Run()
-	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
-		t.Fatalf("priority order = %v, want [high low]", order)
-	}
-}
-
 func TestClockAdvances(t *testing.T) {
 	l := NewLoop()
 	var at Time
@@ -94,29 +83,28 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	l.Run()
 }
 
+// Timer.Stop is the loop's one way to cancel an event.
 func TestCancel(t *testing.T) {
 	l := NewLoop()
 	fired := false
-	e := l.Schedule(Millisecond, func(Time) { fired = true })
-	e.Cancel()
+	tm := l.NewTimer(func(Time) { fired = true })
+	tm.Reset(Millisecond)
+	tm.Stop()
 	l.Run()
 	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+		t.Fatal("stopped timer fired")
 	}
 }
 
 func TestCancelDuringRun(t *testing.T) {
 	l := NewLoop()
-	var e2 Event
 	fired := false
-	l.Schedule(Millisecond, func(Time) { e2.Cancel() })
-	e2 = l.Schedule(2*Millisecond, func(Time) { fired = true })
+	tm := l.NewTimer(func(Time) { fired = true })
+	tm.Reset(2 * Millisecond)
+	l.Schedule(Millisecond, func(Time) { tm.Stop() })
 	l.Run()
 	if fired {
-		t.Fatal("event canceled mid-run still fired")
+		t.Fatal("timer stopped mid-run still fired")
 	}
 }
 
@@ -159,30 +147,6 @@ func TestRunUntil(t *testing.T) {
 	l.Run()
 	if len(fired) != 3 {
 		t.Fatalf("after Run fired %d events, want 3", len(fired))
-	}
-}
-
-func TestRunFor(t *testing.T) {
-	l := NewLoop()
-	l.RunFor(10 * Millisecond)
-	if l.Now() != 10*Millisecond {
-		t.Fatalf("Now = %v, want 10ms", l.Now())
-	}
-	l.RunFor(5 * Millisecond)
-	if l.Now() != 15*Millisecond {
-		t.Fatalf("Now = %v, want 15ms", l.Now())
-	}
-}
-
-func TestRunWhile(t *testing.T) {
-	l := NewLoop()
-	count := 0
-	for i := 0; i < 10; i++ {
-		l.Schedule(Time(i)*Millisecond, func(Time) { count++ })
-	}
-	l.RunWhile(func() bool { return count < 4 })
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
 	}
 }
 
@@ -391,15 +355,6 @@ func TestDurationHelper(t *testing.T) {
 	}
 }
 
-func TestEventAt(t *testing.T) {
-	l := NewLoop()
-	e := l.Schedule(7*Millisecond, func(Time) {})
-	if e.At() != 7*Millisecond {
-		t.Fatalf("At = %v, want 7ms", e.At())
-	}
-	l.Run()
-}
-
 func TestScheduleArg(t *testing.T) {
 	l := NewLoop()
 	type box struct{ v int }
@@ -508,31 +463,30 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestCancelAfterFireIsInert(t *testing.T) {
-	// A handle whose slot has been recycled must not cancel the slot's new
-	// occupant.
+	// A timer whose firing's slot has been recycled must not stop the
+	// slot's new occupant.
 	l := NewLoop()
-	e := l.Schedule(Millisecond, func(Time) {})
+	tm := l.NewTimer(func(Time) {})
+	tm.Reset(Millisecond)
 	l.Run()
 	fired := false
-	l.Schedule(Millisecond, func(Time) { fired = true }) // likely reuses e's slot
-	e.Cancel()
+	l.Schedule(Millisecond, func(Time) { fired = true }) // reuses the timer's slot
+	tm.Stop()
 	l.Run()
 	if !fired {
-		t.Fatal("stale Cancel killed an unrelated event")
+		t.Fatal("stale Stop killed an unrelated event")
 	}
 }
 
-func TestRunWhileReentrancyGuard(t *testing.T) {
+func TestRunReentrancyGuard(t *testing.T) {
 	l := NewLoop()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("reentrant RunWhile did not panic")
+			t.Fatal("reentrant Run did not panic")
 		}
 	}()
-	l.Schedule(Millisecond, func(Time) {
-		l.RunWhile(func() bool { return true })
-	})
-	l.RunWhile(func() bool { return true })
+	l.Schedule(Millisecond, func(Time) { l.Run() })
+	l.Run()
 }
 
 func TestManyEventsStress(t *testing.T) {

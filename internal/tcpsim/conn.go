@@ -223,9 +223,6 @@ func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
 // LocalAddr returns the connection's local endpoint.
 func (c *Conn) LocalAddr() nsim.AddrPort { return c.local }
 
-// RemoteAddr returns the connection's remote endpoint.
-func (c *Conn) RemoteAddr() nsim.AddrPort { return c.remote }
-
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
@@ -387,7 +384,7 @@ func (c *Conn) Abort() {
 	rst.Seq = c.sndNxt
 	rst.Ack = c.rcvNxt
 	c.transmit(rst)
-	c.stack.release(rst) // untracked: drop the creator's reference
+	rst.Release() // untracked: drop the creator's reference
 	c.teardown(errors.New("tcpsim: connection aborted"))
 }
 
@@ -482,16 +479,22 @@ func (c *Conn) track(seg *Segment) {
 // transmit sends a segment, counting it. Each wire copy entering the
 // network takes a segment reference, released by the receiving stack once
 // the copy has been handled; a copy dropped inside the network releases
-// its reference through the drop-release chain (the network's payload
-// hook, see releasePayload), so dropped segments recycle too.
+// its reference through the datagram carrying it (Segment.Release as a
+// netem.Payload), so dropped segments recycle too.
 func (c *Conn) transmit(seg *Segment) {
 	c.stats.SegmentsSent++
-	c.stack.retain(seg)
+	seg.retain()
+	// Every datagram of a negotiated connection is ECT, pure ACKs
+	// included (the ECN++ stance of RFC 8311 experiments, rather than
+	// RFC 3168's data-only ECT): on a marking-AQM path the connection
+	// then never loses a packet to the control law, only to buffer
+	// overflow. The SYN predates negotiation, so it is never ECT.
+	//
 	// Route errors (no route mid-simulation) surface as a teardown rather
 	// than a panic: the shell topology is static, so this indicates the
 	// experiment destroyed the namespace early.
-	if err := c.stack.send(c, seg); err != nil {
-		c.stack.release(seg) // the wire copy never entered the network
+	if err := c.stack.send(c.local, c.remote, c.flow, c.ectOK, seg); err != nil {
+		seg.Release() // the wire copy never entered the network
 		c.teardown(err)
 	}
 }
@@ -827,7 +830,7 @@ func (c *Conn) reapAcked(ack uint64) {
 			if ss.inFlight && !ss.sacked {
 				c.pipeBytes -= int(ss.seg.SeqLen())
 			}
-			c.stack.release(ss.seg) // drop the retransmission queue's reference
+			ss.seg.Release() // drop the retransmission queue's reference
 			continue
 		}
 		keep = append(keep, ss)
@@ -973,7 +976,7 @@ func (c *Conn) processData(seg *Segment) {
 		// A copy of a segment already buffered (duplication, a spurious
 		// retransmit of a SACKed segment) is entirely wasted bytes.
 		if c.bufferOOO(seg) {
-			c.stack.retain(seg)
+			seg.retain()
 			c.noteOOO(SackRange{Start: seg.Seq, End: seg.Seq + seg.SeqLen()})
 		} else {
 			c.stats.DupBytesRcvd += uint64(len(seg.Data))
@@ -999,7 +1002,7 @@ func (c *Conn) processData(seg *Segment) {
 		}
 		c.ooo[i] = nil
 		c.absorb(next)
-		c.stack.release(next)
+		next.Release()
 	}
 	c.releaseStaleOOO()
 	c.sendAck()
@@ -1041,7 +1044,7 @@ func (c *Conn) releaseStaleOOO() {
 			break
 		}
 		if sg.Seq+sg.SeqLen() <= c.rcvNxt {
-			c.stack.release(sg)
+			sg.Release()
 			continue
 		}
 		c.ooo[keep] = sg
@@ -1061,7 +1064,7 @@ func (c *Conn) releaseStaleOOO() {
 func (c *Conn) releaseAllOOO() {
 	for _, sg := range c.ooo {
 		if sg != nil {
-			c.stack.release(sg)
+			sg.Release()
 		}
 	}
 	c.stack.segs.ooo.Put(c.ooo)
@@ -1118,7 +1121,7 @@ func (c *Conn) sendAck() {
 	ack.Ack = c.rcvNxt
 	ack.Sack = c.sackBlocks()
 	c.transmit(ack)
-	c.stack.release(ack)
+	ack.Release()
 }
 
 // noteOOO merges a newly buffered out-of-order range into the sorted,
@@ -1203,7 +1206,7 @@ func (c *Conn) teardown(err error) {
 	c.closedErr = err
 	c.rtoTimer.Stop()
 	for i := range c.rtxq {
-		c.stack.release(c.rtxq[i].seg)
+		c.rtxq[i].seg.Release()
 	}
 	c.stack.segs.rtx.Put(c.rtxq)
 	c.rtxq = nil

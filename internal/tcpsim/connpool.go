@@ -46,9 +46,6 @@ func (p *ConnPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
 // behave exactly as before.
 func (s *Stack) SetConnPool(p *ConnPool) { s.connPool = p }
 
-// ConnPoolStats exposes the attached pool (nil if none), for ledger checks.
-func (s *Stack) ConnPoolStats() *ConnPool { return s.connPool }
-
 // table lends a connection table: a handed-back one when the pool has one,
 // else a fresh map. A pool-less stack (nil p) always gets a fresh map.
 func (p *ConnPool) table() map[fourTuple]*Conn {

@@ -110,8 +110,8 @@ type Segment struct {
 	// holders and the segment is recycled only when it reaches zero. pooled
 	// is false for hand-built segments (tests), which are never recycled.
 	// pool is the segment's origin pool, so a reference dropped anywhere —
-	// including by the network's drop-release hook, which has no Stack in
-	// scope — can recycle the segment without knowing who allocated it.
+	// including by a network drop, which has no Stack in scope — can
+	// recycle the segment without knowing who allocated it.
 	refs   int32
 	pooled bool
 	pool   *SegmentPool

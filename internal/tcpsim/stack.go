@@ -74,7 +74,7 @@ type SegmentPool struct {
 	ooo    reuse.Arrays[*Segment]
 	chunks reuse.Arrays[[]byte]
 	// gets and puts count pool traffic for leak accounting: every
-	// newSegment is balanced by exactly one final releaseSegment once all
+	// newSegment is balanced by exactly one final Segment.Release once all
 	// references drop, so at quiescence (all connections closed, nothing
 	// in flight) they must balance.
 	gets, puts uint64
@@ -100,23 +100,21 @@ func (s *Stack) newSegment() *Segment {
 
 // retain adds a reference to a pooled segment (e.g. a wire copy entering
 // the network, or the receiver buffering it out of order).
-func (s *Stack) retain(seg *Segment) {
+func (seg *Segment) retain() {
 	if seg.pooled {
 		seg.refs++
 	}
 }
 
-// release drops one reference; the last release recycles the segment into
+// Release drops one reference; the last release recycles the segment into
 // its origin pool. Callers must be done reading the segment before
 // releasing: recycling hands the Sack array back to the pool, where a
 // later ACK reuses it. Hand-built (non-pooled) segments are ignored.
-func (s *Stack) release(seg *Segment) { releaseSegment(seg) }
-
-// releaseSegment is Stack.release without a stack in scope: the network's
-// drop-release hook uses it to return the wire copy's reference when a
-// queue discipline (or any other network drop path) discards a segment in
-// flight.
-func releaseSegment(seg *Segment) {
+//
+// Release implements netem.Payload: when a queue discipline (or any other
+// network drop path) discards a wire copy in flight, the datagram carrying
+// it gives the copy's reference back here.
+func (seg *Segment) Release() {
 	if !seg.pooled {
 		return
 	}
@@ -135,23 +133,13 @@ func releaseSegment(seg *Segment) {
 	seg.pool.free = append(seg.pool.free, seg)
 }
 
-// releasePayload is the hook tcpsim installs on the network (see
-// nsim.Network.SetPayloadRelease): the payload of a dropped datagram, when
-// it is a segment, gives back the wire copy's reference.
-func releasePayload(payload any) {
-	if seg, ok := payload.(*Segment); ok {
-		releaseSegment(seg)
-	}
-}
-
-// retainPayload is the duplication hook (see nsim.Network.SetPayloadRetain):
-// when the network clones a datagram in flight (netem's DuplicateBox), the
-// wire copy gets a segment reference of its own, so both copies can be
-// delivered or dropped in any order and the pool ledger still balances.
-func retainPayload(payload any) {
-	if seg, ok := payload.(*Segment); ok && seg.pooled {
-		seg.refs++
-	}
+// Clone implements netem.Payload: when the network duplicates a wire copy
+// (netem's DuplicateBox), the duplicate gets a reference of its own, so
+// both copies can be delivered or dropped in any order and the pool ledger
+// still balances.
+func (seg *Segment) Clone() any {
+	seg.retain()
+	return seg
 }
 
 // SetCongestion selects the congestion-control algorithm for connections
@@ -215,11 +203,6 @@ func NewStackPool(ns *nsim.Namespace, segs *SegmentPool) *Stack {
 	}
 	s.recvFn = s.receive
 	ns.SetRxBatchHooks(s.beginRxBatch, s.endRxBatch)
-	// Close the drop-release chain: a datagram dropped anywhere in the
-	// network gives its segment reference back to the pool. The retain
-	// hook is the chain's mirror image for duplicated wire copies.
-	ns.Network().SetPayloadRelease(releasePayload)
-	ns.Network().SetPayloadRetain(retainPayload)
 	return s
 }
 
@@ -311,29 +294,45 @@ func (s *Stack) receive(dg *nsim.Datagram) {
 		if c, ok := s.conns[key]; ok {
 			c.stats.ChecksumDrops++
 		}
-		s.release(seg)
+		seg.Release()
 		return
 	}
 	if c, ok := s.conns[key]; ok {
 		c.handleSegment(seg, dg.CE)
-		s.release(seg)
+		seg.Release()
 		return
 	}
 	// New connection? Must be a SYN to a listener.
 	if seg.Flags&FlagSYN == 0 || seg.Flags&FlagACK != 0 {
-		s.release(seg)
+		seg.Release()
 		return // stray segment for a dead connection; drop
 	}
 	accept := s.lookupListener(dg.Dst)
 	if accept == nil {
-		s.release(seg)
-		return // port bound but no listener for this address: drop (RST-less)
+		// The port is bound for another address, but nothing listens on
+		// this one: refuse the SYN, as a Linux host does.
+		s.refuse(dg, seg)
+		seg.Release()
+		return
 	}
 	c := newConn(s, dg.Dst, dg.Src, true)
 	c.acceptFn = accept
 	s.addConn(key, c)
 	c.handleSegment(seg, dg.CE)
-	s.release(seg)
+	seg.Release()
+}
+
+// refuse answers a SYN that no listener accepts with an RST|ACK that has
+// sequence number 0 and acknowledges the SYN (RFC 9293 §3.10.7.1), so the
+// dialer fails in one round trip instead of riding its SYN
+// retransmissions to the end.
+func (s *Stack) refuse(dg *nsim.Datagram, syn *Segment) {
+	rst := s.newSegment() // its one reference goes with the wire copy
+	rst.Flags = FlagRST | FlagACK
+	rst.Ack = syn.Seq + syn.SeqLen()
+	if s.send(dg.Dst, dg.Src, dg.Flow, false, rst) != nil {
+		rst.Release() // the wire copy never entered the network
+	}
 }
 
 func (s *Stack) lookupListener(ap nsim.AddrPort) func(*Conn) {
@@ -364,21 +363,17 @@ func (s *Stack) drop(c *Conn) {
 	}
 }
 
-// send transmits a segment for the connection. The datagram comes from the
-// network's pool; nsim recycles it once it is delivered or dropped.
-func (s *Stack) send(c *Conn, seg *Segment) error {
+// send transmits a segment from src to dst in a datagram of the given
+// flow, ECN-capable when ect is set. The datagram comes from the network's
+// pool; nsim recycles it once it is delivered or dropped.
+func (s *Stack) send(src, dst nsim.AddrPort, flow uint64, ect bool, seg *Segment) error {
 	dg := s.ns.Network().NewDatagram()
-	dg.Src = c.local
-	dg.Dst = c.remote
+	dg.Src = src
+	dg.Dst = dst
 	dg.Size = seg.WireSize()
-	dg.Flow = c.flow
+	dg.Flow = flow
 	dg.Seq = int64(seg.Seq)
-	// Every datagram of a negotiated connection is ECT, pure ACKs
-	// included (the ECN++ stance of RFC 8311 experiments, rather than
-	// RFC 3168's data-only ECT): on a marking-AQM path the connection
-	// then never loses a packet to the control law, only to buffer
-	// overflow. The SYN predates negotiation, so it is never ECT.
-	dg.ECT = c.ectOK
+	dg.ECT = ect
 	dg.Payload = seg
 	return s.ns.Send(dg)
 }

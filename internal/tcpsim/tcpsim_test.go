@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/netem"
@@ -342,8 +343,8 @@ func TestAbortSendsRST(t *testing.T) {
 
 func TestSynLostThenRecovered(t *testing.T) {
 	// A listener that appears only after the first SYN would have been
-	// dropped: stack drops SYNs to ports with no listener, so dial first,
-	// listen later, and rely on SYN retransmission.
+	// dropped: the namespace drops SYNs to a port nothing binds, so dial
+	// first, listen later, and rely on SYN retransmission.
 	loop, cs, ss := testNet(t, 10*sim.Millisecond, 0, 0)
 	conn, _ := cs.Dial(clientAddr, serverAP)
 	var established sim.Time = -1
@@ -428,6 +429,39 @@ func TestMultiAddressListeners(t *testing.T) {
 	loop.Run()
 	if !hit1 || !hit2 {
 		t.Fatalf("listeners hit: %v %v, want both", hit1, hit2)
+	}
+}
+
+// TestSynRefusedOnUnlistenedAddress: a SYN to an owned address on a port
+// the stack listens on only for another address is refused with RST|ACK,
+// so the dial fails in one round trip instead of after its whole SYN
+// retransmission ladder.
+func TestSynRefusedOnUnlistenedAddress(t *testing.T) {
+	loop, cs, ss := testNet(t, 20*sim.Millisecond, 0, 0)
+	other := nsim.AddrPort{Addr: nsim.ParseAddr("10.0.0.3"), Port: serverAP.Port}
+	ss.Namespace().AddAddress(other.Addr)
+	if err := ss.Listen(serverAP, func(*Conn) { t.Error("the refused SYN was accepted") }); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := cs.Dial(clientAddr, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closedAt sim.Time = -1
+	var closeErr error
+	conn.OnClose(func(err error) { closedAt, closeErr = loop.Now(), err })
+	loop.Run()
+	if closeErr == nil || !strings.Contains(closeErr.Error(), "reset by peer") {
+		t.Fatalf("dial closed with error %v, want a reset", closeErr)
+	}
+	if closedAt != 20*sim.Millisecond {
+		t.Fatalf("dial failed at %v, want after one 20ms round trip", closedAt)
+	}
+	if n := conn.Statistics().Retransmits; n != 0 {
+		t.Fatalf("SYN retransmitted %d times before the reset", n)
+	}
+	if n := cs.Segments().Outstanding() + ss.Segments().Outstanding(); n != 0 {
+		t.Fatalf("%d segments outstanding after the refusal", n)
 	}
 }
 
