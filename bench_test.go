@@ -208,6 +208,7 @@ func BenchmarkAblationConnsPerHost(b *testing.B) {
 	for _, conns := range []int{2, 6, 12} {
 		b.Run(map[int]string{2: "conns2", 6: "conns6", 12: "conns12"}[conns], func(b *testing.B) {
 			var plt float64
+			scratch := experiments.NewScratch()
 			for i := 0; i < b.N; i++ {
 				opts := browser.DefaultOptions()
 				opts.ConnsPerHost = conns
@@ -218,6 +219,7 @@ func BenchmarkAblationConnsPerHost(b *testing.B) {
 						shells.NewLinkShell(tr, tr),
 					},
 					Browser: &opts,
+					Scratch: scratch,
 				})
 			}
 			b.ReportMetric(plt, "plt-ms")
@@ -240,6 +242,7 @@ func BenchmarkAblationTraceBoxQueue(b *testing.B) {
 				b.Fatal(err)
 			}
 			var plt float64
+			scratch := experiments.NewScratch()
 			for i := 0; i < b.N; i++ {
 				link := shells.NewLinkShell(tr, tr)
 				link.UpQueue = netem.QdiscSpec{Packets: qlen}
@@ -250,6 +253,7 @@ func BenchmarkAblationTraceBoxQueue(b *testing.B) {
 						shells.NewDelayShell(50 * sim.Millisecond),
 						link,
 					},
+					Scratch: scratch,
 				})
 			}
 			b.ReportMetric(plt, "plt-ms")

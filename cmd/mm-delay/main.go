@@ -42,11 +42,13 @@ func main() {
 	}
 
 	page := webgen.GeneratePage(sim.NewRand(*seed), webgen.DefaultProfile("www.example.com", *servers))
+	scratch := experiments.NewScratch()
 	for i := 0; i < *loads; i++ {
 		res := experiments.Load(experiments.LoadSpec{
 			Page:       page,
 			Shells:     []shells.Shell{shells.NewDelayShell(sim.Time(ms) * sim.Millisecond)},
 			DNSLatency: sim.Millisecond,
+			Scratch:    scratch,
 		})
 		fmt.Printf("delay %dms load %d: PLT %v (%d resources, %d KB)\n",
 			ms, i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources, res.Bytes/1024)

@@ -157,10 +157,11 @@ func main() {
 	}
 
 	page := webgen.GeneratePage(sim.NewRand(*seed), webgen.DefaultProfile("www.example.com", *servers))
+	scratch := experiments.NewScratch()
 	for i := 0; i < *loads; i++ {
 		res := experiments.Load(experiments.LoadSpec{
 			Page: page, Shells: shellList, DNSLatency: sim.Millisecond,
-			ECN: *ecn,
+			ECN: *ecn, Scratch: scratch,
 		})
 		fmt.Printf("load %d: PLT %v (%d resources, %d KB, %d errors)\n",
 			i+1, res.PLT.Duration().Round(time.Millisecond), res.Resources, res.Bytes/1024, res.Errors)

@@ -6,6 +6,10 @@
 // The page itself is synthesized (there is no live Internet in this
 // toolkit); the record path still exercises the full man-in-the-middle
 // pipeline: browser → shells → transparent proxy → simulated origins.
+//
+// Beside the archive's save.* files it writes page.spec, the -site,
+// -servers, -resources and -seed the page was generated from, so
+// mm-replay -archive rebuilds the same page.
 package main
 
 import (
@@ -40,11 +44,11 @@ func main() {
 		usageErr("-delay %d: want a non-negative delay", *delayMS)
 	}
 
-	profile := webgen.DefaultProfile(*site, *servers)
-	if *resources > 0 {
-		profile.Resources = *resources
+	spec := webgen.Spec{Site: *site, Servers: *servers, Resources: *resources, Seed: *seed}
+	if _, err := webgen.ParseSpec(spec.String()); err != nil {
+		usageErr("-site %q: want a host name, which page.spec can hold", *site)
 	}
-	page := webgen.GeneratePage(sim.NewRand(*seed), profile)
+	page := spec.Page()
 
 	session := core.NewSession()
 	rec, err := session.NewRecord(core.RecordConfig{
@@ -61,6 +65,9 @@ func main() {
 
 	dir := filepath.Join(*out, page.Name)
 	if err := archive.SaveSite(dir, recorded); err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, webgen.SpecFile), []byte(spec.String()), 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("recorded %s: %d exchanges from %d origins (%d KB) in %v (virtual)\n",

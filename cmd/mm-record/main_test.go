@@ -52,6 +52,8 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-servers", "-1"}, "-servers"},
 		{[]string{"-delay", "-5"}, "-delay"},
 		{[]string{"-resources", "-1"}, "-resources"},
+		{[]string{"-site", "www.example .com"}, "-site"},
+		{[]string{"-site", ""}, "-site"},
 	} {
 		stdout, stderr, code := mmRecord(t, append([]string{"-out", dir}, tc.args...)...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {
@@ -65,10 +67,11 @@ func TestRejectsBadInput(t *testing.T) {
 }
 
 // TestRecordThenReplay records a site with mm-record, loads the saved
-// archive back and replays it: every resource of the page must load.
+// archive and its page.spec back and replays the page the spec names, as
+// mm-replay -archive does: every resource of the page must load.
 func TestRecordThenReplay(t *testing.T) {
 	dir := t.TempDir()
-	out, stderr, code := mmRecord(t, "-servers", "3", "-out", dir)
+	out, stderr, code := mmRecord(t, "-servers", "3", "-resources", "40", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
 	}
@@ -80,8 +83,15 @@ func TestRecordThenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.example.com", 3))
-	res := experiments.Load(experiments.LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond})
+	text, err := os.ReadFile(filepath.Join(siteDir, webgen.SpecFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := webgen.ParseSpec(string(text))
+	if want := (webgen.Spec{Site: "www.example.com", Servers: 3, Resources: 40, Seed: 1}); err != nil || spec != want {
+		t.Fatalf("page.spec %q parses to %+v, %v; want %+v", text, spec, err, want)
+	}
+	res := experiments.Load(experiments.LoadSpec{Page: spec.Page(), Site: site, DNSLatency: sim.Millisecond})
 	if res.Errors != 0 || res.Resources != len(site.Exchanges) {
 		t.Errorf("replay loaded %d resources with %d errors from %d recorded exchanges",
 			res.Resources, res.Errors, len(site.Exchanges))

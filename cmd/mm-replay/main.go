@@ -8,17 +8,20 @@
 // single server (the paper's §4 ablation).
 //
 // An archive holds wire data, not the page's dependency graph, so the
-// browser's page spec is rebuilt from -site, -servers and -seed; they must
-// be the flags mm-record was given. A replayed load in which any resource
-// errors or fails (a host, port or request the archive lacks) exits 1
-// naming them.
+// browser's page is rebuilt from the page.spec mm-record saved beside the
+// archive; -site, -servers and -seed shape only synthesized replays. A
+// missing or malformed page.spec exits 1 naming it, and so does a replayed
+// load in which any resource errors or fails (a host, port or request the
+// archive lacks).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/archive"
@@ -32,9 +35,9 @@ import (
 
 func main() {
 	archiveDir := flag.String("archive", "", "recorded site directory (empty = synthesize)")
-	siteName := flag.String("site", "www.example.com", "synthetic site name (with -archive empty)")
-	servers := flag.Int("servers", 12, "synthetic origin count")
-	seed := flag.Uint64("seed", 1, "synthesis seed")
+	siteName := flag.String("site", "www.example.com", "synthetic site name (synthesized replays only; -archive reads page.spec)")
+	servers := flag.Int("servers", 12, "synthetic origin count (synthesized replays only)")
+	seed := flag.Uint64("seed", 1, "synthesis seed (synthesized replays only)")
 	delayMS := flag.Int("delay", 0, "DelayShell one-way delay, ms (0 = none)")
 	rateMbps := flag.Float64("rate", 0, "LinkShell constant rate, Mbit/s per direction (0 = none)")
 	single := flag.Bool("single", false, "single-server ablation mode")
@@ -54,13 +57,12 @@ func main() {
 		usageErr("-loads %d: want at least 1 load", *loads)
 	}
 
-	// The browser needs a page spec; for replayed archives we regenerate
-	// the page from the same profile (the archive alone stores wire data,
-	// not the dependency graph). Production use pairs the archive with its
-	// page spec; synthesized pages guarantee the two match.
-	profile := webgen.DefaultProfile(*siteName, *servers)
-	page := webgen.GeneratePage(sim.NewRand(*seed), profile)
+	// The browser needs the page's dependency graph, which the archive
+	// alone does not store: a synthesized replay generates it from the
+	// flags, and an archive's comes from the page.spec recorded with it.
+	spec := webgen.Spec{Site: *siteName, Servers: *servers, Seed: *seed}
 	var site *archive.Site
+	specPath := filepath.Join(*archiveDir, webgen.SpecFile)
 	if *archiveDir != "" {
 		s, err := archive.LoadSite(*archiveDir)
 		if err != nil {
@@ -72,7 +74,11 @@ func main() {
 		if len(s.Exchanges) == 0 {
 			fatal(fmt.Errorf("%s holds no recorded exchanges", *archiveDir))
 		}
+		if spec, err = readSpec(specPath); err != nil {
+			fatal(err)
+		}
 	}
+	page := spec.Page()
 
 	var shellList []shells.Shell
 	if *delayMS > 0 {
@@ -87,12 +93,14 @@ func main() {
 	}
 
 	var plts []float64
+	scratch := experiments.NewScratch()
 	for i := 0; i < *loads; i++ {
 		res := experiments.Load(experiments.LoadSpec{
 			Page: page, Site: site,
 			Shells:       shellList,
 			SingleServer: *single,
 			DNSLatency:   sim.Millisecond,
+			Scratch:      scratch,
 		})
 		plts = append(plts, res.PLT.Milliseconds())
 		fmt.Printf("load %d: PLT %v, %d resources, %d KB, %d errors\n",
@@ -106,15 +114,34 @@ func main() {
 			}
 		}
 		if bad := res.Errors + res.Failed; site != nil && bad > 0 {
-			fatal(fmt.Errorf("%d of %d resources did not replay from %s: the page spec comes from "+
-				"-site %s -servers %d -seed %d, which must match the recording",
-				bad, res.Resources, *archiveDir, *siteName, *servers, *seed))
+			fatal(fmt.Errorf("%d of %d resources did not replay from %s: the page comes from %s, "+
+				"which must describe the recorded page", bad, res.Resources, *archiveDir, specPath))
 		}
 	}
 	if *loads > 1 {
 		s := stats.New(plts)
 		fmt.Printf("summary: median %.0f ms, mean %s\n", s.Median(), s.Summary("ms"))
 	}
+}
+
+// readSpec reads the page spec saved beside an archive. It reads at most
+// 4 KiB, far more than the spec's four lines take: a longer file does not
+// parse.
+func readSpec(path string) (webgen.Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return webgen.Spec{}, err
+	}
+	defer f.Close()
+	text, err := io.ReadAll(io.LimitReader(f, 4<<10))
+	if err != nil {
+		return webgen.Spec{}, err
+	}
+	spec, err := webgen.ParseSpec(string(text))
+	if err != nil {
+		return webgen.Spec{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, nil
 }
 
 func fatal(err error) {

@@ -66,11 +66,11 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 }
 
-// recordArchive records www.example.com with the given origin count the way
-// mm-record does (seed 1) and saves it in a temporary directory.
-func recordArchive(t *testing.T, servers int) (dir string, site *archive.Site) {
+// recordArchive records the page spec names the way mm-record does and
+// saves it in a temporary directory, with spec in its page.spec.
+func recordArchive(t *testing.T, spec webgen.Spec) (dir string, site *archive.Site) {
 	t.Helper()
-	page := webgen.GeneratePage(sim.NewRand(1), webgen.DefaultProfile("www.example.com", servers))
+	page := spec.Page()
 	rec, err := core.NewSession().NewRecord(core.RecordConfig{
 		Page:   page,
 		Shells: []shells.Shell{shells.NewDelayShell(20 * sim.Millisecond)},
@@ -83,14 +83,29 @@ func recordArchive(t *testing.T, servers int) (dir string, site *archive.Site) {
 	if err := archive.SaveSite(dir, site); err != nil {
 		t.Fatal(err)
 	}
+	writeSpec(t, dir, spec)
 	return dir, site
 }
 
-// TestReplaysRecordedArchive replays a recorded archive with mm-replay:
-// every load must finish without errors.
+// writeSpec saves spec as dir's page.spec.
+func writeSpec(t *testing.T, dir string, spec webgen.Spec) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, webgen.SpecFile), []byte(spec.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// threeOrigins is a page unlike mm-replay's default -servers 12 one, with a
+// resource count of its own, so a replay that read the flags instead of
+// page.spec would miss most of the archive.
+var threeOrigins = webgen.Spec{Site: "www.example.com", Servers: 3, Resources: 40, Seed: 1}
+
+// TestReplaysRecordedArchive replays a recorded archive with mm-replay at
+// its default flags: the page comes from page.spec, and every load must
+// finish without errors.
 func TestReplaysRecordedArchive(t *testing.T) {
-	dir, site := recordArchive(t, 3)
-	out, stderr, code := mmReplay(t, "-archive", dir, "-servers", "3", "-delay", "30", "-rate", "12", "-loads", "2")
+	dir, site := recordArchive(t, threeOrigins)
+	out, stderr, code := mmReplay(t, "-archive", dir, "-delay", "30", "-rate", "12", "-loads", "2")
 	if code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
 	}
@@ -109,14 +124,15 @@ func TestReplaysRecordedArchive(t *testing.T) {
 	}
 }
 
-// TestMismatchedArchiveFails replays a 3-origin recording with the default
-// -servers 12 page spec. Most of that page's resources sit on hosts the
+// TestMismatchedArchiveFails replays a 3-origin recording whose page.spec
+// claims 12 servers. Most of that page's resources sit on hosts the
 // archive lacks: the load must still finish, report them, and exit 1
-// naming the flags the page spec is rebuilt from. No resource may take
-// over 10 s: one on a port the archive serves only for another address is
+// naming page.spec, where the page comes from. No resource may take over
+// 10 s: one on a port the archive serves only for another address is
 // refused at once, not after the dialer's SYN retransmissions.
 func TestMismatchedArchiveFails(t *testing.T) {
-	dir, _ := recordArchive(t, 3)
+	dir, _ := recordArchive(t, webgen.Spec{Site: "www.example.com", Servers: 3, Seed: 1})
+	writeSpec(t, dir, webgen.Spec{Site: "www.example.com", Servers: 12, Seed: 1})
 	out, stderr, code := mmReplay(t, "-archive", dir, "-v")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stdout:\n%s\nstderr:\n%s", code, out, stderr)
@@ -124,10 +140,8 @@ func TestMismatchedArchiveFails(t *testing.T) {
 	if !strings.Contains(out, "load 1: PLT") || strings.Contains(out, " 0 resources") {
 		t.Errorf("the load did not finish:\n%s", out)
 	}
-	for _, flag := range []string{"-site", "-servers", "-seed"} {
-		if !strings.Contains(stderr, flag) {
-			t.Errorf("stderr does not name %s:\n%s", flag, stderr)
-		}
+	if !strings.Contains(stderr, webgen.SpecFile) {
+		t.Errorf("stderr does not name %s:\n%s", webgen.SpecFile, stderr)
 	}
 	timing := regexp.MustCompile(`(?m)^\s*[0-9.]+ms \+\s*([0-9.]+)ms `)
 	matches := timing.FindAllStringSubmatch(out, -1)
@@ -165,5 +179,31 @@ func TestRejectsEmptyArchive(t *testing.T) {
 	stdout, stderr, code := mmReplay(t, "-archive", dir)
 	if code != 1 || !strings.Contains(stderr, "no recorded exchanges") || strings.Contains(stdout, "load 1") {
 		t.Errorf("exited %d with stdout %q, want 1 naming the empty archive and no load; stderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestRejectsMissingOrMalformedSpec: an archive without a readable
+// page.spec exits 1 naming it, before any load.
+func TestRejectsMissingOrMalformedSpec(t *testing.T) {
+	dir, _ := recordArchive(t, threeOrigins)
+	path := filepath.Join(dir, webgen.SpecFile)
+	for _, tc := range []struct {
+		name, text string
+	}{
+		{"missing", ""},
+		{"malformed", "site www.example.com\nservers 0\nresources 0\nseed 1\n"},
+		{"oversized", threeOrigins.String() + strings.Repeat("#", 5000)},
+	} {
+		os.Remove(path)
+		if tc.text != "" {
+			if err := os.WriteFile(path, []byte(tc.text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stdout, stderr, code := mmReplay(t, "-archive", dir)
+		if code != 1 || !strings.Contains(stderr, webgen.SpecFile) || strings.Contains(stdout, "load 1") {
+			t.Errorf("%s page.spec: exited %d with stdout %q, want 1 naming %s and no load; stderr:\n%s",
+				tc.name, code, stdout, webgen.SpecFile, stderr)
+		}
 	}
 }

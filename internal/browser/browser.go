@@ -28,6 +28,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/httpx"
 	"repro/internal/nsim"
+	"repro/internal/reuse"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/webgen"
@@ -125,15 +126,12 @@ type Scratch struct {
 	// parsers recycles response parsers across connections and loads.
 	// The browser reads body sizes, never content, so its parsers meter
 	// bodies and hold no body storage between loads.
-	parsers []*httpx.ResponseParser
+	parsers reuse.Free[httpx.ResponseParser]
 }
 
 // getParser draws a recycled response parser, or creates one.
 func (sc *Scratch) getParser() *httpx.ResponseParser {
-	if n := len(sc.parsers); n > 0 {
-		p := sc.parsers[n-1]
-		sc.parsers[n-1] = nil
-		sc.parsers = sc.parsers[:n-1]
+	if p := sc.parsers.Get(); p != nil {
 		p.Reset()
 		return p
 	}
@@ -485,7 +483,7 @@ func (l *load) dial(p *pool) *poolConn {
 		// saturated. Failed fetches are never re-queued, so a permanently
 		// dead origin converges instead of redialing in a loop.
 		if pc.parser != nil {
-			l.sc.parsers = append(l.sc.parsers, pc.parser)
+			l.sc.parsers.Put(pc.parser)
 			pc.parser = nil
 		}
 		for i, c := range p.conns {
@@ -633,7 +631,7 @@ func (l *load) complete() {
 	for _, p := range l.poolOrder {
 		for _, pc := range p.conns {
 			if pc.parser != nil {
-				l.sc.parsers = append(l.sc.parsers, pc.parser)
+				l.sc.parsers.Put(pc.parser)
 				pc.parser = nil
 			}
 			if l.b.opts.ResponseTimeout > 0 {

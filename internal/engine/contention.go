@@ -106,8 +106,7 @@ type ContentionSpec struct {
 	// Qdisc disciplines the contended downlink (zero value: unbounded
 	// droptail). ECN specs negotiate ECN on every connection.
 	Qdisc netem.QdiscSpec
-	// Up and Down shape the two link directions; nil defaults to a constant
-	// 20 Mbit/s trace each.
+	// Up and Down shape the two link directions; both are required.
 	Up, Down *trace.Trace
 	// OneWayDelay is the propagation delay either side of the link
 	// (default 10 ms).
@@ -327,11 +326,8 @@ func contentionArrive(_ sim.Time, arg any) {
 func RunContention(sh *Shard, spec ContentionSpec) ContentionResult {
 	spec = spec.withDefaults()
 	up, down := spec.Up, spec.Down
-	if up == nil {
-		up = defaultContentionTrace()
-	}
-	if down == nil {
-		down = defaultContentionTrace()
+	if up == nil || down == nil {
+		panic("engine: ContentionSpec.Up and ContentionSpec.Down are required")
 	}
 
 	loop := sh.Loop()
@@ -623,15 +619,6 @@ func ignoreData(*tcpsim.Conn, []byte) {}
 func (r *contentionRun) flowDone(f *cflow) {
 	f.left = 0
 	r.done++
-}
-
-// defaultContentionTrace is the fallback 20 Mbit/s constant link.
-func defaultContentionTrace() *trace.Trace {
-	t, err := trace.Constant(20_000_000, 1000)
-	if err != nil {
-		panic("engine: " + err.Error())
-	}
-	return t
 }
 
 func mustListen(err error) {

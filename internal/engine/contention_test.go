@@ -2,11 +2,25 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+// link20 is the constant 20 Mbit/s trace every test cell's two directions
+// share.
+var link20 = func() *trace.Trace {
+	t, err := trace.Constant(20_000_000, 1000)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}()
 
 // smallSpec is a quick contention cell: 30 flows, trimmed transfer sizes.
 func smallSpec(seed uint64) ContentionSpec {
@@ -17,6 +31,8 @@ func smallSpec(seed uint64) ContentionSpec {
 		BulkBytes:   64 << 10,
 		WebMaxBytes: 32 << 10,
 		Qdisc:       netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: 300},
+		Up:          link20,
+		Down:        link20,
 	}
 }
 
@@ -159,6 +175,57 @@ func TestContentionAllocsScaleWithTransfersNotPackets(t *testing.T) {
 					allocsSmall, allocsBig, resS.Events, resB.Events)
 			}
 		})
+	}
+}
+
+// TestWarmCellAllocationsIgnoreGC: a warm shard's cell allocates the same
+// fixed count whether or not the collector has just run. Every object a
+// cell recycles is parked in the shard's own pools, which a collection
+// leaves alone; a process-wide sync.Pool on the cell's path would be
+// emptied by it, and the next cell would allocate its contents again.
+func TestWarmCellAllocationsIgnoreGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector bookkeeping allocates per sync operation")
+	}
+	sh := NewShard()
+	spec := smallSpec(7)
+	RunContention(sh, spec) // warm the pools
+	RunContention(sh, spec)
+	// mallocs is the fewest allocations of three cells, each run right
+	// after two collections (a sync.Pool survives one) when gc is set.
+	mallocs := func(gc bool) uint64 {
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			if gc {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			RunContention(sh, spec)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	warm, afterGC := mallocs(false), mallocs(true)
+	if warm != afterGC {
+		t.Fatalf("warm cell allocated %d times, %d right after a collection", warm, afterGC)
+	}
+	t.Logf("warm cell allocated %d times, with or without a collection first", warm)
+}
+
+func TestContentionRequiresLinks(t *testing.T) {
+	for _, spec := range []ContentionSpec{{Flows: 1, Up: link20}, {Flows: 1, Down: link20}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "ContentionSpec.Up") || !strings.Contains(msg, "ContentionSpec.Down") {
+					t.Errorf("RunContention without a link panicked with %q, want it to name Up and Down", msg)
+				}
+			}()
+			RunContention(NewShard(), spec)
+		}()
 	}
 }
 

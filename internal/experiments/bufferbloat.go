@@ -236,7 +236,7 @@ func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page,
 	bulkNS.AddDefaultRoute(b2w)
 	world.AddRoute(bulkAddr, 32, w2b)
 	bulkAP := nsim.AddrPort{Addr: bulkAddr, Port: 5001}
-	bulkStack := tcpsim.NewStack(bulkNS)
+	bulkStack := tcpsim.NewStackPool(bulkNS, sh.Segments())
 	bulkStack.SetECN(spec.ECN)
 	if err := bulkStack.Listen(bulkAP, func(c *tcpsim.Conn) {
 		c.OnData(func([]byte) {})

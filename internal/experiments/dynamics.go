@@ -161,6 +161,7 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	replay, err := replayshell.New(network, replayshell.Config{
 		Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
+		Segments: sh.Segments(),
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
@@ -243,6 +244,7 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 	opts := browser.DefaultOptions()
 	opts.ResponseTimeout = dynResponseTimeout
 	b := browser.New(stack, replay.Resolver, AppAddr, opts)
+	b.UseScratch(&scratchFor(sh).browser)
 	var result browser.Result
 	b.Load(page, func(r browser.Result) { result = r })
 	loop.Run()

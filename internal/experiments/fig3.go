@@ -111,7 +111,8 @@ func liveLoad(sh *engine.Shard, page *webgen.Page, oneWay sim.Time, seed uint64)
 		panic("experiments: " + err.Error())
 	}
 	st := shells.Build(network, web.NS, AppAddr, shells.NewDelayShell(oneWay))
-	b := browser.New(tcpsim.NewStack(st.App), web.Resolver, AppAddr, browser.DefaultOptions())
+	b := browser.New(tcpsim.NewStackPool(st.App, sh.Segments()), web.Resolver, AppAddr, browser.DefaultOptions())
+	b.UseScratch(&scratchFor(sh).browser)
 	var result browser.Result
 	b.Load(page, func(r browser.Result) { result = r })
 	loop.Run()

@@ -199,7 +199,7 @@ func linkcharCell(sh *engine.Shard, payload []byte, up, down *trace.Trace,
 	cns.AddDefaultRoute(ec)
 	sns.AddDefaultRoute(es)
 
-	cs, ss := tcpsim.NewStack(cns), tcpsim.NewStack(sns)
+	cs, ss := tcpsim.NewStackPool(cns, sh.Segments()), tcpsim.NewStackPool(sns, sh.Segments())
 	var srv *tcpsim.Conn
 	if err := ss.Listen(serverAP, func(c *tcpsim.Conn) {
 		srv = c

@@ -22,8 +22,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"repro/internal/archive"
 	"repro/internal/browser"
 	"repro/internal/engine"
@@ -78,8 +76,7 @@ type LoadSpec struct {
 	// Browser overrides browser options; nil uses defaults.
 	Browser *browser.Options
 	// Scratch carries warmed object pools and working storage across
-	// sequential loads (nil draws one from a shared pool for the duration
-	// of the load). See Scratch.
+	// sequential loads (nil runs the load on a fresh one). See Scratch.
 	Scratch *Scratch
 }
 
@@ -118,21 +115,14 @@ func (s *Scratch) matcherFor(site *archive.Site) *match.Matcher {
 	return s.matcher
 }
 
-// scratchPool recycles Scratches for Load calls without an explicit one.
-// sync.Pool hands a scratch to exactly one goroutine at a time, so pooled
-// reuse is race-free even when loads run concurrently.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
 // Load runs one page load in a fresh network and returns the result. The
 // simulation's bulk allocations (packets, datagrams, segments, browser
-// working storage, the replay matcher index) come from spec.Scratch — or
-// from a shared recycled scratch when nil — so sequential loads reuse one
-// warmed set of pools instead of reallocating it per load.
+// working storage, the replay matcher index) come from spec.Scratch, so
+// sequential loads that share one reuse its warmed pools instead of
+// reallocating them per load; a load without one runs on NewScratch().
 func Load(spec LoadSpec) browser.Result {
 	if spec.Scratch == nil {
-		sc := scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(sc)
-		spec.Scratch = sc
+		spec.Scratch = NewScratch()
 	}
 	return build(spec).run(0, nil)
 }

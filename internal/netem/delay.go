@@ -23,9 +23,8 @@ type DelayBox struct {
 	delay sim.Time
 	// open is the train still accepting same-instant appends; mark is the
 	// loop's SeqMark right after the train last grew, the adjacency guard.
-	open   *train
-	mark   uint64
-	trains trainPool
+	open *train
+	mark uint64
 	// releaseFn is the release method pre-bound once, so each train's
 	// delivery event carries the train as the event argument instead of a
 	// freshly allocated closure.
@@ -67,12 +66,10 @@ func (d *DelayBox) SendBatch(pkts []*Packet) {
 // otherwise opens a fresh train with its own delivery event.
 func (d *DelayBox) schedule(pkt *Packet, exit sim.Time) {
 	if d.open != nil && d.open.exit == exit && d.loop.SeqMark() == d.mark {
-		d.open.pkts = append(d.open.pkts, pkt)
+		d.open.add(pkt)
 		return
 	}
-	t := d.trains.get()
-	t.exit = exit
-	t.pkts = append(t.pkts, pkt)
+	t := openTrain(pkt, exit)
 	d.open = t
 	d.loop.ScheduleArg(d.delay, d.releaseFn, t)
 	d.mark = d.loop.SeqMark()
@@ -89,7 +86,7 @@ func (d *DelayBox) release(_ sim.Time, arg any) {
 		d.stats.QueueBytes -= pkt.Size
 	}
 	d.emit(t.pkts)
-	d.trains.put(t)
+	t.close()
 }
 
 // LossBox drops packets according to a pluggable LossModel (Mahimahi's

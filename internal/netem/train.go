@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // train is a pending packet-train delivery: a contiguous run of packets
 // leaving a box at one virtual instant through a single event, instead of
@@ -29,37 +25,49 @@ import (
 // in order is byte-identical to the per-packet schedule: every experiment
 // artifact is unchanged, only the event count drops.
 //
-// Train objects never travel: the owning box hands the packet slice to its
-// sink (see BatchSink's retention rule) and immediately recycles the train
-// through its free list.
+// A train belongs to the origin pool of the packet that opens it, like the
+// packet itself: it comes from that pool's free list, borrows its packet
+// array from the pool's capacity classes, and hands both back on delivery,
+// so a parked train holds no capacity and a warmed shard opens trains
+// without allocating. A train opened by a hand-built packet (tests,
+// benches) has no pool: it grows by append and is left to the collector.
+// Trains never travel: the owning box hands the packet slice to its sink
+// (see BatchSink's retention rule) and closes the train right after.
 type train struct {
 	exit sim.Time
 	pkts []*Packet
+	pool *PacketPool
 }
 
-// trainSync recycles train objects process-wide. Boxes are rebuilt per
-// page load (as Mahimahi rebuilds shells per invocation), so a box-local
-// free list would re-pay its warmup every load; sync.Pool hands a train to
-// exactly one goroutine at a time, which keeps reuse race-free under the
-// parallel experiment engine while letting the pool warm once per worker.
-// Pool identity never influences results — trains carry no state between
-// uses.
-var trainSync = sync.Pool{New: func() any { return &train{pkts: make([]*Packet, 0, 32)} }}
-
-// trainPool is a box-level facade over the shared pool. (A box-local
-// cache was tried and rejected: trains parked in per-load boxes leave
-// the shared pool's circulation when the box dies, costing allocations
-// across loads without measurable speedup.)
-type trainPool struct{}
-
-func (trainPool) get() *train {
-	return trainSync.Get().(*train)
-}
-
-func (trainPool) put(t *train) {
-	for i := range t.pkts {
-		t.pkts[i] = nil
+// openTrain returns a train leaving at exit that holds pkt.
+func openTrain(pkt *Packet, exit sim.Time) *train {
+	var t *train
+	if pp := pkt.pool; pp != nil {
+		t = pp.trains.Get()
 	}
-	t.pkts = t.pkts[:0]
-	trainSync.Put(t)
+	if t == nil {
+		t = &train{pool: pkt.pool}
+	}
+	t.exit = exit
+	t.add(pkt)
+	return t
+}
+
+// add appends pkt to the train.
+func (t *train) add(pkt *Packet) {
+	if t.pool == nil {
+		t.pkts = append(t.pkts, pkt)
+		return
+	}
+	t.pkts = t.pool.rings.Append(t.pkts, pkt)
+}
+
+// close hands a delivered train and its array back to its pool.
+func (t *train) close() {
+	if t.pool == nil {
+		return
+	}
+	t.pool.rings.Put(t.pkts)
+	t.pkts = nil
+	t.pool.trains.Put(t)
 }

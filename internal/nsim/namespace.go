@@ -33,28 +33,24 @@ type Network struct {
 // once instead of once per simulation. A PoolSet must never be shared by
 // two concurrently running networks.
 type PoolSet struct {
-	// pkts also owns the qdisc packet rings, which grow from their
-	// packets' origin pool (see netem.Qdisc.ReleaseStorage).
-	pkts   netem.PacketPool
-	dgFree []*Datagram
-	// batchFree recycles the datagram-batch containers that carry packet
+	// pkts also owns the delay boxes' packet trains and the qdisc packet
+	// rings, which come from their packets' origin pool (see
+	// netem.Qdisc.ReleaseStorage).
+	pkts netem.PacketPool
+	dgs  reuse.Free[Datagram]
+	// batches recycles the datagram-batch containers that carry packet
 	// trains across the one delivery event a train shares.
-	batchFree []*dgBatch
+	batches reuse.Free[dgBatch]
 	// sockets lends the namespaces' socket tables, which a driver running
 	// cell after cell hands back at the end of each cell
 	// (Namespace.ReleaseStorage) instead of regrowing fresh ones.
 	sockets reuse.Maps[AddrPort, DatagramHandler]
-	// dgGets and dgPuts count datagram pool traffic for leak accounting:
-	// at quiescence they must balance (see OutstandingDatagrams).
-	dgGets, dgPuts uint64
 }
 
 // OutstandingDatagrams reports pooled datagrams currently alive (handed
 // out by NewDatagram and not yet recycled). Zero at quiescence means no
 // drop path leaked a datagram.
-func (ps *PoolSet) OutstandingDatagrams() int64 {
-	return int64(ps.dgGets) - int64(ps.dgPuts)
-}
+func (ps *PoolSet) OutstandingDatagrams() int64 { return ps.dgs.Outstanding() }
 
 // OutstandingPackets reports pooled netem packets currently alive; zero at
 // quiescence means every wrapper came back, delivered or dropped.
@@ -70,11 +66,7 @@ type dgBatch struct {
 
 // getBatch returns an empty batch container from the pool.
 func (n *Network) getBatch() *dgBatch {
-	free := n.pools.batchFree
-	if ln := len(free); ln > 0 {
-		b := free[ln-1]
-		free[ln-1] = nil
-		n.pools.batchFree = free[:ln-1]
+	if b := n.pools.batches.Get(); b != nil {
 		return b
 	}
 	return &dgBatch{}
@@ -82,11 +74,9 @@ func (n *Network) getBatch() *dgBatch {
 
 // putBatch recycles a drained batch container.
 func (n *Network) putBatch(b *dgBatch) {
-	for i := range b.dgs {
-		b.dgs[i] = nil
-	}
+	clear(b.dgs)
 	b.dgs = b.dgs[:0]
-	n.pools.batchFree = append(n.pools.batchFree, b)
+	n.pools.batches.Put(b)
 }
 
 // NewNetwork creates an empty network on the given event loop, with its
@@ -117,11 +107,7 @@ func (n *Network) Pools() *PoolSet { return n.pools }
 func (n *Network) NewDatagram() *Datagram { return n.pools.newDatagram() }
 
 func (ps *PoolSet) newDatagram() *Datagram {
-	ps.dgGets++
-	if ln := len(ps.dgFree); ln > 0 {
-		dg := ps.dgFree[ln-1]
-		ps.dgFree[ln-1] = nil
-		ps.dgFree = ps.dgFree[:ln-1]
+	if dg := ps.dgs.Get(); dg != nil {
 		return dg
 	}
 	return &Datagram{pools: ps}
@@ -134,9 +120,8 @@ func (d *Datagram) free() {
 	if ps == nil {
 		return
 	}
-	ps.dgPuts++
 	*d = Datagram{pools: ps}
-	ps.dgFree = append(ps.dgFree, d)
+	ps.dgs.Put(d)
 }
 
 var _ netem.Payload = (*Datagram)(nil)

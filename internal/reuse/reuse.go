@@ -1,6 +1,7 @@
 // Package reuse holds the free lists through which a long-lived owner, an
-// engine shard's pools, keeps the growable storage of the short-lived
-// objects it serves: a connection, a packet queue or a cell borrows
+// engine shard's pools, keeps the short-lived objects it serves and their
+// growable storage: a packet, segment or connection is parked when it ends
+// and handed out again, and a connection, a packet queue or a cell borrows
 // capacity while it lives and hands it back when it ends, so a warmed
 // owner allocates nothing and a parked object holds no capacity.
 //
@@ -9,6 +10,40 @@
 package reuse
 
 import "math/bits"
+
+// Free is a LIFO free list of recycled objects with a loan ledger. Get
+// returns the most recently parked object, or nil so the caller makes a
+// fresh one; either way it counts a loan, which Put balances. The zero
+// value is ready to use.
+type Free[T any] struct {
+	free       []*T
+	gets, puts uint64
+}
+
+// Get counts a loan and returns the newest parked object, or nil when none
+// is parked.
+func (f *Free[T]) Get() *T {
+	f.gets++
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	x := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return x
+}
+
+// Put parks x for a later Get. The caller must be done with x and must
+// have cleared what it should not pin.
+func (f *Free[T]) Put(x *T) {
+	f.puts++
+	f.free = append(f.free, x)
+}
+
+// Outstanding reports loans not yet returned: zero once every object Get
+// lent (parked or fresh) has been put back.
+func (f *Free[T]) Outstanding() int64 { return int64(f.gets) - int64(f.puts) }
 
 // Arrays recycles slice backing arrays in power-of-two capacity classes,
 // so an array handed back serves any later request of its class exactly

@@ -126,3 +126,51 @@ func sameMap(a, b map[int]bool) bool {
 	defer delete(a, -1)
 	return b[-1]
 }
+
+func TestFreeLIFOAndLedger(t *testing.T) {
+	var f Free[int]
+	if f.Get() != nil {
+		t.Fatal("empty free list handed out an object")
+	}
+	if f.Outstanding() != 1 {
+		t.Fatalf("Outstanding = %d after an empty Get, want 1 (the caller makes the object)", f.Outstanding())
+	}
+	a, b, c := new(int), new(int), new(int)
+	f.Put(a)
+	f.Put(b)
+	f.Put(c)
+	if f.Outstanding() != -2 {
+		t.Fatalf("Outstanding = %d after one loan and three returns, want -2", f.Outstanding())
+	}
+	for i, want := range []*int{c, b, a} {
+		if got := f.Get(); got != want {
+			t.Fatalf("Get %d did not return the newest parked object", i)
+		}
+	}
+	if f.Get() != nil {
+		t.Fatal("drained free list handed out an object")
+	}
+	if f.Outstanding() != 2 {
+		t.Fatalf("Outstanding = %d after five loans and three returns, want 2", f.Outstanding())
+	}
+}
+
+func TestFreeWarmAllocatesNothing(t *testing.T) {
+	var f Free[int]
+	objs := []*int{new(int), new(int), new(int), new(int)}
+	for _, x := range objs {
+		f.Put(x)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for range objs {
+			f.Put(f.Get())
+		}
+		xs := [4]*int{f.Get(), f.Get(), f.Get(), f.Get()}
+		for _, x := range xs {
+			f.Put(x)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm free list allocated %.0f times per run", allocs)
+	}
+}

@@ -195,16 +195,30 @@ type Conn struct {
 	pooledFree bool
 }
 
+// newConn returns a connection in its opening state, recycled from the
+// stack's ConnPool when it has one parked. Fresh and recycled connections
+// alike get the whole struct assigned, so no field can survive from a
+// connection's previous life; a recycled one holds no storage (its queues
+// went back to the segment pool) and keeps only its RTO timer, which is
+// bound to its onRTO and generation-checked, so it is rebound only when
+// the connection moves to another loop.
 func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
-	if c := s.takePooledConn(); c != nil {
-		c.reset(s, local, remote, server)
-		return c
+	var c *Conn
+	if s.connPool != nil {
+		c = s.connPool.free.Get()
+	}
+	if c == nil {
+		c = new(Conn)
+	}
+	timer := c.rtoTimer
+	if c.stack == nil || c.stack.loop != s.loop {
+		timer = s.loop.NewTimer(c.onRTO)
 	}
 	st := StateSynSent
 	if server {
 		st = StateSynRcvd
 	}
-	c := &Conn{
+	*c = Conn{
 		cc:       s.cc,
 		stack:    s,
 		local:    local,
@@ -215,8 +229,8 @@ func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
 		cwnd:     InitialWindow,
 		ssthresh: ReceiveWindow,
 		rto:      initialRTO,
+		rtoTimer: timer,
 	}
-	c.rtoTimer = s.loop.NewTimer(c.onRTO)
 	return c
 }
 

@@ -1,9 +1,6 @@
 package tcpsim
 
-import (
-	"repro/internal/nsim"
-	"repro/internal/reuse"
-)
+import "repro/internal/reuse"
 
 // ConnPool is a free list of recycled Conns. A fresh connection is the last
 // per-flow allocation spike on the many-flow hot path: segments and
@@ -24,12 +21,11 @@ import (
 // be threaded through many sequential simulations and shared by stacks on
 // the same loop, but must never be shared across concurrently running loops.
 type ConnPool struct {
-	free   []*Conn
+	// free counts a loan for every newConn on a pooled stack (whether
+	// served from the free list or freshly allocated) and a return for
+	// every Recycle.
+	free   reuse.Free[Conn]
 	tables reuse.Maps[fourTuple, *Conn]
-	// gets counts every newConn on a pooled stack (whether served from the
-	// free list or freshly allocated); puts counts every Recycle. The
-	// difference is the number of pool-managed connections currently live.
-	gets, puts uint64
 }
 
 // NewConnPool returns an empty connection free list.
@@ -39,7 +35,7 @@ func NewConnPool() *ConnPool { return &ConnPool{} }
 // recycled. Unlike SegmentPool.Outstanding it is not a leak detector on its
 // own — recycling is opt-in per connection — but a driver that recycles
 // every connection it opens can assert it returns to zero at quiescence.
-func (p *ConnPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
+func (p *ConnPool) Outstanding() int64 { return p.free.Outstanding() }
 
 // SetConnPool attaches a connection free list to the stack. Connections are
 // only returned to it explicitly (Stack.Recycle); stacks without a pool
@@ -69,24 +65,6 @@ func (s *Stack) ReleaseStorage() {
 	s.conns = nil
 }
 
-// takePooledConn pops a recycled connection, counting the request either
-// way so the ledger covers fresh allocations too. Returns nil when no pool
-// is attached or the free list is empty.
-func (s *Stack) takePooledConn() *Conn {
-	p := s.connPool
-	if p == nil {
-		return nil
-	}
-	p.gets++
-	if n := len(p.free); n > 0 {
-		c := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return c
-	}
-	return nil
-}
-
 // Recycle returns a fully closed connection to the stack's pool for reuse
 // by a later Dial or accept. It is safe to call from the connection's
 // OnClose callback: close notification is delivered from a scheduled event,
@@ -99,14 +77,11 @@ func (s *Stack) Recycle(c *Conn) {
 		return
 	}
 	// Drop every reference the idle connection would otherwise pin. State
-	// scalars are rebuilt by reset on reuse; pointers are cleared now, and
+	// scalars are rebuilt by newConn on reuse; pointers are cleared now, and
 	// the send queue goes back to the segment pool as the other queues did
 	// at teardown, so a parked connection costs only its own struct.
 	c.stack.segs.chunks.Put(c.sendq)
 	c.sendq = nil
-	c.sendHead = 0
-	c.sendOff = 0
-	c.sendLen = 0
 	c.acceptFn = nil
 	c.onEstablished = nil
 	c.onData = nil
@@ -115,68 +90,5 @@ func (s *Stack) Recycle(c *Conn) {
 	c.onCloseC = nil
 	c.closedErr = nil
 	c.pooledFree = true
-	p.puts++
-	p.free = append(p.free, c)
-}
-
-// reset rebuilds a recycled connection into the state newConn would have
-// produced. It holds no storage: the queues went back to the segment pool
-// and are borrowed from the new stack's pool as the connection grows them.
-// Every field of Conn is either re-initialized here or was cleared by
-// teardown/Recycle; keep this in sync with the struct definition.
-func (c *Conn) reset(s *Stack, local, remote nsim.AddrPort, server bool) {
-	prev := c.stack
-	c.stack = s
-	c.cc = s.cc
-	c.local = local
-	c.remote = remote
-	c.server = server
-	c.flow = s.ns.Network().NextFlow()
-	if server {
-		c.state = StateSynRcvd
-	} else {
-		c.state = StateSynSent
-	}
-
-	c.sndUna = 0
-	c.sndNxt = 0
-	// sendq went back to the pool in Recycle; rtxq, ooo and sackList at
-	// teardown.
-	c.cwnd = InitialWindow
-	c.ssthresh = ReceiveWindow
-	c.dupAcks = 0
-	c.cubic = cubicState{}
-	c.pipeBytes = 0
-	c.holeIdx = 0
-	c.inRecovery = false
-	c.recoverSeq = 0
-	c.recoveryStart = 0
-	c.highSack = 0
-	c.appClosed = false
-	c.finSent = false
-	c.ectOK = false
-	c.ecnRecover = 0
-	c.cwrPending = false
-
-	c.rcvNxt = 0
-	c.ceEcho = false
-	c.peerFin = false
-	c.peerFinSeq = 0
-
-	c.srtt = 0
-	c.rttvar = 0
-	c.rto = initialRTO
-	c.rtoRetries = 0
-	// The timer survives recycling: it is bound to this connection's onRTO
-	// and sim.Timer handles are generation-checked, so a handle left over
-	// from before a Loop.Reset is inert and Reset re-arms it freshly. Only a
-	// move to a different loop needs a rebind.
-	if prev == nil || prev.loop != s.loop {
-		c.rtoTimer = s.loop.NewTimer(c.onRTO)
-	}
-
-	c.stats = Stats{}
-	c.closedErr = nil
-	c.closeNotified = false
-	c.pooledFree = false
+	p.free.Put(c)
 }

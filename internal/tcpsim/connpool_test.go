@@ -19,6 +19,9 @@ func poolTestNet(t *testing.T, seen map[*Conn]bool) (*sim.Loop, *Stack, *ConnPoo
 	ss.SetConnPool(pool)
 	err := ss.Listen(serverAP, func(c *Conn) {
 		seen[c] = true
+		if n := pool.Outstanding(); n != 2 {
+			t.Errorf("outstanding = %d at accept, want 2 (the client's and the server's conn)", n)
+		}
 		c.OnData(func(p []byte) { c.Write(p); c.Close() })
 		c.OnClose(func(error) { ss.Recycle(c) })
 	})
@@ -52,20 +55,23 @@ func TestConnPoolReusesConnections(t *testing.T) {
 	seen := map[*Conn]bool{}
 	loop, cs, pool := poolTestNet(t, seen)
 
-	runEcho(t, loop, cs, seen, []byte("round one"))
-	if pool.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after full close+recycle, want 0", pool.Outstanding())
+	// Four rounds, two endpoints each. The listener finds both connections
+	// on loan at every accept, and each round ends with both recycled: the
+	// ledger counts eight loans and eight returns.
+	for round := 0; round < 4; round++ {
+		msg := []byte("another round")
+		if round == 0 {
+			msg = []byte("round one")
+		}
+		runEcho(t, loop, cs, seen, msg)
+		if pool.Outstanding() != 0 {
+			t.Fatalf("round %d: outstanding = %d after full close+recycle, want 0", round, pool.Outstanding())
+		}
 	}
-	for round := 0; round < 3; round++ {
-		runEcho(t, loop, cs, seen, []byte("another round"))
-	}
-	// Four rounds, two endpoints each: with recycling, the two connections
-	// from round one serve every later round.
+	// With recycling, the two connections from round one serve every later
+	// round.
 	if len(seen) != 2 {
 		t.Fatalf("%d distinct Conns allocated over 4 rounds, want 2", len(seen))
-	}
-	if pool.gets != 8 || pool.puts != 8 {
-		t.Fatalf("ledger gets=%d puts=%d, want 8 each", pool.gets, pool.puts)
 	}
 }
 
@@ -103,7 +109,7 @@ func TestRecycleGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs.Recycle(conn) // not closed: must be refused
-	if pool.puts != 0 || len(pool.free) != 0 {
+	if pool.Outstanding() != 1 {
 		t.Fatal("Recycle accepted a live connection")
 	}
 	conn.OnEstablished(func() { conn.Write([]byte("x")); conn.Close() })
@@ -112,9 +118,20 @@ func TestRecycleGuards(t *testing.T) {
 		cs.Recycle(conn) // second call: must be a no-op
 	})
 	loop.Run()
-	// Client conn recycled once (double call refused) + server conn once.
-	if pool.puts != 2 || len(pool.free) != 2 {
-		t.Fatalf("puts=%d free=%d after double Recycle, want 2,2", pool.puts, len(pool.free))
+	// Client conn recycled once (double call refused) + server conn once:
+	// both loans are back, and the free list holds exactly those two.
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("outstanding = %d after double Recycle, want 0", n)
+	}
+	server, client := pool.free.Get(), pool.free.Get()
+	if server == conn {
+		server, client = client, server
+	}
+	if client != conn || !seen[server] {
+		t.Fatal("free list does not hold the client's and the server's connection")
+	}
+	if pool.free.Get() != nil {
+		t.Fatal("free list holds more than the two recycled connections")
 	}
 
 	// A pool-less stack ignores Recycle entirely.

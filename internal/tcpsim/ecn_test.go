@@ -369,7 +369,7 @@ func TestDropReleasePoolBalance(t *testing.T) {
 	if got != len(payload) {
 		t.Fatalf("received %d bytes, want %d", got, len(payload))
 	}
-	if drops.Dropped() == 0 {
+	if drops.QueueStats().Drops() == 0 {
 		t.Fatal("run was not drop-heavy: shallow queue never dropped")
 	}
 	if cstack.Conns() != 0 || sstack.Conns() != 0 {

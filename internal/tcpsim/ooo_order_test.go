@@ -32,10 +32,18 @@ func oooAt(c *Conn, seq uint64) (*Segment, bool) {
 	return nil, false
 }
 
-// freeTail returns the segments most recently appended to the pool's free
-// list, oldest first.
+// freeTail returns the n segments most recently parked in the pool, oldest
+// first. It reads them by LIFO Get and parks them again in the same order,
+// so the free list and its ledger are left as they were.
 func freeTail(p *SegmentPool, n int) []*Segment {
-	return p.free[len(p.free)-n:]
+	tail := make([]*Segment, n)
+	for i := n - 1; i >= 0; i-- {
+		tail[i] = p.free.Get()
+	}
+	for _, sg := range tail {
+		p.free.Put(sg)
+	}
+	return tail
 }
 
 // TestOOOReleaseOrderDeterministic is the regression test for the
@@ -59,7 +67,7 @@ func TestOOOReleaseOrderDeterministic(t *testing.T) {
 		}
 
 		bySeq := stuffOOO(conn, seqs)
-		before := len(cs.segs.free)
+		before := cs.segs.Outstanding()
 		conn.rcvNxt = 2000 // everything buffered is stale
 		conn.releaseStaleOOO()
 		if len(conn.ooo) != 0 {
@@ -70,8 +78,8 @@ func TestOOOReleaseOrderDeterministic(t *testing.T) {
 				t.Fatalf("iter %d: releaseStaleOOO recycled out of order at %d", iter, i)
 			}
 		}
-		if len(cs.segs.free) != before+len(seqs) {
-			t.Fatalf("iter %d: free list grew by %d, want %d", iter, len(cs.segs.free)-before, len(seqs))
+		if got := before - cs.segs.Outstanding(); got != int64(len(seqs)) {
+			t.Fatalf("iter %d: %d segments came back to the pool, want %d", iter, got, len(seqs))
 		}
 
 		bySeq = stuffOOO(conn, seqs)

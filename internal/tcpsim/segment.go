@@ -107,14 +107,13 @@ type Segment struct {
 	// through the simulated network, so one object can simultaneously be
 	// held by the sender's retransmission queue, one or more in-flight wire
 	// copies, and the receiver's reassembly buffer; refs counts those
-	// holders and the segment is recycled only when it reaches zero. pooled
-	// is false for hand-built segments (tests), which are never recycled.
-	// pool is the segment's origin pool, so a reference dropped anywhere —
+	// holders and the segment is recycled only when it reaches zero. pool
+	// is the segment's origin pool, so a reference dropped anywhere —
 	// including by a network drop, which has no Stack in scope — can
-	// recycle the segment without knowing who allocated it.
-	refs   int32
-	pooled bool
-	pool   *SegmentPool
+	// recycle the segment without knowing who allocated it; it is nil for
+	// hand-built segments (tests), which are never recycled.
+	refs int32
+	pool *SegmentPool
 }
 
 // SeqLen is the amount of sequence space the segment occupies: its payload

@@ -62,7 +62,7 @@ type Stack struct {
 // must never be shared across concurrently running loops), so warmup is
 // paid once per worker rather than once per simulation.
 type SegmentPool struct {
-	free []*Segment
+	free reuse.Free[Segment]
 	// Connection- and segment-scoped arrays in power-of-two capacity
 	// classes. A connection borrows its retransmit queue, SACK list and
 	// reassembly buffer as they grow and hands them back at teardown, and
@@ -73,35 +73,28 @@ type SegmentPool struct {
 	sacks  reuse.Arrays[SackRange]
 	ooo    reuse.Arrays[*Segment]
 	chunks reuse.Arrays[[]byte]
-	// gets and puts count pool traffic for leak accounting: every
-	// newSegment is balanced by exactly one final Segment.Release once all
-	// references drop, so at quiescence (all connections closed, nothing
-	// in flight) they must balance.
-	gets, puts uint64
 }
 
-// Outstanding reports live pool segments (allocated and not yet recycled).
-// Zero at quiescence means no drop or teardown path leaked a reference.
-func (p *SegmentPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
+// Outstanding reports live pool segments (allocated and not yet recycled):
+// every newSegment is balanced by exactly one final Segment.Release once
+// all references drop, so zero at quiescence (all connections closed,
+// nothing in flight) means no drop or teardown path leaked a reference.
+func (p *SegmentPool) Outstanding() int64 { return p.free.Outstanding() }
 
 // newSegment returns a zeroed segment with one reference (the creator's).
 func (s *Stack) newSegment() *Segment {
-	pool := s.segs
-	pool.gets++
-	if n := len(pool.free); n > 0 {
-		seg := pool.free[n-1]
-		pool.free[n-1] = nil
-		pool.free = pool.free[:n-1]
-		seg.refs = 1
-		return seg
+	seg := s.segs.free.Get()
+	if seg == nil {
+		seg = &Segment{pool: s.segs}
 	}
-	return &Segment{refs: 1, pooled: true, pool: pool}
+	seg.refs = 1
+	return seg
 }
 
 // retain adds a reference to a pooled segment (e.g. a wire copy entering
 // the network, or the receiver buffering it out of order).
 func (seg *Segment) retain() {
-	if seg.pooled {
+	if seg.pool != nil {
 		seg.refs++
 	}
 }
@@ -115,22 +108,18 @@ func (seg *Segment) retain() {
 // network drop path) discards a wire copy in flight, the datagram carrying
 // it gives the copy's reference back here.
 func (seg *Segment) Release() {
-	if !seg.pooled {
+	if seg.pool == nil {
 		return
 	}
 	if seg.refs--; seg.refs > 0 {
 		return
 	}
-	seg.Flags = 0
-	seg.Seq = 0
-	seg.Ack = 0
 	// Data aliases the sending connection's buffer (see Conn.pump), whose
-	// other segments may still be in flight: drop it rather than reuse it.
-	seg.Data = nil
-	seg.pool.sacks.Put(seg.Sack)
-	seg.Sack = nil
-	seg.pool.puts++
-	seg.pool.free = append(seg.pool.free, seg)
+	// other segments may still be in flight: it is dropped, not reused.
+	pool := seg.pool
+	pool.sacks.Put(seg.Sack)
+	*seg = Segment{pool: pool}
+	pool.free.Put(seg)
 }
 
 // Clone implements netem.Payload: when the network duplicates a wire copy

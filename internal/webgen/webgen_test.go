@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -228,5 +229,44 @@ func TestOriginAddressesDistinctWithinPage(t *testing.T) {
 	}
 	if len(seen) != 60 {
 		t.Fatalf("distinct origin addresses = %d, want 60", len(seen))
+	}
+}
+
+func TestSpecRoundTrip(t *testing.T) {
+	spec := Spec{Site: "www.example.com", Servers: 3, Resources: 40, Seed: 7}
+	got, err := ParseSpec(spec.String())
+	if err != nil || got != spec {
+		t.Fatalf("ParseSpec(String()) = %+v, %v; want %+v", got, err, spec)
+	}
+	p := DefaultProfile(spec.Site, spec.Servers)
+	p.Resources = spec.Resources
+	if want := GeneratePage(sim.NewRand(spec.Seed), p); !reflect.DeepEqual(spec.Page(), want) {
+		t.Fatal("Spec.Page differs from the page its profile generates")
+	}
+	derived := Spec{Site: "www.example.com", Servers: 12, Seed: 1}
+	if want := GeneratePage(sim.NewRand(1), DefaultProfile("www.example.com", 12)); !reflect.DeepEqual(derived.Page(), want) {
+		t.Fatal("a spec with resources 0 does not keep the derived resource count")
+	}
+}
+
+func TestParseSpecRejectsMalformed(t *testing.T) {
+	for _, text := range []string{
+		"",
+		"site a\nservers 1\nresources 0\n",
+		"site a\nservers 1\nresources 0\nseed 1\nseed 2\n",
+		"site a\nservers 1\nresources 0\nseed 1\nextra 3\n",
+		"site \nservers 1\nresources 0\nseed 1\n",
+		"site a\nservers 0\nresources 0\nseed 1\n",
+		"site a\nservers 1\nresources -1\nseed 1\n",
+		"site a\nservers x\nresources 0\nseed 1\n",
+		"site a\nservers 1\nresources 0\nseed -1\n",
+		"site a b\nservers 1\nresources 0\nseed 1\n",
+		"site a\nservers 1\nresources 0\nseed 1",
+		"site a\nservers 1\nresources 0\nseed 1\n\n",
+		"servers 1\nsite a\nresources 0\nseed 1\n",
+	} {
+		if s, err := ParseSpec(text); err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an error", text, s)
+		}
 	}
 }
