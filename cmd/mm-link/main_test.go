@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,18 @@ func TestInfiniteQueueLoads(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRejectsOverflowingTrace: a trace whose timestamp overflows virtual
+// time exits 1 naming the file, instead of looping on a negative period.
+func TestRejectsOverflowingTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overflow.trace")
+	if err := os.WriteFile(path, []byte("9223372036854775807\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := mmLink(t, path, path)
+	if code != 1 || !strings.Contains(stderr, path) {
+		t.Fatalf("mm-link %s %s exited %d, want 1 naming the file; stderr:\n%s", path, path, code, stderr)
 	}
 }

@@ -52,12 +52,26 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-make", "cellular", "-max", "1e6"}, 1, "delivery opportunities"},
 		{[]string{"-make", "constant", "-period", "0"}, 1, "period"},
 		{[]string{"-inspect", filepath.Join(t.TempDir(), "missing.trace")}, 1, "missing.trace"},
+		// A timestamp that overflows virtual time is refused, not read as
+		// a trace with a negative period.
+		{[]string{"-inspect", writeTrace(t, "overflow.trace", "9223372036854775807\n")}, 1, "overflow.trace"},
 	} {
 		_, stderr, code := mmTrace(t, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.want) {
 			t.Errorf("mm-trace %v exited %d, want %d naming %q; stderr:\n%s", tc.args, code, tc.code, tc.want, stderr)
 		}
 	}
+}
+
+// writeTrace writes a trace file into a fresh temporary directory and
+// returns its path.
+func writeTrace(t *testing.T, name, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestWriteErrorFails writes a trace to a device that refuses the bytes:

@@ -3,10 +3,9 @@
 // contains a file for each request-response pair seen during that record
 // session" (paper §2).
 //
-// A Site is the unit of recording (one page load); a Corpus is a directory
-// of sites (the paper ships a 500-site corpus of the Alexa US Top 500).
-// Each exchange remembers the server address it was recorded from, which is
-// what lets ReplayShell reconstruct the multi-origin server topology.
+// A Site is the unit of recording (one page load). Each exchange remembers
+// the server address it was recorded from, which is what lets ReplayShell
+// reconstruct the multi-origin server topology.
 package archive
 
 import (
@@ -264,43 +263,4 @@ func LoadSite(dir string) (*Site, error) {
 		site.Exchanges = append(site.Exchanges, e)
 	}
 	return site, nil
-}
-
-// Corpus is a set of recorded sites.
-type Corpus struct {
-	Sites []*Site
-}
-
-// SaveCorpus writes each site into its own subdirectory of dir.
-func SaveCorpus(dir string, c *Corpus) error {
-	for _, s := range c.Sites {
-		if err := SaveSite(filepath.Join(dir, s.Name), s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadCorpus reads every site subdirectory of dir, sorted by name.
-func LoadCorpus(dir string) (*Corpus, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	c := &Corpus{}
-	var names []string
-	for _, ent := range entries {
-		if ent.IsDir() {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s, err := LoadSite(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		c.Sites = append(c.Sites, s)
-	}
-	return c, nil
 }

@@ -161,28 +161,6 @@ func TestSiteSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCorpusSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := &Corpus{Sites: []*Site{
-		{Name: "bbb.com", Exchanges: []*Exchange{mkExchange("bbb.com", "/", "2.2.2.2", 80, "b")}},
-		{Name: "aaa.com", Exchanges: []*Exchange{mkExchange("aaa.com", "/", "1.1.1.1", 80, "a")}},
-	}}
-	if err := SaveCorpus(dir, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Sites) != 2 {
-		t.Fatalf("loaded %d sites", len(got.Sites))
-	}
-	// Sorted by name.
-	if got.Sites[0].Name != "aaa.com" || got.Sites[1].Name != "bbb.com" {
-		t.Fatalf("sites = %v, %v", got.Sites[0].Name, got.Sites[1].Name)
-	}
-}
-
 func TestLoadSiteMissingDir(t *testing.T) {
 	if _, err := LoadSite(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("missing dir accepted")

@@ -47,9 +47,6 @@ type Options struct {
 	// request order on the connection, so transport-level head-of-line
 	// blocking is modelled; header compression and prioritization are not.
 	Multiplex bool
-	// MaxPipeline bounds outstanding requests per multiplexed connection
-	// (0 = unlimited).
-	MaxPipeline int
 	// ResponseTimeout bounds how long a connection with outstanding
 	// requests may stay silent before the browser gives up on it: the
 	// connection is aborted and its requests counted in Result.Failed. It
@@ -429,13 +426,7 @@ func (l *load) availableConn(p *pool) *poolConn {
 		if !pc.ready || pc.dead {
 			continue
 		}
-		if l.b.opts.Multiplex {
-			if l.b.opts.MaxPipeline <= 0 || len(pc.inflight) < l.b.opts.MaxPipeline {
-				return pc
-			}
-			continue
-		}
-		if len(pc.inflight) == 0 {
+		if l.b.opts.Multiplex || len(pc.inflight) == 0 {
 			return pc
 		}
 	}

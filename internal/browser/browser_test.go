@@ -343,16 +343,6 @@ func TestMultiplexBeatsSerialOnHighRTT(t *testing.T) {
 	}
 }
 
-func TestMultiplexPipelineLimit(t *testing.T) {
-	page := smallPage()
-	opts := MultiplexOptions()
-	opts.MaxPipeline = 2
-	r := loadOnce(t, page, opts, shells.NewDelayShell(10*sim.Millisecond))
-	if r.Resources != len(page.Resources) || r.Errors != 0 {
-		t.Fatalf("limited pipeline load: %d resources, %d errors", r.Resources, r.Errors)
-	}
-}
-
 func TestProgressiveDiscoveryBeforeParentCompletes(t *testing.T) {
 	// A child at DiscoverAt 0.1 of a large parent must start fetching
 	// before the parent finishes downloading over a slow link.

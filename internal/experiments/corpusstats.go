@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/webgen"
 )
 
 // ServersResult summarizes the servers-per-site distribution of the corpus
@@ -42,21 +40,4 @@ func (r ServersResult) String() string {
 	fmt.Fprintf(&b, "  single-server %4d   (paper: 9)\n", r.SingleServer)
 	fmt.Fprintf(&b, "  max           %4.0f\n", r.Counts.Max())
 	return b.String()
-}
-
-// ProfilesResult reports the generated weight of the named site profiles,
-// for documentation.
-type ProfilesResult struct {
-	Lines []string
-}
-
-// Profiles summarizes the three named profiles.
-func Profiles() ProfilesResult {
-	var r ProfilesResult
-	for _, p := range []webgen.Profile{webgen.CNBCLike(), webgen.WikiHowLike(), webgen.NYTimesLike()} {
-		page := webgen.GeneratePage(sim.NewRand(7), p)
-		r.Lines = append(r.Lines, fmt.Sprintf("%-18s %3d resources, %2d origins, %5.1f KB",
-			p.Name, len(page.Resources), page.ServerCount(), float64(page.TotalBytes())/1024))
-	}
-	return r
 }

@@ -196,10 +196,3 @@ func TestCorpusPagesScaling(t *testing.T) {
 		t.Fatal("scaled corpus lost its single-server sites")
 	}
 }
-
-func TestProfilesRender(t *testing.T) {
-	r := Profiles()
-	if len(r.Lines) != 3 {
-		t.Fatalf("lines = %d", len(r.Lines))
-	}
-}

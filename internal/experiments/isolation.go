@@ -94,10 +94,10 @@ func isolationConcurrent(spec LoadSpec) isolationArm {
 			return
 		}
 		for i := 0; i < 8; i++ {
-			noisyA.Send(&nsim.Datagram{
-				Src: nsim.AddrPort{Addr: aAddr, Port: 9}, Dst: nsim.AddrPort{Addr: bAddr, Port: 9},
-				Size: netem.MTU,
-			})
+			dg := network.NewDatagram()
+			dg.Src, dg.Dst = nsim.AddrPort{Addr: aAddr, Port: 9}, nsim.AddrPort{Addr: bAddr, Port: 9}
+			dg.Size = netem.MTU
+			noisyA.Send(dg)
 		}
 		loop.Schedule(sim.Millisecond, flood)
 	}

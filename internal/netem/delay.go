@@ -32,7 +32,7 @@ type DelayBox struct {
 }
 
 // NewDelayBox returns a fixed one-way-delay box. A zero delay degenerates to
-// a Wire with one event-loop hop (DelayShell 0 ms in Figure 2).
+// a passthrough with one event-loop hop (DelayShell 0 ms in Figure 2).
 func NewDelayBox(loop *sim.Loop, delay sim.Time) *DelayBox {
 	if delay < 0 {
 		panic(fmt.Sprintf("netem: negative delay %v", delay))
@@ -56,7 +56,6 @@ func (d *DelayBox) SendBatch(pkts []*Packet) {
 		if d.stats.QueueLen > d.stats.MaxQueueLen {
 			d.stats.MaxQueueLen = d.stats.QueueLen
 		}
-		pkt.Sent = now
 		d.schedule(pkt, now+d.delay)
 	}
 }

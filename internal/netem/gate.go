@@ -1,58 +1,23 @@
 package netem
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// GateBox models an intermittent link (Mahimahi's mm-onoff extension):
-// the link alternates between on-periods, during which packets pass
-// through immediately, and off-periods, during which arriving packets are
-// held in a queue discipline. When the link comes back on, held packets
-// are released in order; the qdisc's drop law runs at that drain, so a
-// CoDel outage queue sheds the stale backlog instead of replaying it.
+// GateBox models an intermittent link (Mahimahi's mm-onoff extension) on a
+// scripted timeline: while the link is on, packets pass through
+// immediately; while it is off, arriving packets are held in a queue
+// discipline. When the link comes back on, held packets are released in
+// order; the qdisc's drop law runs at that drain, so a CoDel outage queue
+// sheds the stale backlog instead of replaying it.
 //
-// Period lengths can be jittered by a seeded RNG so that on/off phases do
-// not align across runs unless desired.
-//
-// A scripted gate (NewScriptedGateBox) schedules no flips of its own:
-// state changes come only from SetOn, the mutation a ScenarioScript drives
-// for outage windows pinned to exact virtual instants.
+// The gate schedules no flips of its own: state changes come only from
+// SetOn, the mutation a ScenarioScript drives for outage windows pinned to
+// exact virtual instants.
 type GateBox struct {
 	port
-	loop     *sim.Loop
-	on       sim.Time
-	off      sim.Time
-	jitter   float64 // fraction of period length, 0 = strictly periodic
-	rng      *sim.Rand
-	isOn     bool
-	scripted bool // state changes come from SetOn, never self-scheduled
-	queue    Qdisc
-	carry    qdiscCarry
-	flipFn   sim.Handler // flip pre-bound once, so periods schedule closure-free
-}
-
-// NewGateBox returns an intermittent-link box that starts in the on state.
-// on and off are the nominal period lengths; jitter (in [0,1)) randomizes
-// each period's length by ±jitter. queue is the discipline holding packets
-// during off periods (nil = unbounded).
-func NewGateBox(loop *sim.Loop, on, off sim.Time, jitter float64, rng *sim.Rand, queue Qdisc) *GateBox {
-	if on <= 0 || off < 0 {
-		panic(fmt.Sprintf("netem: invalid gate periods on=%v off=%v", on, off))
-	}
-	if jitter > 0 && rng == nil {
-		panic("netem: GateBox jitter requires an RNG")
-	}
-	if queue == nil {
-		queue = NewDropTail(0, 0)
-	}
-	g := &GateBox{loop: loop, on: on, off: off, jitter: jitter, rng: rng, isOn: true, queue: queue}
-	g.flipFn = g.flip
-	if off > 0 {
-		g.loop.Schedule(g.period(on), g.flipFn)
-	}
-	return g
+	loop  *sim.Loop
+	isOn  bool
+	queue Qdisc
+	carry qdiscCarry
 }
 
 // NewScriptedGateBox returns a gate that starts on and never flips by
@@ -63,9 +28,7 @@ func NewScriptedGateBox(loop *sim.Loop, queue Qdisc) *GateBox {
 	if queue == nil {
 		queue = NewDropTail(0, 0)
 	}
-	g := &GateBox{loop: loop, isOn: true, scripted: true, queue: queue}
-	g.flipFn = g.flip
-	return g
+	return &GateBox{loop: loop, isOn: true, queue: queue}
 }
 
 // SetOn forces the gate's state — the scripted link flap. Turning the link
@@ -76,11 +39,6 @@ func NewScriptedGateBox(loop *sim.Loop, queue Qdisc) *GateBox {
 // setting the current state again, moves no packets. Returns how many
 // backlogged packets were released downstream and how many were dropped.
 func (g *GateBox) SetOn(on bool, policy DrainPolicy) (moved, dropped int) {
-	if !g.scripted {
-		// A periodic gate's timeline belongs to its own flip schedule;
-		// mixing in scripted state changes would silently desynchronize it.
-		panic("netem: GateBox.SetOn on a periodic gate (use NewScriptedGateBox)")
-	}
 	if on == g.isOn {
 		return 0, 0
 	}
@@ -105,23 +63,6 @@ func (g *GateBox) On() bool { return g.isOn }
 
 // Queue exposes the box's queue discipline, for telemetry.
 func (g *GateBox) Queue() Qdisc { return g.queue }
-
-func (g *GateBox) period(nominal sim.Time) sim.Time {
-	if g.jitter <= 0 {
-		return nominal
-	}
-	return g.rng.Jitter(nominal, g.jitter)
-}
-
-func (g *GateBox) flip(sim.Time) {
-	g.isOn = !g.isOn
-	if g.isOn {
-		g.drainBacklog()
-		g.loop.Schedule(g.period(g.on), g.flipFn)
-	} else {
-		g.loop.Schedule(g.period(g.off), g.flipFn)
-	}
-}
 
 // drainBacklog releases everything held during an outage, in order, and
 // reports how many packets survived the qdisc's drop law to go downstream.

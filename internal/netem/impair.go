@@ -122,12 +122,10 @@ func (r *ReorderBox) Send(pkt *Packet) { r.SendBatch(r.one(pkt)) }
 // in-order survivors continue as one train, and displaced packets join
 // hold trains.
 func (r *ReorderBox) SendBatch(pkts []*Packet) {
-	now := r.loop.Now()
 	var surv []*Packet
 	forked := false
 	for i, pkt := range pkts {
 		r.stats.arrive(pkt)
-		pkt.Sent = now
 		switch {
 		case r.displace(pkt):
 			if !forked {

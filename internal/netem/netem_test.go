@@ -11,8 +11,10 @@ func collect(dst *[]*Packet) Sink {
 	return func(p *Packet) { *dst = append(*dst, p) }
 }
 
+// TestWirePassthrough: an empty pipeline is a wire, handing on the very
+// packet it was sent and counting it in and out.
 func TestWirePassthrough(t *testing.T) {
-	w := NewWire()
+	w := NewPipeline()
 	var got []*Packet
 	w.SetSink(collect(&got))
 	p := &Packet{Size: 100, Flow: 1}
@@ -26,13 +28,22 @@ func TestWirePassthrough(t *testing.T) {
 	}
 }
 
+// outage drives a scripted gate off during [from, to) and drains its
+// backlog downstream, in order, when the link comes back on.
+func outage(loop *sim.Loop, g *GateBox, from, to sim.Time) {
+	loop.Schedule(from, func(sim.Time) { g.SetOn(false, DrainHold) })
+	loop.Schedule(to, func(sim.Time) { g.SetOn(true, DrainHold) })
+}
+
+// TestWirePanicsWithoutSink: an empty pipeline is a wire, and like every
+// box it refuses a packet it has nowhere to deliver.
 func TestWirePanicsWithoutSink(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send without sink did not panic")
 		}
 	}()
-	NewWire().Send(&Packet{Size: 1})
+	NewPipeline().Send(&Packet{Size: 1})
 }
 
 func TestDelayBoxFixedDelay(t *testing.T) {
@@ -535,7 +546,8 @@ func TestPacketString(t *testing.T) {
 
 func TestGateBoxPassesWhileOn(t *testing.T) {
 	loop := sim.NewLoop()
-	g := NewGateBox(loop, 100*sim.Millisecond, 50*sim.Millisecond, 0, nil, nil)
+	g := NewScriptedGateBox(loop, nil)
+	outage(loop, g, 100*sim.Millisecond, 150*sim.Millisecond)
 	var at []sim.Time
 	g.SetSink(func(*Packet) { at = append(at, loop.Now()) })
 	loop.Schedule(10*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: MTU}) })
@@ -547,8 +559,8 @@ func TestGateBoxPassesWhileOn(t *testing.T) {
 
 func TestGateBoxHoldsWhileOff(t *testing.T) {
 	loop := sim.NewLoop()
-	// On 100ms, off 50ms: off during [100,150).
-	g := NewGateBox(loop, 100*sim.Millisecond, 50*sim.Millisecond, 0, nil, nil)
+	g := NewScriptedGateBox(loop, nil)
+	outage(loop, g, 100*sim.Millisecond, 150*sim.Millisecond)
 	var at []sim.Time
 	g.SetSink(func(*Packet) { at = append(at, loop.Now()) })
 	loop.Schedule(120*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: MTU}) })
@@ -567,9 +579,11 @@ func TestGateBoxHoldsWhileOff(t *testing.T) {
 	}
 }
 
+// TestGateBoxAlwaysOnWithZeroOff: a gate never set off passes everything;
+// it schedules no flips of its own.
 func TestGateBoxAlwaysOnWithZeroOff(t *testing.T) {
 	loop := sim.NewLoop()
-	g := NewGateBox(loop, 10*sim.Millisecond, 0, 0, nil, nil)
+	g := NewScriptedGateBox(loop, nil)
 	n := 0
 	g.SetSink(func(*Packet) { n++ })
 	for i := 0; i < 100; i++ {
@@ -580,13 +594,14 @@ func TestGateBoxAlwaysOnWithZeroOff(t *testing.T) {
 		t.Fatalf("always-on gate delivered %d/100", n)
 	}
 	if !g.On() {
-		t.Fatal("gate with zero off-period turned off")
+		t.Fatal("gate never set off turned off")
 	}
 }
 
 func TestGateBoxQueueLimitDrops(t *testing.T) {
 	loop := sim.NewLoop()
-	g := NewGateBox(loop, 100*sim.Millisecond, 100*sim.Millisecond, 0, nil, NewDropTail(1, 0))
+	g := NewScriptedGateBox(loop, NewDropTail(1, 0))
+	outage(loop, g, 100*sim.Millisecond, 200*sim.Millisecond)
 	n := 0
 	g.SetSink(func(*Packet) { n++ })
 	loop.Schedule(110*sim.Millisecond, func(sim.Time) {
@@ -597,22 +612,4 @@ func TestGateBoxQueueLimitDrops(t *testing.T) {
 	if n != 1 || g.Stats().Dropped != 1 {
 		t.Fatalf("delivered %d dropped %d, want 1/1", n, g.Stats().Dropped)
 	}
-}
-
-func TestGateBoxInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid gate accepted")
-		}
-	}()
-	NewGateBox(sim.NewLoop(), 0, 10, 0, nil, nil)
-}
-
-func TestGateBoxJitterRequiresRNG(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("jitter without RNG accepted")
-		}
-	}()
-	NewGateBox(sim.NewLoop(), 10, 10, 0.5, nil, nil)
 }

@@ -15,6 +15,10 @@
 // (nsim.Connect). Shell nesting in Mahimahi (`mm-delay 50 mm-link up down
 // -- app`) corresponds to concatenating each shell's boxes onto both
 // directions.
+//
+// A Packet is also the datagram nsim routes between namespaces: it carries
+// the IP header (Src, Dst, TTL), which boxes never read, so the packet a
+// transport sends is the one every box on its path queues.
 package netem
 
 import (
@@ -28,8 +32,10 @@ import (
 // delivery opportunities for 1500-byte packets.
 const MTU = 1500
 
-// Packet is the unit of work flowing through boxes. Packets carry an opaque
-// payload for the transport layer; boxes only inspect Size.
+// Packet is the unit of work flowing through boxes, and the datagram nsim
+// routes between namespaces (nsim.Datagram is this type). Packets carry an
+// opaque payload for the transport layer; boxes only inspect Size, Flow and
+// the ECN and corruption marks.
 type Packet struct {
 	// Size is the number of bytes the packet occupies on the wire,
 	// including all headers.
@@ -40,9 +46,9 @@ type Packet struct {
 	// Seq is a transport-defined sequence number (used only for debugging
 	// and test assertions).
 	Seq int64
-	// Sent is the virtual time the packet entered the current box. Boxes
-	// update it on ingress.
-	Sent sim.Time
+	// Src and Dst are the IP header's transport endpoints, which nsim
+	// routes and delivers on. Boxes never read them.
+	Src, Dst AddrPort
 	// ECT marks the packet as belonging to an ECN-capable transport
 	// (RFC 3168): a marking AQM (codel-ecn, PIE) signals congestion on such
 	// packets by setting CE instead of dropping them. Non-ECT packets are
@@ -58,11 +64,14 @@ type Packet struct {
 	// full RTO or fast-retransmit round trip rather than vanishing
 	// silently at the link.
 	Corrupt bool
+	// TTL is the IP hop limit: nsim drops a packet whose TTL reaches zero
+	// while forwarding. Boxes never read it.
+	TTL uint8
 	// enq is the virtual time the packet entered the qdisc currently
 	// holding it, stamped by Qdisc.Enqueue; sojourn-time AQM (CoDel) and
 	// per-queue delay telemetry read it at dequeue.
 	enq sim.Time
-	// Payload is opaque transport data (e.g. an *nsim.Datagram). A payload
+	// Payload is opaque transport data (e.g. a *tcpsim.Segment). A payload
 	// that implements Payload is released when the packet is dropped and
 	// cloned when it is duplicated.
 	Payload any
@@ -73,13 +82,12 @@ type Packet struct {
 }
 
 // Payload is a packet payload that holds pooled or reference-counted state
-// of the layers above netem: nsim's datagrams, and the tcpsim segments
-// inside them. A drop anywhere in the data plane releases it and a
-// duplicate clones it, so netem needs to know nothing of those layers.
+// of the layers above netem: the tcpsim segment a packet carries. A drop
+// anywhere in the data plane releases it and a duplicate clones it, so
+// netem needs to know nothing of those layers.
 type Payload interface {
-	// Release gives back what the dropped packet held: the datagram goes
-	// back to its pool and the segment inside loses the wire copy's
-	// reference.
+	// Release gives back what the dropped packet held: the segment loses
+	// the wire copy's reference.
 	Release()
 	// Clone returns a copy the duplicate owns, so that the two copies can
 	// each be delivered or dropped, in any order.
@@ -157,8 +165,8 @@ func (p *Packet) Clone() *Packet {
 	} else {
 		cp = &Packet{}
 	}
-	cp.Size, cp.Flow, cp.Seq, cp.Sent = p.Size, p.Flow, p.Seq, p.Sent
-	cp.ECT, cp.CE, cp.Corrupt, cp.enq = p.ECT, p.CE, p.Corrupt, p.enq
+	cp.Size, cp.Flow, cp.Seq, cp.Src, cp.Dst = p.Size, p.Flow, p.Seq, p.Src, p.Dst
+	cp.ECT, cp.CE, cp.Corrupt, cp.TTL, cp.enq = p.ECT, p.CE, p.Corrupt, p.TTL, p.enq
 	if pl, ok := p.Payload.(Payload); ok {
 		cp.Payload = pl.Clone()
 	}
@@ -293,22 +301,4 @@ func (p *port) emitScratch(out []*Packet) {
 		out[i] = nil
 	}
 	p.scratch = out[:0]
-}
-
-// Wire is a zero-delay passthrough box: trains leave undivided at the
-// instant they arrive.
-type Wire struct{ port }
-
-// NewWire returns a passthrough box.
-func NewWire() *Wire { return &Wire{} }
-
-// Send implements Box.
-func (w *Wire) Send(pkt *Packet) { w.SendBatch(w.one(pkt)) }
-
-// SendBatch implements Box.
-func (w *Wire) SendBatch(pkts []*Packet) {
-	for _, pkt := range pkts {
-		w.stats.arrive(pkt)
-	}
-	w.emit(pkts)
 }

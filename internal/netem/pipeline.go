@@ -2,7 +2,7 @@ package netem
 
 // Pipeline chains boxes in series: a packet sent to the pipeline traverses
 // every box in order before reaching the pipeline's sink. An empty pipeline
-// behaves like a Wire.
+// passes trains through undivided at the instant they arrive.
 //
 // Shell nesting in Mahimahi (`mm-delay 50 mm-link up down -- app`)
 // corresponds to appending each inner shell's boxes to the pipelines of both

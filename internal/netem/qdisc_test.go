@@ -280,8 +280,8 @@ func TestGateBoxOffPeriodBacklogOrdering(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			loop := sim.NewLoop()
-			// On 100ms, off 100ms: off during [100,200).
-			g := NewGateBox(loop, 100*sim.Millisecond, 100*sim.Millisecond, 0, nil, nil)
+			g := NewScriptedGateBox(loop, nil)
+			outage(loop, g, 100*sim.Millisecond, 200*sim.Millisecond)
 			var seqs []int64
 			var at []sim.Time
 			g.SetSink(func(p *Packet) { seqs = append(seqs, p.Seq); at = append(at, loop.Now()) })

@@ -343,7 +343,8 @@ func TestTrainThroughPipeline(t *testing.T) {
 // as one train at the restore instant, preserving order.
 func TestTrainGateBoxDrainAsTrain(t *testing.T) {
 	loop := sim.NewLoop()
-	g := NewGateBox(loop, 10*sim.Millisecond, 10*sim.Millisecond, 0, nil, nil)
+	g := NewScriptedGateBox(loop, nil)
+	outage(loop, g, 10*sim.Millisecond, 20*sim.Millisecond)
 	var got []delivery
 	recordSinks(loop, g, &got)
 	// Off period spans [10ms, 20ms): these arrive while off and are held.
@@ -372,7 +373,7 @@ func TestEveryBoxDeliversToBatchSinkAlone(t *testing.T) {
 		name string
 		mk   func(loop *sim.Loop) Box
 	}{
-		{"wire", func(*sim.Loop) Box { return NewWire() }},
+		{"empty pipeline", func(*sim.Loop) Box { return NewPipeline() }},
 		{"delay", func(loop *sim.Loop) Box { return NewDelayBox(loop, sim.Millisecond) }},
 		{"loss", func(*sim.Loop) Box { return NewLossBox(0, sim.NewRand(1)) }},
 		{"rate", func(loop *sim.Loop) Box { return NewRateBox(loop, 12_000_000, nil) }},

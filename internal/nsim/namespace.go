@@ -13,31 +13,30 @@ import (
 type DatagramHandler func(dg *Datagram)
 
 // Network is a collection of namespaces sharing one virtual clock. It
-// hands out flow identifiers, holds the loop, and owns the per-loop packet
-// and datagram pools that make the forwarding path allocation-free; it does
-// not provide any connectivity (connectivity is exclusively via Links).
+// hands out flow identifiers, holds the loop, and owns the per-loop pools
+// that make the forwarding path allocation-free; it does not provide any
+// connectivity (connectivity is exclusively via Links).
 type Network struct {
 	loop     *sim.Loop
 	nextFlow uint64
 	nsCount  int
-	// pools recycles the netem packets that wrap datagrams crossing links
-	// and the pooled datagrams themselves (see NewDatagram).
+	// pools recycles the datagrams (see NewDatagram) and the containers
+	// that carry them across links.
 	pools *PoolSet
 }
 
-// PoolSet holds a network's recycled packet and datagram free lists. Pool
-// reuse is single-goroutine (per loop), so the lists are unsynchronized.
+// PoolSet holds a network's recycled datagram free lists. Pool reuse is
+// single-goroutine (per loop), so the lists are unsynchronized.
 // A PoolSet outlives any one Network: a driver running many sequential
 // simulations (one fresh Network each, as the experiment engine does per
 // cell) can thread one PoolSet through all of them so the pools warm up
 // once instead of once per simulation. A PoolSet must never be shared by
 // two concurrently running networks.
 type PoolSet struct {
-	// pkts also owns the delay boxes' packet trains and the qdisc packet
-	// rings, which come from their packets' origin pool (see
-	// netem.Qdisc.ReleaseStorage).
+	// pkts lends the datagrams, which are netem packets, and also owns the
+	// delay boxes' packet trains and the qdisc packet rings, which come
+	// from their packets' origin pool (see netem.Qdisc.ReleaseStorage).
 	pkts netem.PacketPool
-	dgs  reuse.Free[Datagram]
 	// batches recycles the datagram-batch containers that carry packet
 	// trains across the one delivery event a train shares.
 	batches reuse.Free[dgBatch]
@@ -50,10 +49,12 @@ type PoolSet struct {
 // OutstandingDatagrams reports pooled datagrams currently alive (handed
 // out by NewDatagram and not yet recycled). Zero at quiescence means no
 // drop path leaked a datagram.
-func (ps *PoolSet) OutstandingDatagrams() int64 { return ps.dgs.Outstanding() }
+func (ps *PoolSet) OutstandingDatagrams() int64 { return ps.pkts.Outstanding() }
 
-// OutstandingPackets reports pooled netem packets currently alive; zero at
-// quiescence means every wrapper came back, delivered or dropped.
+// OutstandingPackets reports pooled netem packets currently alive. A
+// datagram is a packet, so this reads the same ledger as
+// OutstandingDatagrams: zero at quiescence means every datagram came back,
+// delivered or dropped.
 func (ps *PoolSet) OutstandingPackets() int64 { return ps.pkts.Outstanding() }
 
 // dgBatch is a pooled container for a train's datagrams, the argument of
@@ -104,55 +105,7 @@ func (n *Network) Pools() *PoolSet { return n.pools }
 // its Payload, whose lifetime the transport manages. Datagrams built with
 // a composite literal are never recycled, so existing callers are
 // unaffected.
-func (n *Network) NewDatagram() *Datagram { return n.pools.newDatagram() }
-
-func (ps *PoolSet) newDatagram() *Datagram {
-	if dg := ps.dgs.Get(); dg != nil {
-		return dg
-	}
-	return &Datagram{pools: ps}
-}
-
-// free recycles a pooled datagram into its origin pool; literals are
-// ignored.
-func (d *Datagram) free() {
-	ps := d.pools
-	if ps == nil {
-		return
-	}
-	*d = Datagram{pools: ps}
-	ps.dgs.Put(d)
-}
-
-var _ netem.Payload = (*Datagram)(nil)
-
-// Release implements netem.Payload. The network dropped the datagram (a
-// qdisc or loss drop, TTL expiry, no route, no socket): its payload is
-// released, then the datagram is recycled.
-func (d *Datagram) Release() {
-	if pl, ok := d.Payload.(netem.Payload); ok {
-		pl.Release()
-	}
-	d.free()
-}
-
-// Clone implements netem.Payload for a duplicated wire copy (DuplicateBox):
-// the copy comes from the original's pool (a literal's copy is a literal)
-// and clones the payload underneath, so the two copies are independently
-// droppable.
-func (d *Datagram) Clone() any {
-	var cp *Datagram
-	if d.pools != nil {
-		cp = d.pools.newDatagram()
-	} else {
-		cp = new(Datagram)
-	}
-	*cp = *d
-	if pl, ok := d.Payload.(netem.Payload); ok {
-		cp.Payload = pl.Clone()
-	}
-	return cp
-}
+func (n *Network) NewDatagram() *Datagram { return n.pools.pkts.Get() }
 
 // Loop returns the network's event loop.
 func (n *Network) Loop() *sim.Loop { return n.loop }
@@ -404,10 +357,10 @@ func (ns *Namespace) Send(dg *Datagram) error {
 	via := ns.lookup(dg.Dst.Addr)
 	if via == nil {
 		ns.stats.NoRoute++
-		dg.free()
+		ns.net.pools.pkts.Put(dg)
 		return fmt.Errorf("%w: %s from %s", ErrNoRoute, dg.Dst, ns.name)
 	}
-	via.transmit(dg)
+	via.pipe.Send(dg)
 	return nil
 }
 
@@ -425,25 +378,25 @@ func (ns *Namespace) receive(dg *Datagram) {
 	}
 	if ns.intercept != nil && ns.intercept(dg) {
 		ns.stats.DeliveredLocal++
-		dg.free()
+		ns.net.pools.pkts.Put(dg)
 		return
 	}
 	// Forward. Drops here consume a datagram that already entered the
 	// network, so the wire copy's payload reference is released too.
-	dg.TTL--
-	if dg.TTL <= 0 {
+	if dg.TTL <= 1 {
 		ns.stats.TTLExceeded++
-		dg.Release()
+		dg.Recycle()
 		return
 	}
+	dg.TTL--
 	via := ns.lookup(dg.Dst.Addr)
 	if via == nil {
 		ns.stats.NoRoute++
-		dg.Release()
+		dg.Recycle()
 		return
 	}
 	ns.stats.Forwarded++
-	via.transmit(dg)
+	via.pipe.Send(dg)
 }
 
 func (ns *Namespace) deliverLocal(dg *Datagram) {
@@ -457,12 +410,12 @@ func (ns *Namespace) deliverLocal(dg *Datagram) {
 		// No socket: nothing consumed the payload, so release the wire
 		// copy's reference before recycling.
 		ns.stats.NoSocket++
-		dg.Release()
+		dg.Recycle()
 		return
 	}
 	// The handler has returned; the datagram is consumed (the handler
 	// released or retained the payload itself).
-	dg.free()
+	ns.net.pools.pkts.Put(dg)
 }
 
 // LinkEnd is one side of a veth pair attached to a namespace.
@@ -477,37 +430,6 @@ func (le *LinkEnd) Namespace() *Namespace { return le.ns }
 
 // Pipeline returns the netem pipeline shaping this end's egress.
 func (le *LinkEnd) Pipeline() *netem.Pipeline { return le.pipe }
-
-// transmit pushes a datagram into this end's egress pipeline, wrapped in a
-// pooled packet that the far sink recycles on arrival. The ECN bits ride
-// the wrapper: ECT so the link's AQM knows it may mark, CE so a mark
-// acquired on an earlier hop survives re-wrapping.
-func (le *LinkEnd) transmit(dg *Datagram) {
-	pkt := le.ns.net.pools.pkts.Get()
-	pkt.Size = dg.Size
-	pkt.Flow = dg.Flow
-	pkt.Seq = dg.Seq
-	pkt.ECT = dg.ECT
-	pkt.CE = dg.CE
-	pkt.Corrupt = dg.Corrupt
-	pkt.Payload = dg
-	le.pipe.Send(pkt)
-}
-
-// unwrap recycles a packet arriving at a link end and returns its datagram,
-// carrying over the marks the link put on the packet: CE from an AQM, and
-// Corrupt from a CorruptBox.
-func (n *Network) unwrap(p *netem.Packet) *Datagram {
-	dg := p.Payload.(*Datagram)
-	if p.CE {
-		dg.CE = true
-	}
-	if p.Corrupt {
-		dg.Corrupt = true
-	}
-	n.pools.pkts.Put(p)
-	return dg
-}
 
 // Connect creates a veth pair between two namespaces. Traffic from a to b
 // traverses ab (nil for an unshaped wire); traffic from b to a traverses
@@ -538,22 +460,22 @@ func Connect(a, b *Namespace, ab, ba *netem.Pipeline) (*LinkEnd, *LinkEnd) {
 	// zero virtual-time cost; same-timestamp events preserve FIFO order.
 	// Each direction has one sink: a train crosses into the receiving
 	// namespace through one event carrying a pooled datagram batch, and a
-	// one-packet train through one event carrying the datagram itself (no
+	// one-packet train through one event carrying the packet itself (no
 	// container churn). Either way the firing order is identical to
 	// per-packet delivery, because a train's packets are adjacent in event
-	// order by construction.
+	// order by construction. The packets are the datagrams: the marks the
+	// link put on them (CE, Corrupt) are already where the receiver reads
+	// them.
 	loop := a.net.loop
 	net := a.net
 	sink := func(dst *Namespace) netem.BatchSink {
 		return func(pkts []*netem.Packet) {
 			if len(pkts) == 1 {
-				loop.ScheduleArg(0, dst.recvArg, net.unwrap(pkts[0]))
+				loop.ScheduleArg(0, dst.recvArg, pkts[0])
 				return
 			}
 			batch := net.getBatch()
-			for _, p := range pkts {
-				batch.dgs = append(batch.dgs, net.unwrap(p))
-			}
+			batch.dgs = append(batch.dgs, pkts...)
 			loop.ScheduleArg(0, dst.recvBatchArg, batch)
 		}
 	}

@@ -84,12 +84,12 @@ func newPair(t *testing.T) (*sim.Loop, *Network, *Namespace, *Namespace, *LinkEn
 func TestSendAcrossLink(t *testing.T) {
 	loop, _, a, b, _, _ := newPair(t)
 	var got *Datagram
-	dst := AddrPort{ParseAddr("10.0.0.2"), 80}
+	dst := AddrPort{Addr: ParseAddr("10.0.0.2"), Port: 80}
 	if err := b.Bind(dst, func(dg *Datagram) { got = dg }); err != nil {
 		t.Fatal(err)
 	}
 	dg := &Datagram{
-		Src:  AddrPort{ParseAddr("10.0.0.1"), 5000},
+		Src:  AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 5000},
 		Dst:  dst,
 		Size: 100,
 	}
@@ -112,9 +112,9 @@ func TestLocalDelivery(t *testing.T) {
 	addr := ParseAddr("127.0.0.1")
 	a.AddAddress(addr)
 	var got *Datagram
-	a.Bind(AddrPort{addr, 8080}, func(dg *Datagram) { got = dg })
+	a.Bind(AddrPort{Addr: addr, Port: 8080}, func(dg *Datagram) { got = dg })
 	err := a.Send(&Datagram{
-		Src: AddrPort{addr, 9000}, Dst: AddrPort{addr, 8080}, Size: 10,
+		Src: AddrPort{Addr: addr, Port: 9000}, Dst: AddrPort{Addr: addr, Port: 8080}, Size: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +136,9 @@ func TestIsolationNoRoute(t *testing.T) {
 	a.AddAddress(ParseAddr("10.0.0.1"))
 	c.AddAddress(ParseAddr("10.0.0.9"))
 	delivered := false
-	c.Bind(AddrPort{ParseAddr("10.0.0.9"), 80}, func(*Datagram) { delivered = true })
+	c.Bind(AddrPort{Addr: ParseAddr("10.0.0.9"), Port: 80}, func(*Datagram) { delivered = true })
 	err := a.Send(&Datagram{
-		Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: AddrPort{ParseAddr("10.0.0.9"), 80}, Size: 1,
+		Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: AddrPort{Addr: ParseAddr("10.0.0.9"), Port: 80}, Size: 1,
 	})
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("Send to unconnected namespace: err = %v, want ErrNoRoute", err)
@@ -155,29 +155,29 @@ func TestIsolationNoRoute(t *testing.T) {
 func TestBindErrors(t *testing.T) {
 	_, _, a, _, _, _ := newPair(t)
 	local := ParseAddr("10.0.0.1")
-	if err := a.Bind(AddrPort{local, 80}, func(*Datagram) {}); err != nil {
+	if err := a.Bind(AddrPort{Addr: local, Port: 80}, func(*Datagram) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Bind(AddrPort{local, 80}, func(*Datagram) {}); !errors.Is(err, ErrPortInUse) {
+	if err := a.Bind(AddrPort{Addr: local, Port: 80}, func(*Datagram) {}); !errors.Is(err, ErrPortInUse) {
 		t.Fatalf("double bind: %v, want ErrPortInUse", err)
 	}
-	if err := a.Bind(AddrPort{ParseAddr("9.9.9.9"), 80}, func(*Datagram) {}); !errors.Is(err, ErrNotLocal) {
+	if err := a.Bind(AddrPort{Addr: ParseAddr("9.9.9.9"), Port: 80}, func(*Datagram) {}); !errors.Is(err, ErrNotLocal) {
 		t.Fatalf("foreign bind: %v, want ErrNotLocal", err)
 	}
-	if err := a.Bind(AddrPort{local, 81}, nil); err == nil {
+	if err := a.Bind(AddrPort{Addr: local, Port: 81}, nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
 
 func TestUnbind(t *testing.T) {
 	loop, _, a, b, _, _ := newPair(t)
-	dst := AddrPort{ParseAddr("10.0.0.2"), 80}
+	dst := AddrPort{Addr: ParseAddr("10.0.0.2"), Port: 80}
 	n := 0
 	b.Bind(dst, func(*Datagram) { n++ })
-	a.Send(&Datagram{Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: dst, Size: 1})
+	a.Send(&Datagram{Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: dst, Size: 1})
 	loop.Run()
 	b.Unbind(dst)
-	a.Send(&Datagram{Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: dst, Size: 1})
+	a.Send(&Datagram{Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: dst, Size: 1})
 	loop.Run()
 	if n != 1 {
 		t.Fatalf("delivered %d, want 1 (second send after unbind)", n)
@@ -191,13 +191,13 @@ func TestWildcardBind(t *testing.T) {
 	loop, _, a, b, _, _ := newPair(t)
 	b.AddAddress(ParseAddr("10.0.0.3"))
 	var got []*Datagram
-	if err := b.Bind(AddrPort{0, 443}, func(dg *Datagram) { got = append(got, dg) }); err != nil {
+	if err := b.Bind(AddrPort{Addr: 0, Port: 443}, func(dg *Datagram) { got = append(got, dg) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, dst := range []string{"10.0.0.2", "10.0.0.3"} {
 		a.Send(&Datagram{
-			Src: AddrPort{ParseAddr("10.0.0.1"), 1},
-			Dst: AddrPort{ParseAddr(dst), 443}, Size: 1,
+			Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1},
+			Dst: AddrPort{Addr: ParseAddr(dst), Port: 443}, Size: 1,
 		})
 	}
 	loop.Run()
@@ -210,9 +210,9 @@ func TestSpecificBeatsWildcard(t *testing.T) {
 	loop, _, a, b, _, _ := newPair(t)
 	addr := ParseAddr("10.0.0.2")
 	var hit string
-	b.Bind(AddrPort{0, 80}, func(*Datagram) { hit = "wildcard" })
-	b.Bind(AddrPort{addr, 80}, func(*Datagram) { hit = "specific" })
-	a.Send(&Datagram{Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: AddrPort{addr, 80}, Size: 1})
+	b.Bind(AddrPort{Addr: 0, Port: 80}, func(*Datagram) { hit = "wildcard" })
+	b.Bind(AddrPort{Addr: addr, Port: 80}, func(*Datagram) { hit = "specific" })
+	a.Send(&Datagram{Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: AddrPort{Addr: addr, Port: 80}, Size: 1})
 	loop.Run()
 	if hit != "specific" {
 		t.Fatalf("delivered to %q, want specific", hit)
@@ -262,10 +262,10 @@ func TestForwarding(t *testing.T) {
 	b.AddDefaultRoute(eb)
 
 	var got *Datagram
-	b.Bind(AddrPort{ParseAddr("10.0.2.1"), 80}, func(dg *Datagram) { got = dg })
+	b.Bind(AddrPort{Addr: ParseAddr("10.0.2.1"), Port: 80}, func(dg *Datagram) { got = dg })
 	a.Send(&Datagram{
-		Src: AddrPort{ParseAddr("10.0.1.1"), 1234},
-		Dst: AddrPort{ParseAddr("10.0.2.1"), 80}, Size: 64,
+		Src: AddrPort{Addr: ParseAddr("10.0.1.1"), Port: 1234},
+		Dst: AddrPort{Addr: ParseAddr("10.0.2.1"), Port: 80}, Size: 64,
 	})
 	loop.Run()
 	if got == nil {
@@ -297,8 +297,8 @@ func TestLongestPrefixWins(t *testing.T) {
 	c.AddDefaultRoute(ecA)
 
 	hitC := false
-	c.Bind(AddrPort{ParseAddr("10.0.1.2"), 80}, func(*Datagram) { hitC = true })
-	a.Send(&Datagram{Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: AddrPort{ParseAddr("10.0.1.2"), 80}, Size: 1})
+	c.Bind(AddrPort{Addr: ParseAddr("10.0.1.2"), Port: 80}, func(*Datagram) { hitC = true })
+	a.Send(&Datagram{Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: AddrPort{Addr: ParseAddr("10.0.1.2"), Port: 80}, Size: 1})
 	loop.Run()
 	if !hitC {
 		t.Fatal("longest-prefix route not taken")
@@ -318,8 +318,8 @@ func TestTTLExceededDropsLoop(t *testing.T) {
 	r1.AddDefaultRoute(e1)
 	r2.AddDefaultRoute(e2)
 	err := r1.Send(&Datagram{
-		Src: AddrPort{ParseAddr("10.0.0.1"), 1},
-		Dst: AddrPort{ParseAddr("99.9.9.9"), 80}, Size: 1,
+		Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1},
+		Dst: AddrPort{Addr: ParseAddr("99.9.9.9"), Port: 80}, Size: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,10 +344,10 @@ func TestShapedLinkDelaysTraffic(t *testing.T) {
 	b.AddDefaultRoute(eb)
 
 	var arrival sim.Time
-	dst := AddrPort{ParseAddr("10.0.0.2"), 80}
+	dst := AddrPort{Addr: ParseAddr("10.0.0.2"), Port: 80}
 	b.Bind(dst, func(*Datagram) { arrival = loop.Now() })
 	loop.Schedule(0, func(sim.Time) {
-		a.Send(&Datagram{Src: AddrPort{ParseAddr("10.0.0.1"), 1}, Dst: dst, Size: netem.MTU})
+		a.Send(&Datagram{Src: AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 1}, Dst: dst, Size: netem.MTU})
 	})
 	loop.Run()
 	if arrival != 25*sim.Millisecond {
@@ -386,13 +386,14 @@ func TestNamespaceAutoName(t *testing.T) {
 	}
 }
 
+// TestDatagramString: a datagram prints as the netem packet it is.
 func TestDatagramString(t *testing.T) {
 	dg := &Datagram{
-		Src:  AddrPort{ParseAddr("1.2.3.4"), 80},
-		Dst:  AddrPort{ParseAddr("5.6.7.8"), 443},
-		Size: 99,
+		Src:  AddrPort{Addr: ParseAddr("1.2.3.4"), Port: 80},
+		Dst:  AddrPort{Addr: ParseAddr("5.6.7.8"), Port: 443},
+		Flow: 3, Seq: 9, Size: 99,
 	}
-	want := "dgram{1.2.3.4:80 -> 5.6.7.8:443 size=99}"
+	want := "pkt{flow=3 seq=9 size=99}"
 	if dg.String() != want {
 		t.Fatalf("String = %q, want %q", dg.String(), want)
 	}
@@ -407,5 +408,133 @@ func TestAddressesCount(t *testing.T) {
 	ns.AddAddress(Addr(5)) // duplicate
 	if ns.Addresses() != 20 {
 		t.Fatalf("Addresses = %d, want 20", ns.Addresses())
+	}
+}
+
+// recordBox is a zero-delay box that records every packet it is handed,
+// with the header it carried at that moment, and optionally marks it CE
+// and Corrupt before passing it on.
+type recordBox struct {
+	seen  []*netem.Packet
+	hdrs  []netem.Packet
+	mark  bool
+	batch netem.BatchSink
+}
+
+func (b *recordBox) Send(p *netem.Packet) { b.SendBatch([]*netem.Packet{p}) }
+
+func (b *recordBox) SendBatch(pkts []*netem.Packet) {
+	for _, p := range pkts {
+		b.seen = append(b.seen, p)
+		b.hdrs = append(b.hdrs, *p)
+		if b.mark {
+			p.CE, p.Corrupt = true, true
+		}
+	}
+	b.batch(pkts)
+}
+
+func (b *recordBox) SetSink(netem.Sink)             {}
+func (b *recordBox) SetBatchSink(s netem.BatchSink) { b.batch = s }
+func (b *recordBox) Stats() netem.BoxStats          { return netem.BoxStats{} }
+
+// countedPayload counts the releases a dropped packet owes its payload.
+type countedPayload struct{ released int }
+
+func (c *countedPayload) Release()   { c.released++ }
+func (c *countedPayload) Clone() any { return c }
+
+// TestBoxSeesTheSentDatagram: the datagram a namespace sends is the packet
+// every box on the link queues and the packet the socket handler gets,
+// header and payload included.
+func TestBoxSeesTheSentDatagram(t *testing.T) {
+	loop := sim.NewLoop()
+	net := NewNetwork(loop)
+	a, b := net.NewNamespace("a"), net.NewNamespace("b")
+	a.AddAddress(ParseAddr("10.0.0.1"))
+	b.AddAddress(ParseAddr("10.0.0.2"))
+	box := &recordBox{}
+	ea, eb := Connect(a, b, netem.NewPipeline(box), nil)
+	a.AddDefaultRoute(ea)
+	b.AddDefaultRoute(eb)
+	src := AddrPort{Addr: ParseAddr("10.0.0.1"), Port: 5000}
+	dst := AddrPort{Addr: ParseAddr("10.0.0.2"), Port: 80}
+	payload := &countedPayload{}
+	var got *Datagram
+	var gotPayload any
+	if err := b.Bind(dst, func(dg *Datagram) { got, gotPayload = dg, dg.Payload }); err != nil {
+		t.Fatal(err)
+	}
+	dg := net.NewDatagram()
+	dg.Src, dg.Dst, dg.Size, dg.Payload = src, dst, 100, payload
+	if err := a.Send(dg); err != nil {
+		t.Fatal(err)
+	}
+	loop.Run()
+	if len(box.seen) != 1 || box.seen[0] != dg {
+		t.Fatalf("box saw %v, want the sent datagram %p", box.seen, dg)
+	}
+	if h := box.hdrs[0]; h.Src != src || h.Dst != dst || h.TTL != DefaultTTL || h.Payload != payload {
+		t.Fatalf("box saw src %v dst %v ttl %d payload %v, want %v %v %d %p", h.Src, h.Dst, h.TTL, h.Payload, src, dst, DefaultTTL, payload)
+	}
+	if got != dg || gotPayload != payload {
+		t.Fatalf("handler got %p with payload %v, want the sent datagram %p with %p", got, gotPayload, dg, payload)
+	}
+	if payload.released != 0 {
+		t.Fatalf("delivered payload released %d times, want 0", payload.released)
+	}
+	if n := net.Pools().OutstandingPackets(); n != 0 {
+		t.Fatalf("OutstandingPackets = %d after delivery, want 0", n)
+	}
+}
+
+// TestMarksSurviveForwarding: CE and Corrupt marks put on a datagram by a
+// box on the first link of a-r-b reach the socket at b after the second
+// crossing, and delivered and TTL-dropped datagrams both go back to the
+// pool.
+func TestMarksSurviveForwarding(t *testing.T) {
+	loop := sim.NewLoop()
+	net := NewNetwork(loop)
+	a, r, b := net.NewNamespace("a"), net.NewNamespace("r"), net.NewNamespace("b")
+	a.AddAddress(ParseAddr("10.0.1.1"))
+	r.AddAddress(ParseAddr("10.0.1.254"))
+	b.AddAddress(ParseAddr("10.0.2.1"))
+	ea, _ := Connect(a, r, netem.NewPipeline(&recordBox{mark: true}), nil)
+	erB, eb := Connect(r, b, nil, nil)
+	a.AddDefaultRoute(ea)
+	r.AddRoute(ParseAddr("10.0.2.0"), 24, erB)
+	b.AddDefaultRoute(eb)
+	dst := AddrPort{Addr: ParseAddr("10.0.2.1"), Port: 80}
+	var ce, corrupt bool
+	delivered := 0
+	b.Bind(dst, func(dg *Datagram) { ce, corrupt, delivered = dg.CE, dg.Corrupt, delivered+1 })
+	send := func(ttl uint8, payload any) {
+		dg := net.NewDatagram()
+		dg.Src, dg.Dst, dg.Size, dg.TTL, dg.Payload = AddrPort{Addr: ParseAddr("10.0.1.1"), Port: 1}, dst, 64, ttl, payload
+		if err := a.Send(dg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0, nil)
+	if n := net.Pools().OutstandingPackets(); n != 1 {
+		t.Fatalf("OutstandingPackets = %d in flight, want 1", n)
+	}
+	loop.Run()
+	if delivered != 1 || !ce || !corrupt {
+		t.Fatalf("delivered %d with CE %v Corrupt %v, want 1 with both marks", delivered, ce, corrupt)
+	}
+	if n := net.Pools().OutstandingPackets(); n != 0 {
+		t.Fatalf("OutstandingPackets = %d after delivery, want 0", n)
+	}
+	// TTL 1 dies at r, and the drop releases the payload.
+	payload := &countedPayload{}
+	send(1, payload)
+	loop.Run()
+	if r.Stats().TTLExceeded != 1 || delivered != 1 || payload.released != 1 {
+		t.Fatalf("TTLExceeded %d, delivered %d, released %d; want 1, 1, 1",
+			r.Stats().TTLExceeded, delivered, payload.released)
+	}
+	if n := net.Pools().OutstandingPackets(); n != 0 {
+		t.Fatalf("OutstandingPackets = %d after a TTL drop, want 0", n)
 	}
 }

@@ -183,34 +183,6 @@ func (im *ImpairShell) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
 	return dir(), dir()
 }
 
-// OnOffShell models an intermittently available link (Mahimahi's mm-onoff
-// extension): both directions alternate between on and off periods;
-// packets arriving while off are queued until the link returns.
-type OnOffShell struct {
-	// On and Off are the nominal period lengths.
-	On, Off sim.Time
-	// Jitter randomizes each period by ±Jitter (fraction); Seed drives it.
-	Jitter float64
-	Seed   uint64
-}
-
-// Name implements Shell.
-func (o *OnOffShell) Name() string {
-	return fmt.Sprintf("onoff-%v-%v", o.On, o.Off)
-}
-
-// Boxes implements Shell.
-func (o *OnOffShell) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
-	var upRng, downRng *sim.Rand
-	if o.Jitter > 0 {
-		rng := sim.NewRand(o.Seed)
-		upRng, downRng = rng.Fork(), rng.Fork()
-	}
-	up := netem.NewGateBox(loop, o.On, o.Off, o.Jitter, upRng, nil)
-	down := netem.NewGateBox(loop, o.On, o.Off, o.Jitter, downRng, nil)
-	return up, down
-}
-
 // Stack is an instantiated nest of shells between an application namespace
 // and a world namespace.
 type Stack struct {

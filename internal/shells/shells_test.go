@@ -230,16 +230,35 @@ func TestLinkShellQueueLimit(t *testing.T) {
 	}
 }
 
-func TestOnOffShellStallsThenDelivers(t *testing.T) {
+// gateShell is an intermittent link (Mahimahi's mm-onoff) as a shell: both
+// directions are scripted gates, which the test turns off and on.
+type gateShell struct{ up, down *netem.GateBox }
+
+func (g *gateShell) Name() string { return "gate" }
+
+func (g *gateShell) Boxes(loop *sim.Loop) (netem.Box, netem.Box) {
+	g.up, g.down = netem.NewScriptedGateBox(loop, nil), netem.NewScriptedGateBox(loop, nil)
+	return g.up, g.down
+}
+
+func TestGateShellStallsThenDelivers(t *testing.T) {
 	loop := sim.NewLoop()
 	net := nsim.NewNetwork(loop)
 	world := net.NewNamespace("world")
 	world.AddAddress(worldAddr)
-	sh := &OnOffShell{On: 50 * sim.Millisecond, Off: 100 * sim.Millisecond}
+	sh := &gateShell{}
 	st := Build(net, world, appAddr, sh)
 	var at sim.Time
 	world.Bind(nsim.AddrPort{Addr: worldAddr, Port: 7}, func(*nsim.Datagram) { at = loop.Now() })
-	// Send during the first off period [50,150): held until 150ms.
+	// The link is off during [50,150): a send at 70ms is held until 150ms.
+	loop.Schedule(50*sim.Millisecond, func(sim.Time) {
+		sh.up.SetOn(false, netem.DrainHold)
+		sh.down.SetOn(false, netem.DrainHold)
+	})
+	loop.Schedule(150*sim.Millisecond, func(sim.Time) {
+		sh.up.SetOn(true, netem.DrainHold)
+		sh.down.SetOn(true, netem.DrainHold)
+	})
 	loop.Schedule(70*sim.Millisecond, func(sim.Time) {
 		st.App.Send(&nsim.Datagram{
 			Src: nsim.AddrPort{Addr: appAddr, Port: 7},
@@ -249,9 +268,6 @@ func TestOnOffShellStallsThenDelivers(t *testing.T) {
 	loop.RunUntil(400 * sim.Millisecond)
 	if at != 150*sim.Millisecond {
 		t.Fatalf("delivery at %v, want 150ms (end of outage)", at)
-	}
-	if sh.Name() == "" {
-		t.Fatal("empty name")
 	}
 }
 

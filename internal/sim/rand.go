@@ -121,32 +121,6 @@ func (r *Rand) Duration(d Time) Time {
 	return Time(r.Int63n(int64(d)))
 }
 
-// Jitter returns d scaled by a factor drawn uniformly from
-// [1-frac, 1+frac]. frac is clamped to [0, 1].
-func (r *Rand) Jitter(d Time, frac float64) Time {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	scale := 1 + frac*(2*r.Float64()-1)
-	return Time(float64(d) * scale)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Fork derives an independent generator from this one. Forked streams are
 // used to give each simulated component (per-origin jitter, per-load think
 // time, ...) its own stream so adding a component does not perturb others.

@@ -51,9 +51,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the virtual time as a duration from simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// FromDuration converts a wall-clock duration to a virtual duration.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Handler is a callback fired when an event's time arrives.
 type Handler func(now Time)
 

@@ -55,15 +55,16 @@ func download(t *testing.T, loop *sim.Loop, cs, ss *Stack, size int) (int, Stats
 	return got, conn.Statistics(), srv.Statistics()
 }
 
-// Segments ride the network inside datagrams, which release and clone them.
+// Segments ride the network as the payload of datagrams, which are netem
+// packets: a drop releases the segment and a duplicate clones it.
 var _ netem.Payload = (*Segment)(nil)
 
 // TestDuplicationPoolBalance is the duplication-heavy leak audit: with a
 // DuplicateBox cloning ~20% of the downstream segments, every clone takes a
-// real slot in the packet, datagram and segment pools, and after the run
+// real slot in the packet (datagram) and segment pools, and after the run
 // every ledger must balance — a refcount leak or double-release anywhere in
-// the clone chain (netem Packet.Clone → nsim Datagram.Clone → tcpsim
-// Segment.Clone) shows up here as a nonzero outstanding count.
+// the clone chain (netem Packet.Clone → tcpsim Segment.Clone) shows up
+// here as a nonzero outstanding count.
 func TestDuplicationPoolBalance(t *testing.T) {
 	dup := netem.NewDuplicateBox(0.2, 0.2, sim.NewRand(77))
 	loop, network, cs, ss := impairNet(t, 20*sim.Millisecond, dup)

@@ -42,17 +42,35 @@ type Trace struct {
 // ErrEmpty is returned when parsing a trace with no delivery opportunities.
 var ErrEmpty = errors.New("trace: no delivery opportunities")
 
+// maxTimestampMS bounds a trace's timestamps at one day, 2,880 times the
+// 30 s traces Mahimahi ships. A timestamp near the int64 limit would
+// overflow the conversion to virtual time and Cursor.Next's per-pass
+// offsets, leaving a trace with a negative period that never yields.
+const maxTimestampMS = 24 * 60 * 60 * 1000
+
+// checkTimestamp refuses a timestamp that is negative or later than one
+// day, naming the trace and the line it came from.
+func checkTimestamp(name string, line int, m int64) error {
+	if m < 0 || m > maxTimestampMS {
+		return fmt.Errorf("trace %s: line %d: timestamp %d ms is outside [0, %d] (one day)",
+			name, line, m, maxTimestampMS)
+	}
+	return nil
+}
+
 // New builds a trace from raw millisecond timestamps. The slice is copied
 // and sorted. The period is the last timestamp rounded up to the next
-// millisecond (minimum 1 ms), matching Mahimahi's looping rule.
+// millisecond (minimum 1 ms), matching Mahimahi's looping rule. A
+// timestamp that is negative or later than one day is refused; the i-th
+// timestamp counts as line i+1.
 func New(name string, ms []int64) (*Trace, error) {
 	if len(ms) == 0 {
 		return nil, ErrEmpty
 	}
 	opps := make([]sim.Time, len(ms))
 	for i, m := range ms {
-		if m < 0 {
-			return nil, fmt.Errorf("trace: negative timestamp %d at line %d", m, i+1)
+		if err := checkTimestamp(name, i+1, m); err != nil {
+			return nil, err
 		}
 		opps[i] = sim.Time(m) * sim.Millisecond
 	}
@@ -81,6 +99,9 @@ func Parse(name string, r io.Reader) (*Trace, error) {
 		v, err := strconv.ParseInt(line, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace %s: line %d: %w", name, lineNo, err)
+		}
+		if err := checkTimestamp(name, lineNo, v); err != nil {
+			return nil, err
 		}
 		ms = append(ms, v)
 	}

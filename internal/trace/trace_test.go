@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -43,6 +44,17 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := New("t", []int64{-1}); err == nil {
 		t.Fatal("negative timestamp accepted")
+	}
+	// Timestamps past one day would overflow virtual time (the first) or
+	// wrap silently (the second). The error names the file's line.
+	for _, in := range []string{"9223372036854775807\n", "0\n# c\n\n9300000000000000\n"} {
+		_, err := Parse("huge", strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "huge") || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", strings.Count(in, "\n"))) {
+			t.Errorf("Parse(%q) = %v, want an error naming the trace and the last line", in, err)
+		}
+	}
+	if _, err := New("t", []int64{24 * 60 * 60 * 1000}); err != nil {
+		t.Fatalf("a one-day timestamp refused: %v", err)
 	}
 }
 
