@@ -279,22 +279,22 @@ func BenchmarkQdisc(b *testing.B) {
 		mk   func() netem.Qdisc
 	}{
 		{"droptail", false, func() netem.Qdisc { return netem.NewDropTail(256, 0) }},
-		{"codel", false, func() netem.Qdisc { return netem.NewCoDel(netem.CoDelConfig{MaxPackets: 256}) }},
+		{"codel", false, func() netem.Qdisc { return netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: 256}.Build() }},
 		{"codel-mark", true, func() netem.Qdisc {
-			return netem.NewCoDel(netem.CoDelConfig{MaxPackets: 256, ECN: true})
+			return netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: 256, ECN: true}.Build()
 		}},
-		{"pie", false, func() netem.Qdisc { return netem.NewPIE(netem.PIEConfig{MaxPackets: 256}) }},
+		{"pie", false, func() netem.Qdisc { return netem.QdiscSpec{Kind: netem.QdiscPIE, Packets: 256}.Build() }},
 		{"pie-mark", true, func() netem.Qdisc {
-			return netem.NewPIE(netem.PIEConfig{MaxPackets: 256, ECN: true})
+			return netem.QdiscSpec{Kind: netem.QdiscPIE, Packets: 256, ECN: true}.Build()
 		}},
 		// The fq rows spread the burst over 8 flows (Flow = i mod 8 below),
 		// so every op runs the full RFC 8290 path: hashing, DRR rotation
 		// through all buckets, and each bucket's own CoDel law.
 		{"fqcodel", false, func() netem.Qdisc {
-			return netem.NewFQCoDel(netem.FQCoDelConfig{MaxPackets: 256, Flows: 8})
+			return netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: 256, Flows: 8}.Build()
 		}},
 		{"fqcodel-mark", true, func() netem.Qdisc {
-			return netem.NewFQCoDel(netem.FQCoDelConfig{MaxPackets: 256, Flows: 8, ECN: true})
+			return netem.QdiscSpec{Kind: netem.QdiscFQCoDel, Packets: 256, Flows: 8, ECN: true}.Build()
 		}},
 	}
 	for _, tc := range cases {
@@ -709,7 +709,7 @@ func BenchmarkScenarioScript(b *testing.B) {
 	const burst = 64
 	b.Run("packetpath", func(b *testing.B) {
 		loop := sim.NewLoop()
-		q := netem.NewCoDel(netem.CoDelConfig{MaxPackets: 256})
+		q := netem.QdiscSpec{Kind: netem.QdiscCoDel, Packets: 256}.Build()
 		r := netem.NewRateBox(loop, 1_000_000_000, q)
 		r.SetSink(func(*netem.Packet) {})
 		script := netem.NewScenarioScript(loop)

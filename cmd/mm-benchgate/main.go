@@ -4,7 +4,7 @@
 // -count runs, per benchmark).
 //
 //	go test -run '^$' -bench 'PageLoad$|TCPTransfer' -benchmem -count 5 . > bench.txt
-//	mm-benchgate -baseline BENCH_PR3.json bench.txt
+//	mm-benchgate -baseline BENCH_PR12.json bench.txt
 //
 // Two thresholds apply. allocs/op is machine-independent, so its tolerance
 // (-alloc-tolerance, default 5%) is tight and is the primary CI signal.
@@ -15,7 +15,7 @@
 // the run did not measure fails the gate too, so a deleted or renamed
 // benchmark cannot drop out of it silently.
 //
-//	mm-benchgate -record BENCH_PR3.json bench.txt   # write a new baseline
+//	mm-benchgate -record new.json bench.txt   # write a new baseline
 package main
 
 import (

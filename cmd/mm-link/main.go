@@ -24,8 +24,10 @@
 // flags them for checksum discard at the receiver, and -loss-state runs a
 // 4-state Markov loss chain ("p13,p31,p32,p23,p14") behind the link. A
 // probability outside [0,1], a -loss-state that is not five such values
-// with p13+p14 <= 1 and p31+p32 <= 1, or an unknown queue discipline exits
-// with status 2 and a message naming the flag.
+// with p13+p14 <= 1 and p31+p32 <= 1, an unknown queue discipline,
+// -servers or -loads below 1, a negative -delay, -queue or -queue-bytes,
+// or -fq-flows outside [0, 65536] (Linux's sch_fq_codel limit) exits with
+// status 2 and a message naming the flag.
 //
 // Trace files use Mahimahi's format: one millisecond timestamp per line,
 // each line one MTU-sized packet-delivery opportunity.
@@ -74,6 +76,18 @@ func main() {
 	loads := flag.Int("loads", 1, "number of page loads")
 	flag.Parse()
 
+	if *servers < 1 {
+		usageErr("-servers %d: want at least 1 origin", *servers)
+	}
+	if *loads < 1 {
+		usageErr("-loads %d: want at least 1 load", *loads)
+	}
+	checkNonNegative("-delay", *delayMS)
+	checkNonNegative("-queue", *queue)
+	checkNonNegative("-queue-bytes", *queueBytes)
+	if *fqFlows < 0 || *fqFlows > maxFQFlows {
+		usageErr("-fq-flows %d outside [0,%d]", *fqFlows, maxFQFlows)
+	}
 	checkProb("-reorder", *reorder)
 	checkProb("-duplicate", *duplicate)
 	checkProb("-corrupt", *corrupt)
@@ -175,6 +189,16 @@ func loadTrace(path string) (*trace.Trace, error) {
 	}
 	defer f.Close()
 	return trace.Parse(path, f)
+}
+
+// maxFQFlows is the most flow buckets Linux's sch_fq_codel accepts.
+const maxFQFlows = 65536
+
+// checkNonNegative rejects a negative count or duration flag.
+func checkNonNegative(name string, v int) {
+	if v < 0 {
+		usageErr("%s %d is negative", name, v)
+	}
 }
 
 // checkProb rejects a probability flag outside [0,1] (NaN included).

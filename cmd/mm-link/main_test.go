@@ -54,6 +54,14 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-loss-state", "0.01,1.4,0.2,0.1,0.005"}, "-loss-state"},
 		{[]string{"-uplink-queue", "red"}, "-uplink-queue"},
 		{[]string{"-downlink-queue", "red"}, "-downlink-queue"},
+		{[]string{"-servers", "0"}, "-servers"},
+		{[]string{"-servers", "-3"}, "-servers"},
+		{[]string{"-loads", "0"}, "-loads"},
+		{[]string{"-delay", "-5"}, "-delay"},
+		{[]string{"-queue", "-5"}, "-queue"},
+		{[]string{"-queue-bytes", "-1"}, "-queue-bytes"},
+		{[]string{"-downlink-queue", "fq_codel", "-fq-flows", "65537"}, "-fq-flows"},
+		{[]string{"-downlink-queue", "fq_codel", "-fq-flows", "-1"}, "-fq-flows"},
 	} {
 		args := append([]string{"-rate", "12"}, tc.args...)
 		_, stderr, code := mmLink(t, args...)

@@ -183,40 +183,6 @@ func (st *codelState) dequeue(now sim.Time, law codelLaw, q codelQueue) *Packet 
 	return pkt
 }
 
-// CoDelConfig parameterizes a CoDel queue. Zero Target/Interval select the
-// RFC 8289 defaults (5 ms / 100 ms); zero Max bounds leave the physical
-// buffer unlimited. ECN selects marking mode.
-type CoDelConfig struct {
-	Target     sim.Time
-	Interval   sim.Time
-	MaxPackets int
-	MaxBytes   int
-	ECN        bool
-}
-
-// NewCoDel returns a CoDel qdisc.
-func NewCoDel(cfg CoDelConfig) *CoDel {
-	if cfg.Target <= 0 {
-		cfg.Target = DefaultCoDelTarget
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultCoDelInterval
-	}
-	return &CoDel{
-		law:        codelLaw{target: cfg.Target, interval: cfg.Interval, ecn: cfg.ECN},
-		maxPackets: cfg.MaxPackets, maxBytes: cfg.MaxBytes,
-	}
-}
-
-// Target reports the configured sojourn-time target.
-func (q *CoDel) Target() sim.Time { return q.law.target }
-
-// Interval reports the configured control interval.
-func (q *CoDel) Interval() sim.Time { return q.law.interval }
-
-// ECN reports whether the discipline marks instead of dropping.
-func (q *CoDel) ECN() bool { return q.law.ecn }
-
 // popPkt implements codelQueue over the discipline's single ring.
 func (q *CoDel) popPkt() *Packet { return q.ring.pop() }
 

@@ -173,14 +173,17 @@ type RateBox struct {
 	timer   sim.Timer // finish timer, rearmed across the schedule
 }
 
-// txQueue is the part of a link box RateBox and TraceBox share: the egress
-// port, the queue discipline in front of one transmitter, and the qdisc
-// history carried across scripted swaps.
+// txQueue is the front every queue-owning box shares — RateBox, TraceBox
+// and GateBox: the egress port, the queue discipline in front of one
+// transmitter (for the gate, the outage queue), and the qdisc history
+// carried across scripted swaps and purges. Admission, the qdisc swap, the
+// purge and the read-through stats live here once, so all three boxes
+// implement QdiscHolder and account a purged backlog identically.
 type txQueue struct {
 	port
 	loop  *sim.Loop
 	queue Qdisc
-	cur   *Packet // packet committed to the transmitter
+	cur   *Packet // packet committed to the transmitter; a gate has none
 	carry qdiscCarry
 }
 
@@ -205,6 +208,18 @@ func (q *txQueue) admit(pkts []*Packet) {
 	}
 }
 
+// purge empties old's backlog with drop accounting — the DrainFlush
+// policy — and reports how many packets it recycled. old is the box's
+// queue, or the one a swap just retired.
+func (q *txQueue) purge(old Qdisc) (dropped int) {
+	old.Flush(func(pkt *Packet) {
+		dropped++
+		pkt.Recycle()
+	})
+	q.carry.drops += uint64(dropped)
+	return dropped
+}
+
 // SwapQdisc atomically replaces the box's queue discipline — the scripted
 // AQM hot-swap. The packet committed to the transmitter is left to finish.
 // The old backlog is flushed per policy: DrainHold re-enqueues every packet
@@ -218,23 +233,19 @@ func (q *txQueue) SwapQdisc(next Qdisc, policy DrainPolicy) (moved, dropped int)
 	}
 	old := q.queue
 	q.queue = next
-	now := q.loop.Now()
-	var flushDrops uint64
-	old.Flush(func(pkt *Packet) {
-		switch policy {
-		case DrainHold:
+	if policy == DrainHold {
+		now := q.loop.Now()
+		old.Flush(func(pkt *Packet) {
 			if next.Enqueue(pkt, now) {
 				moved++
 			} else {
 				dropped++ // the new discipline's admission law rejected it
 			}
-		default: // DrainFlush
-			dropped++
-			flushDrops++
-			pkt.Recycle()
-		}
-	})
-	q.carry.absorb(old.QueueStats(), flushDrops)
+		})
+	} else {
+		dropped = q.purge(old)
+	}
+	q.carry.absorb(old.QueueStats())
 	return moved, dropped
 }
 
@@ -243,17 +254,17 @@ func (q *txQueue) SwapQdisc(next Qdisc, policy DrainPolicy) (moved, dropped int)
 func (q *txQueue) Stats() BoxStats { return q.carry.readThrough(q.stats, q.queue, q.cur) }
 
 // qdiscCarry preserves a box's cumulative telemetry across scripted qdisc
-// swaps: when SwapQdisc discards the old discipline, its drop count and
-// backlog high-water mark fold in here so BoxStats stays monotone.
+// swaps and purges: when SwapQdisc discards the old discipline, its drop
+// count and backlog high-water mark fold in here, and purge adds the
+// packets it recycled, so BoxStats stays monotone.
 type qdiscCarry struct {
 	drops  uint64
 	maxLen int
 }
 
-// absorb folds a retiring qdisc's counters into the carry, plus any
-// flush-policy drops the swap itself caused.
-func (c *qdiscCarry) absorb(qs *QueueStats, flushDrops uint64) {
-	c.drops += qs.Drops() + flushDrops
+// absorb folds a retiring qdisc's counters into the carry.
+func (c *qdiscCarry) absorb(qs *QueueStats) {
+	c.drops += qs.Drops()
 	if qs.MaxLen > c.maxLen {
 		c.maxLen = qs.MaxLen
 	}

@@ -62,7 +62,7 @@ var codelGoldenLaw = []sim.Time{
 // state machine (mark placement, count advance, dropNext arithmetic) shows
 // up as a diff against this sequence.
 func TestCoDelMarkGoldenTrace(t *testing.T) {
-	q := NewCoDel(CoDelConfig{ECN: true})
+	q := QdiscSpec{Kind: QdiscCoDel, ECN: true}.Build()
 	drops, marks := runAQMSchedule(q, true, 2*sim.Millisecond, 5*sim.Millisecond, 400)
 	if len(drops) != 0 {
 		t.Fatalf("marking codel dropped: %v", drops)
@@ -109,7 +109,7 @@ const pieGoldenTotal = 192
 // the golden schedule (regenerate deliberately if the controller is
 // changed on purpose).
 func TestPIEGoldenTrace(t *testing.T) {
-	drops, marks := runAQMSchedule(NewPIE(PIEConfig{}), false, 2*sim.Millisecond, 5*sim.Millisecond, 400)
+	drops, marks := runAQMSchedule(QdiscSpec{Kind: QdiscPIE}.Build(), false, 2*sim.Millisecond, 5*sim.Millisecond, 400)
 	if len(marks) != 0 {
 		t.Fatalf("drop-mode pie marked: %v", marks)
 	}
@@ -129,7 +129,7 @@ func TestPIEGoldenTrace(t *testing.T) {
 // PIE drops — the judged decisions and the draw stream are identical, only
 // the resolution differs — and must deliver every packet.
 func TestPIEMarkGoldenTrace(t *testing.T) {
-	q := NewPIE(PIEConfig{ECN: true})
+	q := QdiscSpec{Kind: QdiscPIE, ECN: true}.Build()
 	drops, marks := runAQMSchedule(q, true, 2*sim.Millisecond, 5*sim.Millisecond, 400)
 	if len(drops) != 0 {
 		t.Fatalf("marking pie dropped: %v", drops)
@@ -151,7 +151,7 @@ func TestPIEMarkGoldenTrace(t *testing.T) {
 // TestPIEBurstAllowance: a burst shorter than MAX_BURST passes an idle PIE
 // queue untouched, however deep it momentarily is.
 func TestPIEBurstAllowance(t *testing.T) {
-	q := NewPIE(PIEConfig{})
+	q := QdiscSpec{Kind: QdiscPIE}.Build()
 	for i := 0; i < 100; i++ {
 		if !q.Enqueue(&Packet{Size: MTU, Seq: int64(i)}, sim.Time(i)*sim.Millisecond) {
 			t.Fatalf("burst packet %d dropped inside the allowance", i)
@@ -166,7 +166,7 @@ func TestPIEBurstAllowance(t *testing.T) {
 // then tail-drops must count as a tail drop alone — marked packets are
 // delivered, so marks can never exceed deliveries, per flow included.
 func TestPIEMarkOnlyOnAdmission(t *testing.T) {
-	q := NewPIE(PIEConfig{MaxPackets: 20, ECN: true})
+	q := QdiscSpec{Kind: QdiscPIE, Packets: 20, ECN: true}.Build()
 	q.QueueStats().TrackFlows()
 	arrivals := 0
 	// 3x overload against a tiny physical buffer: the bound tail-drops
@@ -205,7 +205,7 @@ func TestPIEMarkOnlyOnAdmission(t *testing.T) {
 // TestPIEPhysicalBound: the packet bound tail-drops like droptail,
 // separately accounted from control-law drops.
 func TestPIEPhysicalBound(t *testing.T) {
-	q := NewPIE(PIEConfig{MaxPackets: 2})
+	q := QdiscSpec{Kind: QdiscPIE, Packets: 2}.Build()
 	q.Enqueue(&Packet{Size: 1}, 0)
 	q.Enqueue(&Packet{Size: 1}, 0)
 	if q.Enqueue(&Packet{Size: 1}, 0) {
@@ -222,7 +222,7 @@ func TestPIEPhysicalBound(t *testing.T) {
 // the standing delay near target where an infinite FIFO would let it grow
 // without bound.
 func TestPIEControlsStandingQueue(t *testing.T) {
-	q := NewPIE(PIEConfig{})
+	q := QdiscSpec{Kind: QdiscPIE}.Build().(*PIE)
 	var tick sim.Time
 	arr := 0.0
 	for tick = 0; tick < 10*sim.Second; tick += sim.Millisecond {
@@ -239,7 +239,7 @@ func TestPIEControlsStandingQueue(t *testing.T) {
 	if q.Len() > 50 {
 		t.Fatalf("standing queue not controlled: %d packets", q.Len())
 	}
-	p := q.DropProb()
+	p := q.prob
 	if p < 0.1 || p > 0.45 {
 		t.Fatalf("drop probability %v not near the 23%% overload fraction", p)
 	}
@@ -266,19 +266,19 @@ func TestQdiscSpecECNLabels(t *testing.T) {
 		t.Fatal("pie spec did not build PIE")
 	}
 	cd := QdiscSpec{Kind: QdiscCoDel, ECN: true}.Build().(*CoDel)
-	if !cd.ECN() {
+	if !cd.law.ecn {
 		t.Fatal("codel spec dropped the ECN bit")
 	}
 	pe := QdiscSpec{Kind: QdiscPIE, ECN: true, Target: 25 * sim.Millisecond}.Build().(*PIE)
-	if !pe.ECN() || pe.Target() != 25*sim.Millisecond || pe.TUpdate() != DefaultPIETUpdate {
-		t.Fatalf("pie spec misbuilt: ecn=%v target=%v tupdate=%v", pe.ECN(), pe.Target(), pe.TUpdate())
+	if !pe.ecn || pe.target != 25*sim.Millisecond || pe.tUpdate != DefaultPIETUpdate {
+		t.Fatalf("pie spec misbuilt: ecn=%v target=%v tupdate=%v", pe.ecn, pe.target, pe.tUpdate)
 	}
 }
 
 // TestFlowAttributionBalances: per-flow records must sum to the aggregate
 // counters across enqueues, deliveries, drops and marks.
 func TestFlowAttributionBalances(t *testing.T) {
-	q := NewCoDel(CoDelConfig{ECN: true, MaxPackets: 50})
+	q := QdiscSpec{Kind: QdiscCoDel, ECN: true, Packets: 50}.Build()
 	q.QueueStats().TrackFlows()
 	arrivals := 0
 	for tick := sim.Time(0); arrivals < 400 || q.Len() > 0; tick += sim.Millisecond {

@@ -142,63 +142,22 @@ type FQCoDel struct {
 	stats      QueueStats
 }
 
-// FQCoDelConfig parameterizes an FQCoDel queue. Zero Target/Interval select
-// the RFC 8289 defaults (5 ms / 100 ms); zero Flows/Quantum select the
-// RFC 8290 defaults (1024 buckets / one MTU); zero Max bounds leave the
-// aggregate backlog unlimited. ECN switches the per-bucket law to marking.
-type FQCoDelConfig struct {
-	Target     sim.Time
-	Interval   sim.Time
-	Flows      int
-	Quantum    int
-	MaxPackets int
-	MaxBytes   int
-	ECN        bool
-}
-
-// NewFQCoDel returns an FQCoDel qdisc. All per-flow state is allocated here,
-// once: the bucket slice never grows, so the steady-state hot path is
-// allocation-free.
-func NewFQCoDel(cfg FQCoDelConfig) *FQCoDel {
-	if cfg.Target <= 0 {
-		cfg.Target = DefaultCoDelTarget
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultCoDelInterval
-	}
-	if cfg.Flows <= 0 {
-		cfg.Flows = DefaultFQFlows
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = DefaultFQQuantum
-	}
+// newFQCoDel builds the fq_codel discipline s describes. All per-flow
+// state is allocated here, once: the bucket slice never grows, so the
+// steady-state hot path is allocation-free.
+func newFQCoDel(s QdiscSpec) *FQCoDel {
 	q := &FQCoDel{
-		law:        codelLaw{target: cfg.Target, interval: cfg.Interval, ecn: cfg.ECN},
-		quantum:    cfg.Quantum,
-		maxPackets: cfg.MaxPackets,
-		maxBytes:   cfg.MaxBytes,
-		flows:      make([]fqFlow, cfg.Flows),
+		law:        s.codelLaw(),
+		quantum:    orDefault(s.Quantum, DefaultFQQuantum),
+		maxPackets: s.Packets,
+		maxBytes:   s.Bytes,
+		flows:      make([]fqFlow, orDefault(s.Flows, DefaultFQFlows)),
 	}
 	for i := range q.flows {
 		q.flows[i].q = q
 	}
 	return q
 }
-
-// Target reports the configured sojourn-time target.
-func (q *FQCoDel) Target() sim.Time { return q.law.target }
-
-// Interval reports the configured control interval.
-func (q *FQCoDel) Interval() sim.Time { return q.law.interval }
-
-// ECN reports whether the per-bucket law marks instead of dropping.
-func (q *FQCoDel) ECN() bool { return q.law.ecn }
-
-// Flows reports the number of flow buckets.
-func (q *FQCoDel) Flows() int { return len(q.flows) }
-
-// Quantum reports the DRR byte quantum.
-func (q *FQCoDel) Quantum() int { return q.quantum }
 
 // bucket selects the flow bucket for a Flow id.
 func (q *FQCoDel) bucket(flow uint64) *fqFlow {

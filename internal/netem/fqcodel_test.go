@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// runFQSchedule drives an FQCoDel queue through the golden multi-flow
+// runFQSchedule drives an fq_codel queue through the golden multi-flow
 // overload schedule: n MTU packets arrive at arrivalEvery spacing cycling
 // through nFlows flow ids, one dequeue per serviceEvery tick. Every
 // scheduling decision is recorded: deliveries as "t=<tick> deq f<flow>.<seq>"
 // and control-law firings as "t=<tick> drop|mark f<flow>" (attributed via
 // the per-flow counters), so the trace pins the DRR rotation and every
 // bucket's CoDel instants at once.
-func runFQSchedule(q *FQCoDel, ect bool, nFlows int, arrivalEvery, serviceEvery sim.Time, n int) []string {
+func runFQSchedule(q Qdisc, ect bool, nFlows int, arrivalEvery, serviceEvery sim.Time, n int) []string {
 	q.QueueStats().TrackFlows()
 	var events []string
 	last := map[uint64][2]uint64{} // flow -> {drops, marks}
@@ -156,7 +156,7 @@ const (
 // DRR rotation order plus every bucket's CoDel instants — on the golden
 // schedule.
 func TestFQCoDelGoldenTrace(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64}.Build()
 	events := runFQSchedule(q, false, 4, 2*sim.Millisecond, 5*sim.Millisecond, 400)
 	for i, want := range fqGoldenPrefix {
 		if i >= len(events) || events[i] != want {
@@ -202,7 +202,7 @@ func TestFQCoDelGoldenTrace(t *testing.T) {
 // leaves all four standing queues intact — keep firing at the law's pace
 // for the rest of the run.
 func TestFQCoDelMarkGoldenTrace(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64, ECN: true})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64, ECN: true}.Build()
 	events := runFQSchedule(q, true, 4, 2*sim.Millisecond, 5*sim.Millisecond, 400)
 	var marks []string
 	for _, e := range events {
@@ -231,7 +231,7 @@ func TestFQCoDelMarkGoldenTrace(t *testing.T) {
 // flow of 500-byte packets delivers every round — so the steady interleave
 // is one big packet per three small ones, equal bytes per flow.
 func TestFQCoDelDRRQuantum(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64, Quantum: 500})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64, Quantum: 500}.Build()
 	for i := 0; i < 12; i++ {
 		q.Enqueue(&Packet{Size: 1500, Flow: 0, Seq: int64(i)}, 0)
 	}
@@ -280,7 +280,7 @@ func TestFQCoDelDRRQuantum(t *testing.T) {
 // bucket's next turn. This is the §1 motivation for fq_codel and the
 // mechanism behind the fairness table's web-p95 column.
 func TestFQCoDelSparseFlowPriority(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64}.Build()
 	q.QueueStats().TrackFlows()
 	now := sim.Time(0)
 	// Standing bulk backlog on flow 0.
@@ -320,7 +320,7 @@ func TestFQCoDelSparseFlowPriority(t *testing.T) {
 // §4.2.2), so a flow cannot re-earn new-flow priority by momentarily going
 // empty while its packets keep arriving.
 func TestFQCoDelNewToOldDemotion(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64}.Build()
 	// Bulk backlog on flow 0: 500-byte packets, so its 1500-byte quantum is
 	// worth three deliveries per round.
 	for i := 0; i < 10; i++ {
@@ -366,7 +366,7 @@ func TestFQCoDelNewToOldDemotion(t *testing.T) {
 // per-flow shares separately.
 func TestFQCoDelHashCollision(t *testing.T) {
 	const buckets = 8
-	q := NewFQCoDel(FQCoDelConfig{Flows: buckets})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: buckets}.Build().(*FQCoDel)
 	q.QueueStats().TrackFlows()
 	// Find a flow id that collides with id 0 under the bucket hash.
 	var other uint64
@@ -416,8 +416,8 @@ func TestFQCoDelSingleBucketDegeneratesToCoDel(t *testing.T) {
 			name = "ecn"
 		}
 		t.Run(name, func(t *testing.T) {
-			ref := NewCoDel(CoDelConfig{ECN: ecn})
-			fq := NewFQCoDel(FQCoDelConfig{Flows: 1, ECN: ecn})
+			ref := QdiscSpec{Kind: QdiscCoDel, ECN: ecn}.Build()
+			fq := QdiscSpec{Kind: QdiscFQCoDel, Flows: 1, ECN: ecn}.Build()
 			var refEv, fqEv []string
 			for _, run := range []struct {
 				q  Qdisc
@@ -466,7 +466,7 @@ func TestFQCoDelSingleBucketDegeneratesToCoDel(t *testing.T) {
 // overflow law evicts from the bucket with the largest byte backlog — the
 // flow that caused the congestion — not from the arriving packet's bucket.
 func TestFQCoDelOverflowDropsFromFattest(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 64, MaxPackets: 10})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64, Packets: 10}.Build()
 	q.QueueStats().TrackFlows()
 	// Flow 0 fills the whole buffer.
 	for i := 0; i < 10; i++ {
@@ -500,7 +500,7 @@ func TestFQCoDelOverflowDropsFromFattest(t *testing.T) {
 	// (empty queue except for it, bound of zero packets is not buildable,
 	// so force it: bound 1, arrival lands in the fattest bucket), Enqueue
 	// reports the eviction.
-	q2 := NewFQCoDel(FQCoDelConfig{Flows: 64, MaxPackets: 1})
+	q2 := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64, Packets: 1}.Build()
 	if !q2.Enqueue(&Packet{Size: MTU, Flow: 0, Seq: 0}, 0) {
 		t.Fatal("first packet rejected at bound 1")
 	}
@@ -515,7 +515,7 @@ func TestFQCoDelOverflowDropsFromFattest(t *testing.T) {
 	// A smaller arrival into an otherwise empty queue whose own bucket is
 	// the only backlog: the arrival itself is the head-of-fattest and is
 	// evicted — Enqueue must report false.
-	q3 := NewFQCoDel(FQCoDelConfig{Flows: 64, MaxBytes: 100})
+	q3 := QdiscSpec{Kind: QdiscFQCoDel, Flows: 64, Bytes: 100}.Build()
 	if q3.Enqueue(&Packet{Size: MTU, Flow: 0, Seq: 0}, 0) {
 		t.Fatal("oversized arrival admitted past the byte bound")
 	}
@@ -551,14 +551,14 @@ func TestFQCoDelSpecLabels(t *testing.T) {
 	if !ok {
 		t.Fatal("fq_codel spec did not build FQCoDel")
 	}
-	if fq.Flows() != DefaultFQFlows || fq.Quantum() != DefaultFQQuantum ||
-		fq.Target() != DefaultCoDelTarget || fq.Interval() != DefaultCoDelInterval {
+	if len(fq.flows) != DefaultFQFlows || fq.quantum != DefaultFQQuantum ||
+		fq.law.target != DefaultCoDelTarget || fq.law.interval != DefaultCoDelInterval {
 		t.Fatalf("defaults: flows=%d quantum=%d target=%v interval=%v",
-			fq.Flows(), fq.Quantum(), fq.Target(), fq.Interval())
+			len(fq.flows), fq.quantum, fq.law.target, fq.law.interval)
 	}
 	custom := QdiscSpec{Kind: QdiscFQCoDel, Flows: 16, Quantum: 300, ECN: true}.Build().(*FQCoDel)
-	if custom.Flows() != 16 || custom.Quantum() != 300 || !custom.ECN() {
+	if len(custom.flows) != 16 || custom.quantum != 300 || !custom.law.ecn {
 		t.Fatalf("custom fq_codel misbuilt: flows=%d quantum=%d ecn=%v",
-			custom.Flows(), custom.Quantum(), custom.ECN())
+			len(custom.flows), custom.quantum, custom.law.ecn)
 	}
 }

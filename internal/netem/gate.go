@@ -13,11 +13,8 @@ import "repro/internal/sim"
 // SetOn, the mutation a ScenarioScript drives for outage windows pinned to
 // exact virtual instants.
 type GateBox struct {
-	port
-	loop  *sim.Loop
-	isOn  bool
-	queue Qdisc
-	carry qdiscCarry
+	txQueue
+	isOn bool
 }
 
 // NewScriptedGateBox returns a gate that starts on and never flips by
@@ -25,10 +22,7 @@ type GateBox struct {
 // ScenarioScript owns the outage timeline. queue holds packets arriving
 // while the link is down (nil = unbounded).
 func NewScriptedGateBox(loop *sim.Loop, queue Qdisc) *GateBox {
-	if queue == nil {
-		queue = NewDropTail(0, 0)
-	}
-	return &GateBox{loop: loop, isOn: true, queue: queue}
+	return &GateBox{txQueue: newTxQueue(loop, queue), isOn: true}
 }
 
 // SetOn forces the gate's state — the scripted link flap. Turning the link
@@ -47,22 +41,13 @@ func (g *GateBox) SetOn(on bool, policy DrainPolicy) (moved, dropped int) {
 		return 0, 0
 	}
 	if policy == DrainFlush {
-		g.queue.Flush(func(pkt *Packet) {
-			dropped++
-			pkt.Recycle()
-		})
-		g.carry.drops += uint64(dropped)
-		return 0, dropped
+		return 0, g.purge(g.queue)
 	}
-	moved = g.drainBacklog()
-	return moved, 0
+	return g.drainBacklog(), 0
 }
 
 // On reports whether the link is currently passing traffic.
 func (g *GateBox) On() bool { return g.isOn }
-
-// Queue exposes the box's queue discipline, for telemetry.
-func (g *GateBox) Queue() Qdisc { return g.queue }
 
 // drainBacklog releases everything held during an outage, in order, and
 // reports how many packets survived the qdisc's drop law to go downstream.
@@ -84,19 +69,12 @@ func (g *GateBox) Send(pkt *Packet) { g.SendBatch(g.one(pkt)) }
 // SendBatch implements Box: an on-state train passes through as a train;
 // an off-state train is queued packet-by-packet (drops shorten it).
 func (g *GateBox) SendBatch(pkts []*Packet) {
+	if !g.isOn {
+		g.admit(pkts)
+		return
+	}
 	for _, pkt := range pkts {
 		g.stats.arrive(pkt)
 	}
-	if g.isOn {
-		g.emit(pkts)
-		return
-	}
-	now := g.loop.Now()
-	for _, pkt := range pkts {
-		g.queue.Enqueue(pkt, now)
-	}
+	g.emit(pkts)
 }
-
-// Stats implements Box: queue gauges and drop counts are read through from
-// the qdisc.
-func (g *GateBox) Stats() BoxStats { return g.carry.readThrough(g.stats, g.queue, nil) }

@@ -33,21 +33,13 @@ func geBitmap(model LossModel, seed uint64, n int) string {
 
 // TestGilbertElliottGolden pins the exact loss pattern of the 2-state
 // Markov model for a fixed seed — the gemodel analogue of the CoDel/PIE
-// golden transcripts. The classic parameterization (H=0, K=1) drops every
-// packet in the Bad state, so losses appear in bursts whose run lengths
-// follow the R=0.5 recovery probability.
+// golden transcripts. Every packet in the Bad state is dropped, so losses
+// appear in bursts whose run lengths follow the R=0.5 recovery probability.
 func TestGilbertElliottGolden(t *testing.T) {
 	got := geBitmap(NewGilbertElliott(0.15, 0.5), 0xfeed, 64)
 	const want = "11111111111111111..111.......11.11.111.....111111.1111111111111."
 	if got != want {
-		t.Fatalf("classic gemodel pattern:\n got %s\nwant %s", got, want)
-	}
-
-	// Full four-parameter form: 20% delivery inside Bad, 99% inside Good.
-	got = geBitmap(NewGilbertElliottFull(0.15, 0.5, 0.2, 0.99), 0xfeed, 64)
-	const wantFull = "11111111111111111..111.....1.11.11.111.....111111.1111111111111."
-	if got != wantFull {
-		t.Fatalf("full gemodel pattern:\n got %s\nwant %s", got, wantFull)
+		t.Fatalf("gemodel pattern:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -57,7 +49,7 @@ func TestGilbertElliottGolden(t *testing.T) {
 func TestGilbertElliottDrawCount(t *testing.T) {
 	const n = 257
 	rng := sim.NewRand(42)
-	m := NewGilbertElliottFull(0.3, 0.4, 0.1, 0.9)
+	m := NewGilbertElliott(0.3, 0.4)
 	for i := 0; i < n; i++ {
 		m.Drop(rng)
 	}
@@ -134,24 +126,20 @@ func TestGilbertElliottLongRunLossRate(t *testing.T) {
 
 // TestGilbertElliottValidation pins constructor validation and labels.
 func TestGilbertElliottValidation(t *testing.T) {
-	for _, bad := range [][4]float64{
-		{-0.1, 0.5, 0, 1}, {1.1, 0.5, 0, 1}, {0.5, -0.1, 0, 1},
-		{0.5, 0.5, -0.1, 1}, {0.5, 0.5, 0, 1.1},
+	for _, bad := range [][2]float64{
+		{-0.1, 0.5}, {1.1, 0.5}, {0.5, -0.1}, {0.5, 1.1},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewGilbertElliottFull(%v) did not panic", bad)
+					t.Errorf("NewGilbertElliott(%v) did not panic", bad)
 				}
 			}()
-			NewGilbertElliottFull(bad[0], bad[1], bad[2], bad[3])
+			NewGilbertElliott(bad[0], bad[1])
 		}()
 	}
 	if got := NewGilbertElliott(0.2, 0.5).String(); got != "gemodel-p0.2-r0.5" {
-		t.Fatalf("classic label = %q", got)
-	}
-	if got := NewGilbertElliottFull(0.2, 0.5, 0.1, 0.9).String(); got != "gemodel-p0.2-r0.5-h0.1-k0.9" {
-		t.Fatalf("full label = %q", got)
+		t.Fatalf("label = %q", got)
 	}
 	if got := NewBernoulli(0.25).String(); got != "bernoulli-0.25" {
 		t.Fatalf("bernoulli label = %q", got)

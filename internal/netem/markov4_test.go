@@ -8,20 +8,13 @@ import (
 )
 
 // TestMarkov4StateGolden pins the exact delivery pattern of the 4-state
-// chain for a fixed seed, in both the classic form (certain delivery in
-// transmitting states, certain loss in loss states) and the full form with
-// per-state delivery probabilities.
+// chain for a fixed seed: certain delivery in the transmitting states,
+// certain loss in the loss states.
 func TestMarkov4StateGolden(t *testing.T) {
 	got := geBitmap(NewMarkov4State(0.1, 0.5, 0.2, 0.3, 0.05), 0xfeed, 64)
 	const want = "11111111111111111.1..1.11111111.11.111.1111.11111.1111111111111."
 	if got != want {
-		t.Fatalf("classic 4-state pattern:\n got %s\nwant %s", got, want)
-	}
-
-	got = geBitmap(NewMarkov4StateFull(0.1, 0.5, 0.2, 0.3, 0.05, [4]float64{1, 0.9, 0.1, 0}), 0xfeed, 64)
-	const wantFull = "11111111111111111.1..1.11111111.11.111.111..11111.1111111111111."
-	if got != wantFull {
-		t.Fatalf("full 4-state pattern:\n got %s\nwant %s", got, wantFull)
+		t.Fatalf("4-state pattern:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -32,7 +25,7 @@ func TestMarkov4StateGolden(t *testing.T) {
 func TestMarkov4StateDrawCount(t *testing.T) {
 	const n = 311
 	rng := sim.NewRand(42)
-	m := NewMarkov4StateFull(0.3, 0.2, 0.3, 0.4, 0.2, [4]float64{0.9, 0.8, 0.2, 0.1})
+	m := NewMarkov4State(0.3, 0.2, 0.3, 0.4, 0.2)
 	for i := 0; i < n; i++ {
 		m.Drop(rng)
 	}
@@ -115,20 +108,8 @@ func TestMarkov4StateValidation(t *testing.T) {
 			NewMarkov4State(b[0], b[1], b[2], b[3], b[4])
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range delivery probability did not panic")
-			}
-		}()
-		NewMarkov4StateFull(0.1, 0.5, 0.2, 0.3, 0.05, [4]float64{1, 1, 0, -0.5})
-	}()
-
 	if got := NewMarkov4State(0.1, 0.5, 0.2, 0.3, 0.05).String(); got != "4state-p13:0.1-p31:0.5-p32:0.2-p23:0.3-p14:0.05" {
-		t.Fatalf("classic label = %q", got)
-	}
-	if got := NewMarkov4StateFull(0.1, 0.5, 0.2, 0.3, 0.05, [4]float64{1, 0.9, 0.1, 0}).String(); got != "4state-p13:0.1-p31:0.5-p32:0.2-p23:0.3-p14:0.05-d:1/0.9/0.1/0" {
-		t.Fatalf("full label = %q", got)
+		t.Fatalf("label = %q", got)
 	}
 }
 

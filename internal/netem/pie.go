@@ -4,33 +4,23 @@ import (
 	"repro/internal/sim"
 )
 
-// PIE defaults per RFC 8033 §4–5 (QDELAY_REF, T_UPDATE, MAX_BURST).
+// PIE defaults per RFC 8033 §4–5 (QDELAY_REF, T_UPDATE).
 const (
-	DefaultPIETarget   = 15 * sim.Millisecond
-	DefaultPIETUpdate  = 15 * sim.Millisecond
-	DefaultPIEMaxBurst = 150 * sim.Millisecond
+	DefaultPIETarget  = 15 * sim.Millisecond
+	DefaultPIETUpdate = 15 * sim.Millisecond
 )
 
 // PIE controller constants (RFC 8033 §4.2): the proportional and integral
-// gains, in 1/s.
+// gains, in 1/s, and the burst allowance (MAX_BURST).
 const (
-	pieAlpha = 0.125
-	pieBeta  = 1.25
-	// pieSeed drives the random-drop draws when the config leaves Seed
-	// zero. Any fixed value works: determinism comes from the stream being
-	// a pure function of the seed and the arrival schedule.
+	pieAlpha    = 0.125
+	pieBeta     = 1.25
+	pieMaxBurst = 150 * sim.Millisecond
+	// pieSeed drives the random-drop draws. Any fixed value works:
+	// determinism comes from the stream being a pure function of the seed
+	// and the arrival schedule.
 	pieSeed = 0x8033
 )
-
-// LinuxPIEMarkThreshold is the ECN ceiling Linux's sch_pie applies: above
-// 10% drop probability even ECT packets are dropped, on the theory that a
-// probability that high means marking is failing to control the queue.
-// RFC 8033 §5.1 itself attaches no ceiling to marking, and this
-// implementation defaults to none (see PIEConfig.MarkThreshold): during a
-// deep slow-start transient the drain of the standing queue alone can push
-// the controller past 10% for hundreds of milliseconds, and dropping ECT
-// packets there defeats the point of the marking study.
-const LinuxPIEMarkThreshold = 0.1
 
 // PIE is the Proportional Integral controller Enhanced AQM of RFC 8033,
 // the discipline Linux and DOCSIS deploy where CoDel's per-packet
@@ -43,8 +33,8 @@ const LinuxPIEMarkThreshold = 0.1
 //
 // scaled down while p is small (the RFC's auto-tuning table) so the
 // controller stays stable near zero, and decayed exponentially when the
-// queue is idle. A burst allowance suppresses drops for the first
-// MaxBurst of standing queue, tolerating slow-start transients.
+// queue is idle. A burst allowance suppresses drops for the first 150 ms
+// (MAX_BURST) of standing queue, tolerating slow-start transients.
 //
 // The implementation runs entirely on the virtual clock: the periodic
 // update is applied lazily from Enqueue/Dequeue, catching up one TUpdate
@@ -56,16 +46,20 @@ const LinuxPIEMarkThreshold = 0.1
 // reproducibility contract CoDel's deterministic law gives for free.
 //
 // In ECN mode (RFC 8033 §5.1) a drop decision on an ECT packet CE-marks it
-// and admits it instead, up to the configured MarkThreshold.
+// and admits it instead, at any drop probability. Linux's sch_pie drops
+// even ECT packets above 10%, on the theory that a probability that high
+// means marking is failing to control the queue; RFC 8033 §5.1 attaches no
+// such ceiling, and none is applied here: during a deep slow-start
+// transient the drain of the standing queue alone can push the controller
+// past 10% for hundreds of milliseconds, and dropping ECT packets there
+// defeats the point of the marking study.
 type PIE struct {
 	qdiscBase
 	target     sim.Time
 	tUpdate    sim.Time
-	maxBurst   sim.Time
 	maxPackets int
 	maxBytes   int
 	ecn        bool
-	markCeil   float64
 	rng        *sim.Rand
 
 	// Controller state, named as in RFC 8033.
@@ -76,72 +70,13 @@ type PIE struct {
 	started        bool
 }
 
-// PIEConfig parameterizes a PIE queue. Zero Target/TUpdate/MaxBurst select
-// the RFC 8033 defaults (15 ms / 15 ms / 150 ms); zero Max bounds leave
-// the physical buffer unlimited; zero Seed selects the fixed default
-// stream.
-type PIEConfig struct {
-	Target     sim.Time
-	TUpdate    sim.Time
-	MaxBurst   sim.Time
-	MaxPackets int
-	MaxBytes   int
-	ECN        bool
-	// MarkThreshold caps marking in ECN mode: a drop decision with the
-	// probability above it drops even ECT packets. Zero means no ceiling
-	// (every ECT decision marks); set LinuxPIEMarkThreshold for sch_pie's
-	// 10% rule.
-	MarkThreshold float64
-	Seed          uint64
-}
-
-// NewPIE returns a PIE qdisc.
-func NewPIE(cfg PIEConfig) *PIE {
-	if cfg.Target <= 0 {
-		cfg.Target = DefaultPIETarget
-	}
-	if cfg.TUpdate <= 0 {
-		cfg.TUpdate = DefaultPIETUpdate
-	}
-	if cfg.MaxBurst <= 0 {
-		cfg.MaxBurst = DefaultPIEMaxBurst
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = pieSeed
-	}
-	markCeil := cfg.MarkThreshold
-	if markCeil <= 0 {
-		markCeil = 1
-	}
-	return &PIE{
-		target: cfg.Target, tUpdate: cfg.TUpdate, maxBurst: cfg.MaxBurst,
-		maxPackets: cfg.MaxPackets, maxBytes: cfg.MaxBytes,
-		ecn: cfg.ECN, markCeil: markCeil,
-		rng: sim.NewRand(seed),
-	}
-}
-
-// Target reports the configured delay reference.
-func (q *PIE) Target() sim.Time { return q.target }
-
-// TUpdate reports the configured probability-update period.
-func (q *PIE) TUpdate() sim.Time { return q.tUpdate }
-
-// ECN reports whether the discipline marks instead of dropping.
-func (q *PIE) ECN() bool { return q.ecn }
-
-// DropProb reports the controller's current drop probability, for tests
-// and telemetry.
-func (q *PIE) DropProb() float64 { return q.prob }
-
 // advance lazily applies every TUpdate probability update due by now. The
 // first call arms the update clock and the burst allowance, mirroring the
 // RFC's initialization on queue activation.
 func (q *PIE) advance(now sim.Time) {
 	if !q.started {
 		q.started = true
-		q.burstAllowance = q.maxBurst
+		q.burstAllowance = pieMaxBurst
 		q.nextUpdate = now + q.tUpdate
 		return
 	}
@@ -199,7 +134,7 @@ func (q *PIE) update(at sim.Time) {
 	}
 	// Re-arm burst tolerance once the controller has fully relaxed (§4.4).
 	if q.prob == 0 && qdelay < q.target/2 && q.qdelayOld < q.target/2 {
-		q.burstAllowance = q.maxBurst
+		q.burstAllowance = pieMaxBurst
 	}
 	q.qdelayOld = qdelay
 }
@@ -234,7 +169,7 @@ func (q *PIE) Enqueue(pkt *Packet, now sim.Time) bool {
 	q.advance(now)
 	mark := false
 	if q.judge() {
-		if q.ecn && pkt.ECT && q.prob <= q.markCeil {
+		if q.ecn && pkt.ECT {
 			mark = true
 		} else {
 			q.aqmDrop(pkt)

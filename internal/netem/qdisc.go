@@ -490,7 +490,8 @@ type QdiscSpec struct {
 	// fq_codel's sojourn target (zero = RFC 8289's 5 ms) or PIE's
 	// QDELAY_REF (zero = RFC 8033's 15 ms). Interval is CoDel's/fq_codel's
 	// control interval (zero = 100 ms); TUpdate is PIE's
-	// probability-update period (zero = 15 ms).
+	// probability-update period (zero = 15 ms). A negative value counts as
+	// zero here and in Flows and Quantum.
 	Target   sim.Time
 	Interval sim.Time
 	TUpdate  sim.Time
@@ -503,9 +504,10 @@ type QdiscSpec struct {
 	ECN bool
 }
 
-// Build instantiates the discipline the spec describes. Unknown kinds
-// panic: specs come from CLI flags and driver tables, where a typo should
-// fail loudly at setup rather than silently shape traffic wrong.
+// Build instantiates the discipline the spec describes; it is the only
+// constructor of the AQM disciplines. Unknown kinds panic: specs come from
+// CLI flags and driver tables, where a typo should fail loudly at setup
+// rather than silently shape traffic wrong.
 func (s QdiscSpec) Build() Qdisc {
 	switch s.Kind {
 	case "", QdiscDropTail:
@@ -513,27 +515,38 @@ func (s QdiscSpec) Build() Qdisc {
 	case QdiscInfinite:
 		return NewDropTail(0, 0)
 	case QdiscCoDel:
-		return NewCoDel(CoDelConfig{
-			Target: s.Target, Interval: s.Interval,
-			MaxPackets: s.Packets, MaxBytes: s.Bytes,
-			ECN: s.ECN,
-		})
+		return &CoDel{law: s.codelLaw(), maxPackets: s.Packets, maxBytes: s.Bytes}
 	case QdiscPIE:
-		return NewPIE(PIEConfig{
-			Target: s.Target, TUpdate: s.TUpdate,
-			MaxPackets: s.Packets, MaxBytes: s.Bytes,
-			ECN: s.ECN,
-		})
+		return &PIE{
+			target:     orDefault(s.Target, DefaultPIETarget),
+			tUpdate:    orDefault(s.TUpdate, DefaultPIETUpdate),
+			maxPackets: s.Packets, maxBytes: s.Bytes,
+			ecn: s.ECN, rng: sim.NewRand(pieSeed),
+		}
 	case QdiscFQCoDel:
-		return NewFQCoDel(FQCoDelConfig{
-			Target: s.Target, Interval: s.Interval,
-			Flows: s.Flows, Quantum: s.Quantum,
-			MaxPackets: s.Packets, MaxBytes: s.Bytes,
-			ECN: s.ECN,
-		})
+		return newFQCoDel(s)
 	default:
 		panic(fmt.Sprintf("netem: unknown qdisc kind %q", s.Kind))
 	}
+}
+
+// codelLaw is the RFC 8289 law the spec parameterizes, shared by CoDel and
+// by every fq_codel bucket.
+func (s QdiscSpec) codelLaw() codelLaw {
+	return codelLaw{
+		target:   orDefault(s.Target, DefaultCoDelTarget),
+		interval: orDefault(s.Interval, DefaultCoDelInterval),
+		ecn:      s.ECN,
+	}
+}
+
+// orDefault returns v, or def when v is zero or negative: an unset spec
+// parameter selects the RFC default.
+func orDefault[T ~int | ~int64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // String renders the spec as a compact label ("droptail", "droptail-32p",

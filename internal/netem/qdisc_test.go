@@ -69,12 +69,12 @@ func TestQdiscSpecBuild(t *testing.T) {
 	if !ok {
 		t.Fatal("codel spec did not build CoDel")
 	}
-	if cd.Target() != DefaultCoDelTarget || cd.Interval() != DefaultCoDelInterval {
-		t.Fatalf("codel defaults = %v/%v", cd.Target(), cd.Interval())
+	if cd.law.target != DefaultCoDelTarget || cd.law.interval != DefaultCoDelInterval {
+		t.Fatalf("codel defaults = %v/%v", cd.law.target, cd.law.interval)
 	}
 	got := QdiscSpec{Kind: QdiscCoDel, Target: 10 * sim.Millisecond, Interval: 200 * sim.Millisecond}.Build().(*CoDel)
-	if got.Target() != 10*sim.Millisecond || got.Interval() != 200*sim.Millisecond {
-		t.Fatalf("codel params = %v/%v", got.Target(), got.Interval())
+	if got.law.target != 10*sim.Millisecond || got.law.interval != 200*sim.Millisecond {
+		t.Fatalf("codel params = %v/%v", got.law.target, got.law.interval)
 	}
 	defer func() {
 		if recover() == nil {
@@ -104,7 +104,7 @@ func TestQdiscSpecString(t *testing.T) {
 // TestCoDelBelowTargetNeverDrops: a queue whose sojourn stays under target
 // behaves exactly like an infinite FIFO.
 func TestCoDelBelowTargetNeverDrops(t *testing.T) {
-	q := NewCoDel(CoDelConfig{})
+	q := QdiscSpec{Kind: QdiscCoDel}.Build()
 	now := sim.Time(0)
 	for i := 0; i < 1000; i++ {
 		q.Enqueue(&Packet{Size: MTU, Seq: int64(i)}, now)
@@ -123,7 +123,7 @@ func TestCoDelBelowTargetNeverDrops(t *testing.T) {
 // start dropping only after a full interval, and draining the standing
 // queue must end the dropping state.
 func TestCoDelEntersAndExitsDropping(t *testing.T) {
-	q := NewCoDel(CoDelConfig{})
+	q := QdiscSpec{Kind: QdiscCoDel}.Build().(*CoDel)
 	// Build a standing queue: 100 packets enqueued at t=0.
 	for i := 0; i < 100; i++ {
 		q.Enqueue(&Packet{Size: MTU, Seq: int64(i)}, 0)
@@ -170,7 +170,7 @@ func TestCoDelEntersAndExitsDropping(t *testing.T) {
 // bound and CoDel ramps its drop rate along the interval/sqrt(count)
 // schedule.
 func TestCoDelGoldenTrace(t *testing.T) {
-	q := NewCoDel(CoDelConfig{}) // RFC defaults: target 5ms, interval 100ms
+	q := QdiscSpec{Kind: QdiscCoDel}.Build() // RFC defaults: target 5ms, interval 100ms
 	arrivals := 0
 	var events []string
 	for tick := sim.Time(0); arrivals < 400 || q.Len() > 0; tick += sim.Millisecond {
@@ -227,7 +227,7 @@ func TestCoDelGoldenTrace(t *testing.T) {
 // TestCoDelDropSpacingDecreases: while the overload persists, successive
 // drop gaps must follow the interval/sqrt(count) schedule, i.e. shrink.
 func TestCoDelDropSpacingDecreases(t *testing.T) {
-	q := NewCoDel(CoDelConfig{})
+	q := QdiscSpec{Kind: QdiscCoDel}.Build()
 	var dropTimes []sim.Time
 	arrivals := 0
 	for tick := sim.Time(0); tick < 2*sim.Second; tick += sim.Millisecond {
@@ -257,7 +257,7 @@ func TestCoDelDropSpacingDecreases(t *testing.T) {
 // TestCoDelPhysicalBound: the optional packet bound tail-drops like
 // droptail, separately accounted from control-law drops.
 func TestCoDelPhysicalBound(t *testing.T) {
-	q := NewCoDel(CoDelConfig{MaxPackets: 2})
+	q := QdiscSpec{Kind: QdiscCoDel, Packets: 2}.Build()
 	q.Enqueue(&Packet{Size: 1}, 0)
 	q.Enqueue(&Packet{Size: 1}, 0)
 	if q.Enqueue(&Packet{Size: 1}, 0) {
@@ -336,7 +336,7 @@ func TestTraceBoxCoDelShedsStandingQueue(t *testing.T) {
 		return qs.MeanSojourn(), qs.Drops()
 	}
 	dtMean, dtDrops := run(NewDropTail(0, 0))
-	cdMean, cdDrops := run(NewCoDel(CoDelConfig{}))
+	cdMean, cdDrops := run(QdiscSpec{Kind: QdiscCoDel}.Build())
 	if dtDrops != 0 {
 		t.Fatalf("infinite queue dropped %d", dtDrops)
 	}

@@ -30,7 +30,8 @@ func (p DrainPolicy) String() string {
 }
 
 // QdiscHolder is a box whose queue discipline a script can hot-swap:
-// TraceBox and RateBox implement it.
+// TraceBox, RateBox and GateBox implement it, through the txQueue front
+// they share.
 type QdiscHolder interface {
 	Queue() Qdisc
 	SwapQdisc(q Qdisc, policy DrainPolicy) (moved, dropped int)

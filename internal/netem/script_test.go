@@ -205,7 +205,7 @@ func TestSwapQdiscHoldRespectsNewAdmission(t *testing.T) {
 // TestFQCoDelFlush verifies the deterministic flush walk over DRR buckets
 // and that the discipline is reusable (idle lists) afterwards.
 func TestFQCoDelFlush(t *testing.T) {
-	q := NewFQCoDel(FQCoDelConfig{Flows: 8})
+	q := QdiscSpec{Kind: QdiscFQCoDel, Flows: 8}.Build()
 	for i := 0; i < 12; i++ {
 		q.Enqueue(&Packet{Size: 100, Flow: uint64(i % 4)}, 0)
 	}
@@ -224,5 +224,80 @@ func TestFQCoDelFlush(t *testing.T) {
 	q.Enqueue(&Packet{Size: 100, Flow: 1}, 0)
 	if pkt := q.Dequeue(0); pkt == nil || q.Len() != 0 {
 		t.Fatal("fq_codel not reusable after flush")
+	}
+}
+
+// TestQueueFrontPurgeLedger: RateBox, TraceBox and GateBox share one queue
+// front, so a DrainFlush purge accounts the same way on each. A 4-packet
+// droptail fills while the box is blocked (a busy transmitter, a distant
+// delivery opportunity, a link that is down), and the purge then empties
+// it: a qdisc swap for the two links, a link-up for the gate. The box's
+// ledger must balance before and after the purge and once the loop drains,
+// with Dropped = tail drops + purged, and every pooled packet must be back
+// in its pool at the end.
+func TestQueueFrontPurgeLedger(t *testing.T) {
+	const sent = 7
+	swap := func(b Box) int {
+		_, dropped := b.(QdiscHolder).SwapQdisc(nil, DrainFlush)
+		return dropped
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(loop *sim.Loop, q Qdisc) Box
+		purge func(b Box) int
+	}{
+		{"rate", func(loop *sim.Loop, q Qdisc) Box { return NewRateBox(loop, 1_000_000, q) }, swap},
+		{"trace", func(loop *sim.Loop, q Qdisc) Box { return NewTraceBox(loop, stubOpps{period: sim.Second}, q) }, swap},
+		{"gate", func(loop *sim.Loop, q Qdisc) Box {
+			g := NewScriptedGateBox(loop, q)
+			g.SetOn(false, DrainHold)
+			return g
+		}, func(b Box) int {
+			_, dropped := b.(*GateBox).SetOn(true, DrainFlush)
+			return dropped
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop := sim.NewLoop()
+			pool := &PacketPool{}
+			q := NewDropTail(4, 0)
+			b := tc.build(loop, q)
+			b.SetSink(pool.Put)
+			balanced := func(when string) BoxStats {
+				st := b.Stats()
+				if st.Arrived != st.Delivered+st.Dropped+uint64(st.QueueLen) {
+					t.Fatalf("%s: Arrived %d != Delivered %d + Dropped %d + QueueLen %d",
+						when, st.Arrived, st.Delivered, st.Dropped, st.QueueLen)
+				}
+				return st
+			}
+			loop.Schedule(0, func(sim.Time) {
+				for i := 0; i < sent; i++ {
+					pkt := pool.Get()
+					pkt.Size = MTU
+					b.Send(pkt)
+				}
+				if q.Len() != 4 {
+					t.Fatalf("droptail holds %d packets, want 4", q.Len())
+				}
+				tail := q.QueueStats().TailDrops
+				if st := balanced("filled"); st.Arrived != sent || st.Dropped != tail {
+					t.Fatalf("filled: %+v, want %d arrived and %d tail drops", st, sent, tail)
+				}
+				if purged := tc.purge(b); purged != 4 {
+					t.Fatalf("purged %d packets, want 4", purged)
+				}
+				if st := balanced("purged"); st.Dropped != tail+4 {
+					t.Fatalf("purged: Dropped %d, want %d tail drops + 4 purged", st.Dropped, tail)
+				}
+			})
+			loop.Run()
+			if st := balanced("drained"); st.QueueLen != 0 {
+				t.Fatalf("drained: %d packets still queued", st.QueueLen)
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Fatalf("%d pooled packets outstanding after the loop drained", n)
+			}
+		})
 	}
 }

@@ -194,7 +194,7 @@ func TestRetransmittedSynAckECEIsNotCongestion(t *testing.T) {
 // and the window cut, but zero AQM drops and zero retransmissions — the
 // mark replaces the loss in the congestion feedback loop.
 func TestECNTransferMarksNotDrops(t *testing.T) {
-	q := netem.NewCoDel(netem.CoDelConfig{ECN: true})
+	q := netem.QdiscSpec{Kind: netem.QdiscCoDel, ECN: true}.Build()
 	loop, cs, ss := ecnTestNet(t, q)
 	cs.SetECN(true)
 	ss.SetECN(true)
