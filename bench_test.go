@@ -625,8 +625,8 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkMatcherLookup measures a replay-table lookup against a
-// CNBC-sized archive with the precomputed candidate index and memoized
-// request accessors: the per-request cost of every replayed fetch.
+// CNBC-sized archive with the precomputed candidate index: the
+// per-request cost of every replayed fetch.
 func BenchmarkMatcherLookup(b *testing.B) {
 	page := webgen.GeneratePage(sim.NewRand(3), webgen.CNBCLike())
 	site := webgen.Materialize(page)

@@ -25,9 +25,12 @@
 // 4-state Markov loss chain ("p13,p31,p32,p23,p14") behind the link. A
 // probability outside [0,1], a -loss-state that is not five such values
 // with p13+p14 <= 1 and p31+p32 <= 1, an unknown queue discipline,
-// -servers or -loads below 1, a negative -delay, -queue or -queue-bytes,
-// or -fq-flows outside [0, 65536] (Linux's sch_fq_codel limit) exits with
-// status 2 and a message naming the flag.
+// -servers or -loads below 1, a negative -delay, -queue, -queue-bytes or
+// -fq-quantum, a -reorder-hold, -codel-target, -codel-interval,
+// -pie-target or -pie-tupdate at or below 0, or -fq-flows outside
+// [0, 65536] (Linux's sch_fq_codel limit) exits with status 2 and a
+// message naming the flag, whether or not the queue or impairment the
+// flag tunes is in use.
 //
 // Trace files use Mahimahi's format: one millisecond timestamp per line,
 // each line one MTU-sized packet-delivery opportunity.
@@ -85,6 +88,12 @@ func main() {
 	checkNonNegative("-delay", *delayMS)
 	checkNonNegative("-queue", *queue)
 	checkNonNegative("-queue-bytes", *queueBytes)
+	checkNonNegative("-fq-quantum", *fqQuantum)
+	checkPositive("-reorder-hold", *reorderHold)
+	checkPositive("-codel-target", *codelTarget)
+	checkPositive("-codel-interval", *codelInterval)
+	checkPositive("-pie-target", *pieTarget)
+	checkPositive("-pie-tupdate", *pieTUpdate)
 	if *fqFlows < 0 || *fqFlows > maxFQFlows {
 		usageErr("-fq-flows %d outside [0,%d]", *fqFlows, maxFQFlows)
 	}
@@ -132,9 +141,7 @@ func main() {
 	switch {
 	case *rateMbps > 0:
 		up, err = trace.Constant(int64(*rateMbps*1e6), 2000)
-		if err == nil {
-			down, err = trace.Constant(int64(*rateMbps*1e6), 2000)
-		}
+		down = up
 	case flag.NArg() == 2:
 		up, err = loadTrace(flag.Arg(0))
 		if err == nil {
@@ -198,6 +205,14 @@ const maxFQFlows = 65536
 func checkNonNegative(name string, v int) {
 	if v < 0 {
 		usageErr("%s %d is negative", name, v)
+	}
+}
+
+// checkPositive rejects a duration flag at or below 0, which the queue or
+// impairment it tunes would otherwise replace by its default.
+func checkPositive(name string, v int) {
+	if v <= 0 {
+		usageErr("%s %d is not positive", name, v)
 	}
 }
 

@@ -62,6 +62,14 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-queue-bytes", "-1"}, "-queue-bytes"},
 		{[]string{"-downlink-queue", "fq_codel", "-fq-flows", "65537"}, "-fq-flows"},
 		{[]string{"-downlink-queue", "fq_codel", "-fq-flows", "-1"}, "-fq-flows"},
+		{[]string{"-reorder", "0.1", "-reorder-hold", "-5"}, "-reorder-hold"},
+		{[]string{"-reorder-hold", "0"}, "-reorder-hold"},
+		{[]string{"-downlink-queue", "codel", "-codel-target", "-5"}, "-codel-target"},
+		{[]string{"-codel-target", "0"}, "-codel-target"},
+		{[]string{"-codel-interval", "0"}, "-codel-interval"},
+		{[]string{"-downlink-queue", "pie", "-pie-target", "-1"}, "-pie-target"},
+		{[]string{"-pie-tupdate", "0"}, "-pie-tupdate"},
+		{[]string{"-downlink-queue", "fq_codel", "-fq-quantum", "-3"}, "-fq-quantum"},
 	} {
 		args := append([]string{"-rate", "12"}, tc.args...)
 		_, stderr, code := mmLink(t, args...)

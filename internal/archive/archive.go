@@ -69,9 +69,7 @@ func (s *Site) Origins() []nsim.AddrPort {
 func (s *Site) Hosts() map[string]nsim.Addr {
 	out := map[string]nsim.Addr{}
 	for _, e := range s.Exchanges {
-		// Header.Get, not Request.Host: sites are shared read-only across
-		// concurrent experiment cells and Host memoizes (mutates).
-		h := e.Request.Header.Get("Host")
+		h := e.Request.Host()
 		if h == "" {
 			continue
 		}

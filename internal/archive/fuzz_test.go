@@ -32,6 +32,13 @@ func FuzzReadExchange(f *testing.F) {
 	} {
 		f.Add([]byte(raw))
 	}
+	// A chunked request: it is stored de-chunked, so it must be stored
+	// re-framed with Content-Length to read back.
+	const post = "POST /u HTTP/1.1\r\nHost: a.com\r\nTransfer-Encoding: chunked\r\n\r\n" +
+		"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"
+	const ok = "HTTP/1.1 204 No Content\r\n\r\n"
+	f.Add([]byte("MAHIMAHI-GO 1\nserver: 1.2.3.4:80\nscheme: http\nrequest-length: " +
+		strconv.Itoa(len(post)) + "\nresponse-length: " + strconv.Itoa(len(ok)) + "\n\n" + post + ok))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := ReadExchange(bytes.NewReader(raw))
 		if err != nil {

@@ -162,11 +162,7 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 	site := webgen.Materialize(page)
 	payload := make([]byte, cfg.BulkBytes)
 
-	constUp, err := trace.Constant(12_000_000, 2000)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	constDown, err := trace.Constant(12_000_000, 2000)
+	constLink, err := trace.Constant(12_000_000, 2000)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -180,8 +176,8 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 		up, down *trace.Trace
 	}
 	links := []link{
-		{"const12", constUp, constDown},
-		{"cellular", constUp, cellDown},
+		{"const12", constLink, constLink},
+		{"cellular", constLink, cellDown},
 	}
 	qdiscs := bufferbloatQdiscs()
 

@@ -146,6 +146,24 @@ func materializeAll(pages []*webgen.Page) []*archive.Site {
 	return sites
 }
 
+// constantLinks builds one two-second constant-rate trace per distinct
+// rate before a grid runs. A Trace is immutable and each TraceBox reads it
+// through its own Cursor, so every cell at a rate shares it, in both
+// directions.
+func constantLinks(rates []int64) map[int64]*trace.Trace {
+	links := make(map[int64]*trace.Trace, len(rates))
+	for _, rate := range rates {
+		if links[rate] == nil {
+			tr, err := trace.Constant(rate, 2000)
+			if err != nil {
+				panic(err)
+			}
+			links[rate] = tr
+		}
+	}
+	return links
+}
+
 // corpusPages generates the experiment corpus, scaled to n sites with the
 // paper's server-count distribution.
 func corpusPages(seed uint64, n int) []*webgen.Page {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // SweepConfig declares an open-ended scenario sweep: every corpus site
@@ -93,6 +92,8 @@ func Sweep(cfg SweepConfig) SweepResult {
 		}
 	}
 
+	links := constantLinks(cfg.Rates)
+
 	var cells []Cell
 	for _, st := range stacks {
 		for si := range pages {
@@ -106,17 +107,10 @@ func Sweep(cfg SweepConfig) SweepResult {
 		st := stacks[i/perStack]
 		si := (i % perStack) / cfg.Trials
 		page, site := pages[si], sites[si]
-		down, err := trace.Constant(st.Rate, 2000)
-		if err != nil {
-			panic(err)
-		}
-		up, err := trace.Constant(st.Rate, 2000)
-		if err != nil {
-			panic(err)
-		}
+		link := links[st.Rate]
 		stack := []shells.Shell{
 			shells.NewDelayShell(st.Delay),
-			shells.NewLinkShell(up, down),
+			shells.NewLinkShell(link, link),
 		}
 		if st.Loss > 0 {
 			// The loss stream is part of the scenario: derive it from the

@@ -8,7 +8,6 @@ import (
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Table2Config parameterizes Table 2 (cost of losing multi-origin
@@ -85,6 +84,8 @@ func Table2(cfg Table2Config) Table2Result {
 		}
 	}
 
+	links := constantLinks(cfg.Rates)
+
 	var cells []Cell
 	for _, nc := range confs {
 		for si := range pages {
@@ -97,18 +98,11 @@ func Table2(cfg Table2Config) Table2Result {
 	results := runCells(cfg.Shards, cfg.Seed, cells, func(sh *engine.Shard, i int, _ Cell, _ uint64) float64 {
 		nc := confs[i/len(pages)]
 		page, site := pages[i%len(pages)], sites[i%len(pages)]
-		down, err := trace.Constant(nc.rate, 2000)
-		if err != nil {
-			panic(err)
-		}
-		up, err := trace.Constant(nc.rate, 2000)
-		if err != nil {
-			panic(err)
-		}
+		link := links[nc.rate]
 		mk := func() []shells.Shell {
 			return []shells.Shell{
 				shells.NewDelayShell(nc.delay),
-				shells.NewLinkShell(up, down),
+				shells.NewLinkShell(link, link),
 			}
 		}
 		sc := scratchFor(sh)

@@ -71,7 +71,9 @@ func FuzzResponseParserModes(f *testing.F) {
 // FuzzRequestParser feeds the same bytes to one RequestParser whole and to
 // another cut into three pieces at fuzzer-chosen offsets. Both must yield
 // the same requests (method, target, proto, header fields, body) and the
-// same error; feeding the pieces stops at the first error.
+// same error; feeding the pieces stops at the first error. Each request
+// must also marshal to bytes that parse back to one equal request, a
+// chunked one included.
 //
 // CI runs it for a bounded time:
 //
@@ -116,13 +118,23 @@ func FuzzRequestParser(f *testing.F) {
 			t.Fatalf("cut at %d, %d: %d requests, whole: %d", i, j, len(got), len(want))
 		}
 		for k, w := range want {
-			g := got[k]
-			if g.Method != w.Method || g.Target != w.Target || g.Proto != w.Proto ||
-				!slices.Equal(g.Header.Fields(), w.Header.Fields()) || !bytes.Equal(g.Body, w.Body) {
+			if g := got[k]; !sameRequest(g, w) {
 				t.Errorf("request %d cut at %d, %d: %q %q %q %v body %q, whole: %q %q %q %v body %q",
 					k, i, j, g.Method, g.Target, g.Proto, g.Header.Fields(), g.Body,
 					w.Method, w.Target, w.Proto, w.Header.Fields(), w.Body)
 			}
+			var again RequestParser
+			back, err := again.Feed(w.Marshal())
+			if err != nil || len(back) != 1 || !sameRequest(back[0], w) {
+				t.Errorf("request %d: its wire form %q parses to %d requests, error %v", k, w.Marshal(), len(back), err)
+			}
 		}
 	})
+}
+
+// sameRequest reports whether two requests have the same request line,
+// header fields and body.
+func sameRequest(a, b *Request) bool {
+	return a.Method == b.Method && a.Target == b.Target && a.Proto == b.Proto &&
+		slices.Equal(a.Header.Fields(), b.Header.Fields()) && bytes.Equal(a.Body, b.Body)
 }

@@ -81,8 +81,8 @@ func TestParseSimpleGet(t *testing.T) {
 	if r.Host() != "example.com" {
 		t.Fatalf("Host = %q", r.Host())
 	}
-	if r.Path() != "/index.html" || r.Query() != "x=1" {
-		t.Fatalf("Path/Query = %q/%q", r.Path(), r.Query())
+	if path, query := SplitTarget(r.Target); path != "/index.html" || query != "x=1" {
+		t.Fatalf("SplitTarget = %q/%q", path, query)
 	}
 }
 
@@ -124,6 +124,27 @@ func TestParseChunkedRequestBody(t *testing.T) {
 	}
 	if string(reqs[0].Body) != "hello world" {
 		t.Fatalf("chunked body = %q", reqs[0].Body)
+	}
+}
+
+// TestChunkedRequestIsReframed: a parsed chunked request, like a parsed
+// chunked response, carries its de-chunked body under Content-Length and
+// no Transfer-Encoding, so its wire form parses back to the same request.
+func TestChunkedRequestIsReframed(t *testing.T) {
+	var p RequestParser
+	raw := "POST /u HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n" +
+		"5;ext=1\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: v\r\n\r\n"
+	reqs := feedAll(t, &p, []byte(raw))
+	if len(reqs) != 1 {
+		t.Fatalf("got %d requests, want 1", len(reqs))
+	}
+	r := reqs[0]
+	if r.Header.Has("Transfer-Encoding") || r.Header.Get("Content-Length") != "11" {
+		t.Fatalf("chunked request header %v, want Content-Length 11 and no Transfer-Encoding", r.Header.Fields())
+	}
+	var again RequestParser
+	if back := feedAll(t, &again, r.Marshal()); len(back) != 1 || !sameRequest(back[0], r) {
+		t.Fatalf("wire form %q parses to %d requests, not back to the request", r.Marshal(), len(back))
 	}
 }
 

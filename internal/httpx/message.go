@@ -10,7 +10,10 @@
 // serialization.
 //
 // Supported framing: Content-Length, chunked transfer-encoding, and
-// bodyless messages (1xx/204/304 responses and HEAD exchanges).
+// bodyless messages (1xx/204/304 responses and HEAD exchanges). A chunked
+// message, request or response, is re-framed as it is parsed: its
+// Transfer-Encoding header is dropped and a Content-Length set, so the
+// stored message re-serializes to bytes that parse back to it.
 package httpx
 
 import (
@@ -24,9 +27,6 @@ import (
 // byte-exactly; lookups are case-insensitive per RFC 7230.
 type Header struct {
 	fields []Field
-	// rev increments on every mutation; Request.Host uses it to validate
-	// its memoized lookup.
-	rev uint32
 }
 
 // Field is a single header line.
@@ -37,7 +37,6 @@ type Field struct {
 // Add appends a field, preserving order.
 func (h *Header) Add(name, value string) {
 	h.fields = append(h.fields, Field{Name: name, Value: value})
-	h.rev++
 }
 
 // grow pre-sizes the field slice for n upcoming Adds.
@@ -68,7 +67,6 @@ func (h *Header) Set(name, value string) {
 		out = append(out, Field{Name: name, Value: value})
 	}
 	h.fields = out
-	h.rev++
 }
 
 // Get returns the first value of the (case-insensitive) name, or "".
@@ -100,7 +98,6 @@ func (h *Header) Del(name string) {
 		}
 	}
 	h.fields = out
-	h.rev++
 }
 
 // Len reports the number of fields.
@@ -111,7 +108,7 @@ func (h *Header) Fields() []Field { return h.fields }
 
 // Clone returns a deep copy.
 func (h *Header) Clone() Header {
-	out := Header{fields: make([]Field, len(h.fields)), rev: h.rev}
+	out := Header{fields: make([]Field, len(h.fields))}
 	copy(out.fields, h.fields)
 	return out
 }
@@ -144,8 +141,7 @@ func (h *Header) appendTo(dst []byte) []byte {
 }
 
 // SplitTarget splits a request-target at its '?' into path and raw query
-// (no leading '?'). It is the pure counterpart of Request.Path/Query for
-// callers indexing shared, possibly concurrently read requests.
+// (no leading '?').
 func SplitTarget(target string) (path, query string) {
 	if i := strings.IndexByte(target, '?'); i >= 0 {
 		return target[:i], target[i+1:]
@@ -166,51 +162,10 @@ type Request struct {
 	// time. Mahimahi records both; the scheme is not on the wire in the
 	// request line, so it travels out of band.
 	Scheme string
-
-	// Memoized accessor results. The replay matcher calls Host/Path/Query
-	// on every lookup; memoizing makes repeated lookups parse-free. The
-	// memos self-invalidate: target memos against the Target string,
-	// the host memo against the header revision. Accessors therefore
-	// mutate the request and must not be used on requests shared between
-	// goroutines — use SplitTarget/Header.Get there instead.
-	memoTarget  string
-	memoPath    string
-	memoQuery   string
-	memoValid   bool
-	memoHost    string
-	memoHostRev uint32 // Header.rev+1 at memo time; 0 = no memo
 }
 
-// Host returns the Host header, memoized against header mutations.
-func (r *Request) Host() string {
-	if r.memoHostRev != r.Header.rev+1 {
-		r.memoHost = r.Header.Get("Host")
-		r.memoHostRev = r.Header.rev + 1
-	}
-	return r.memoHost
-}
-
-// Path returns the request-target without its query string.
-func (r *Request) Path() string {
-	if !r.memoValid || r.memoTarget != r.Target {
-		r.parseTarget()
-	}
-	return r.memoPath
-}
-
-// Query returns the raw query string (no leading '?'), or "".
-func (r *Request) Query() string {
-	if !r.memoValid || r.memoTarget != r.Target {
-		r.parseTarget()
-	}
-	return r.memoQuery
-}
-
-func (r *Request) parseTarget() {
-	r.memoPath, r.memoQuery = SplitTarget(r.Target)
-	r.memoTarget = r.Target
-	r.memoValid = true
-}
+// Host returns the Host header.
+func (r *Request) Host() string { return r.Header.Get("Host") }
 
 // Marshal serializes the request to its exact wire form.
 func (r *Request) Marshal() []byte {

@@ -35,82 +35,146 @@ const (
 	phaseBodyChunkTrailer
 )
 
-// RequestParser incrementally parses a stream of pipelined HTTP/1.1
-// requests. Feed it raw bytes as they arrive; it emits complete requests.
-type RequestParser struct {
+// framer is the framing state machine both parsers embed: it cuts each
+// head off the stream, frames the body that follows by Content-Length,
+// chunked coding or none, and re-frames a de-chunked body with
+// Content-Length so the stored message re-serializes deterministically.
+type framer struct {
 	buf   bytes.Buffer
 	phase parsePhase
-	cur   *Request
 	need  int // bytes outstanding for fixed-length or chunk bodies
 }
 
-// Feed appends data and returns any requests completed by it.
-func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
-	p.buf.Write(data)
-	var out []*Request
+// message is what a parser supplies its framer: the parts of a stream
+// that requests and responses treat differently.
+type message interface {
+	// head parses a cut head into a new current message and returns its
+	// status code (0 for a request) and whether it is bodiless whatever
+	// its header frames (the response to a HEAD request).
+	head(b []byte) (status int, bodiless bool, err error)
+	header() *Header
+	// body stores body bytes of the current message before the framer
+	// counts them off need.
+	body(b []byte)
+	bodyLen() int // body bytes of the current message so far
+	done()        // hands the complete current message to the output
+}
+
+// feed appends data and frames every message it completes, handing each
+// to m.
+func (f *framer) feed(m message, data []byte) error {
+	// Fast path: mid-body with an empty reassembly buffer (the steady
+	// state while a large body streams in). Bytes go straight from the
+	// transport to the message, skipping the copy through buf.
+	for f.phase == phaseBodyLength && f.buf.Len() == 0 && len(data) > 0 {
+		n := min(f.need, len(data))
+		m.body(data[:n])
+		f.need -= n
+		data = data[n:]
+		if f.need == 0 {
+			f.finish(m)
+		}
+	}
+	if len(data) == 0 && f.phase == phaseBodyLength {
+		return nil
+	}
+	f.buf.Write(data)
 	for {
-		switch p.phase {
+		switch f.phase {
 		case phaseHead:
-			head, rest, ok := cutHead(p.buf.Bytes())
+			head, rest, ok := cutHead(f.buf.Bytes())
 			if !ok {
-				return out, nil
+				return nil
 			}
-			req, err := parseRequestHead(head)
+			status, bodiless, err := m.head(head)
 			if err != nil {
-				return out, err
+				return err
 			}
-			p.consumeTo(rest)
-			p.cur = req
-			n, chunked, err := bodyLength(&req.Header, true, 0)
+			f.buf.Next(f.buf.Len() - len(rest))
+			n, chunked, err := bodyLength(m.header(), status)
 			if err != nil {
-				return out, err
+				return err
+			}
+			if bodiless {
+				n, chunked = 0, false
 			}
 			switch {
 			case chunked:
-				p.phase = phaseBodyChunkSize
+				f.phase = phaseBodyChunkSize
 			case n > 0:
-				p.need = n
-				p.phase = phaseBodyLength
+				f.need = n
+				f.phase = phaseBodyLength
 			default:
-				out = append(out, p.finishRequest())
+				f.finish(m)
 			}
 		case phaseBodyLength:
-			// Drain partial bodies immediately; see the response parser's
-			// phaseBodyLength case.
-			if n := min(p.need, p.buf.Len()); n > 0 {
-				p.cur.Body = append(p.cur.Body, p.buf.Next(n)...)
-				p.need -= n
+			// Drain whatever body bytes are buffered immediately — even a
+			// partial body — so the reassembly buffer empties and the
+			// streaming fast path above takes every subsequent feed.
+			// Leaving the partial body in buf would re-copy it on each
+			// append until the full length arrived (quadratic in body
+			// size for segment-at-a-time transports).
+			if n := min(f.need, f.buf.Len()); n > 0 {
+				m.body(f.buf.Next(n))
+				f.need -= n
 			}
-			if p.need > 0 {
-				return out, nil
+			if f.need > 0 {
+				return nil
 			}
-			out = append(out, p.finishRequest())
+			f.finish(m)
 		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			data, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, len(p.cur.Body))
+			data, done, ok, err := stepChunk(&f.buf, &f.phase, &f.need, m.bodyLen())
 			if err != nil {
-				return out, err
+				return err
 			}
 			if !ok {
-				return out, nil
+				return nil
 			}
-			p.cur.Body = append(p.cur.Body, data...)
+			m.body(data)
 			if done {
-				out = append(out, p.finishRequest())
+				h := m.header()
+				h.Del("Transfer-Encoding")
+				h.Set("Content-Length", strconv.Itoa(m.bodyLen()))
+				f.finish(m)
 			}
 		}
 	}
 }
 
-func (p *RequestParser) finishRequest() *Request {
-	req := p.cur
-	p.cur = nil
-	p.phase = phaseHead
-	return req
+// finish completes the current message and awaits the next head.
+func (f *framer) finish(m message) {
+	f.phase = phaseHead
+	m.done()
 }
 
-func (p *RequestParser) consumeTo(rest []byte) {
-	n := p.buf.Len() - len(rest)
-	p.buf.Next(n)
+// RequestParser incrementally parses a stream of pipelined HTTP/1.1
+// requests. Feed it raw bytes as they arrive; it emits complete requests.
+type RequestParser struct {
+	framer
+	cur *Request
+	out []*Request
+}
+
+// Feed appends data and returns any requests completed by it.
+func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
+	err := p.feed(p, data)
+	out := p.out
+	p.out = nil
+	return out, err
+}
+
+func (p *RequestParser) head(b []byte) (status int, bodiless bool, err error) {
+	p.cur, err = parseRequestHead(b)
+	return 0, false, err
+}
+
+func (p *RequestParser) header() *Header { return &p.cur.Header }
+func (p *RequestParser) body(b []byte)   { p.cur.Body = append(p.cur.Body, b...) }
+func (p *RequestParser) bodyLen() int    { return len(p.cur.Body) }
+
+func (p *RequestParser) done() {
+	p.out = append(p.out, p.cur)
+	p.cur = nil
 }
 
 // ResponseParser incrementally parses a stream of HTTP/1.1 responses on one
@@ -118,10 +182,9 @@ func (p *RequestParser) consumeTo(rest []byte) {
 // responses carry no body), the caller must announce each outstanding
 // request's method with ExpectMethod, in order.
 type ResponseParser struct {
-	buf     bytes.Buffer
-	phase   parsePhase
+	framer
 	cur     *Response
-	need    int
+	out     []*Response
 	methods []string // FIFO of outstanding request methods
 
 	// Meter makes the parser count body bytes instead of storing them:
@@ -138,25 +201,9 @@ type ResponseParser struct {
 func (p *ResponseParser) Reset() {
 	p.buf.Reset()
 	p.phase = phaseHead
-	p.cur = nil
 	p.need = 0
+	p.cur = nil
 	p.methods = p.methods[:0]
-}
-
-// take consumes body bytes of the current response: counted always,
-// copied unless metering. A fixed-length body that outgrows its capacity
-// doubles it, but never past the declared length, len(body)+p.need (p.need
-// still counts b); chunked bodies grow by plain append.
-func (p *ResponseParser) take(b []byte) {
-	p.cur.BodyLen += len(b)
-	if p.Meter {
-		return
-	}
-	body := p.cur.Body
-	if n := len(body) + len(b); n > cap(body) && p.phase == phaseBodyLength {
-		body = append(make([]byte, 0, max(n, min(2*cap(body), len(body)+p.need))), body...)
-	}
-	p.cur.Body = append(body, b...)
 }
 
 // ExpectMethod queues the method of the next outstanding request, so HEAD
@@ -165,113 +212,55 @@ func (p *ResponseParser) ExpectMethod(m string) {
 	p.methods = append(p.methods, m)
 }
 
-func (p *ResponseParser) nextMethod() string {
-	if len(p.methods) == 0 {
-		return "GET"
-	}
-	m := p.methods[0]
-	p.methods = p.methods[1:]
-	return m
-}
-
 // Feed appends data and returns any responses completed by it.
 func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
-	var out []*Response
-	// Fast path: mid-body with an empty reassembly buffer (the steady
-	// state while a large response streams in). Bytes go straight from the
-	// transport into the body, or are only counted when metering, skipping
-	// the copy through buf.
-	for p.phase == phaseBodyLength && p.buf.Len() == 0 && len(data) > 0 {
-		n := min(p.need, len(data))
-		p.take(data[:n])
-		p.need -= n
-		data = data[n:]
-		if p.need == 0 {
-			out = append(out, p.finishResponse())
-		}
-	}
-	if len(data) == 0 && p.phase == phaseBodyLength {
-		return out, nil
-	}
-	p.buf.Write(data)
-	for {
-		switch p.phase {
-		case phaseHead:
-			head, rest, ok := cutHead(p.buf.Bytes())
-			if !ok {
-				return out, nil
-			}
-			resp, err := parseResponseHead(head)
-			if err != nil {
-				return out, err
-			}
-			p.consumeTo(rest)
-			p.cur = resp
-			method := p.nextMethod()
-			n, chunked, err := bodyLength(&resp.Header, false, resp.StatusCode)
-			if err != nil {
-				return out, err
-			}
-			if method == "HEAD" {
-				n, chunked = 0, false
-			}
-			switch {
-			case chunked:
-				p.phase = phaseBodyChunkSize
-			case n > 0:
-				if !p.Meter {
-					p.cur.Body = make([]byte, 0, min(n, bodyReserve))
-				}
-				p.need = n
-				p.phase = phaseBodyLength
-			default:
-				out = append(out, p.finishResponse())
-			}
-		case phaseBodyLength:
-			// Drain whatever body bytes are buffered immediately — even a
-			// partial body — so the reassembly buffer empties and the
-			// streaming fast path above takes every subsequent Feed.
-			// Leaving the partial body in buf would re-copy it on each
-			// append until the full length arrived (quadratic in body
-			// size for segment-at-a-time transports).
-			if n := min(p.need, p.buf.Len()); n > 0 {
-				p.take(p.buf.Next(n))
-				p.need -= n
-			}
-			if p.need > 0 {
-				return out, nil
-			}
-			out = append(out, p.finishResponse())
-		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			data, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, p.cur.BodyLen)
-			if err != nil {
-				return out, err
-			}
-			if !ok {
-				return out, nil
-			}
-			p.take(data)
-			if done {
-				// Replace chunked framing with explicit length so the
-				// stored message re-serializes deterministically.
-				p.cur.Header.Del("Transfer-Encoding")
-				p.cur.Header.Set("Content-Length", strconv.Itoa(p.cur.BodyLen))
-				out = append(out, p.finishResponse())
-			}
-		}
-	}
+	err := p.feed(p, data)
+	out := p.out
+	p.out = nil
+	return out, err
 }
 
-func (p *ResponseParser) finishResponse() *Response {
-	resp := p.cur
+// head parses a status line and header block and pops the expected
+// method (GET if none was announced), so a HEAD response is bodiless.
+func (p *ResponseParser) head(b []byte) (status int, bodiless bool, err error) {
+	if p.cur, err = parseResponseHead(b); err != nil {
+		return 0, false, err
+	}
+	method := "GET"
+	if len(p.methods) > 0 {
+		method, p.methods = p.methods[0], p.methods[1:]
+	}
+	return p.cur.StatusCode, method == "HEAD", nil
+}
+
+func (p *ResponseParser) header() *Header { return &p.cur.Header }
+func (p *ResponseParser) bodyLen() int    { return p.cur.BodyLen }
+
+// body counts body bytes always and copies them unless metering. A
+// fixed-length body's declared length is len(body)+p.need (p.need still
+// counts b): its first bytes reserve at most bodyReserve of it, and the
+// body doubles as it outgrows that, never past the declared length.
+// Chunked bodies grow by plain append.
+func (p *ResponseParser) body(b []byte) {
+	p.cur.BodyLen += len(b)
+	if p.Meter {
+		return
+	}
+	body := p.cur.Body
+	if p.phase == phaseBodyLength {
+		if body == nil {
+			body = make([]byte, 0, min(p.need, bodyReserve))
+		}
+		if n := len(body) + len(b); n > cap(body) {
+			body = append(make([]byte, 0, max(n, min(2*cap(body), len(body)+p.need))), body...)
+		}
+	}
+	p.cur.Body = append(body, b...)
+}
+
+func (p *ResponseParser) done() {
+	p.out = append(p.out, p.cur)
 	p.cur = nil
-	p.phase = phaseHead
-	return resp
-}
-
-func (p *ResponseParser) consumeTo(rest []byte) {
-	n := p.buf.Len() - len(rest)
-	p.buf.Next(n)
 }
 
 // cutHead splits buf at the end of the header block (CRLFCRLF). ok is false
@@ -363,10 +352,10 @@ func parseFields(block string, h *Header) error {
 }
 
 // bodyLength determines message framing from headers: explicit length,
-// chunked, or none. isRequest selects request defaults (no body unless
-// declared). statusCode handles bodyless response codes.
-func bodyLength(h *Header, isRequest bool, statusCode int) (n int, chunked bool, err error) {
-	if !isRequest && (statusCode/100 == 1 || statusCode == 204 || statusCode == 304) {
+// chunked, or none. statusCode is a response's, for its bodyless codes,
+// or 0 for a request.
+func bodyLength(h *Header, statusCode int) (n int, chunked bool, err error) {
+	if statusCode/100 == 1 || statusCode == 204 || statusCode == 304 {
 		return 0, false, nil
 	}
 	if te := h.Get("Transfer-Encoding"); te != "" {

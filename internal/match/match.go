@@ -30,10 +30,7 @@ type key struct {
 }
 
 // candidate is one recorded exchange with its request-line fields parsed
-// out at index-build time, so Lookup never re-parses a stored request. The
-// fields are extracted with pure helpers (httpx.SplitTarget, Header.Get)
-// rather than the memoizing Request accessors, because recorded sites are
-// shared read-only across concurrent experiment cells.
+// out at index-build time, so Lookup never re-parses a stored request.
 type candidate struct {
 	ex     *archive.Exchange
 	method string
@@ -55,7 +52,7 @@ func New(site *archive.Site) *Matcher {
 	m := &Matcher{byPath: make(map[key][]candidate)}
 	for _, e := range site.Exchanges {
 		path, query := httpx.SplitTarget(e.Request.Target)
-		k := key{scheme: e.Scheme, host: e.Request.Header.Get("Host"), path: path}
+		k := key{scheme: e.Scheme, host: e.Request.Host(), path: path}
 		m.byPath[k] = append(m.byPath[k], candidate{
 			ex:     e,
 			method: e.Request.Method,
@@ -82,11 +79,10 @@ func (m *Matcher) Lookup(req *httpx.Request) (*httpx.Response, bool) {
 	if scheme == "" {
 		scheme = "http"
 	}
-	k := key{scheme: scheme, host: req.Host(), path: req.Path()}
-	candidates := m.byPath[k]
+	path, q := httpx.SplitTarget(req.Target)
+	candidates := m.byPath[key{scheme: scheme, host: req.Host(), path: path}]
 	var best *archive.Exchange
 	bestLen := -1
-	q := req.Query()
 	for i := range candidates {
 		c := &candidates[i]
 		if c.method != req.Method {

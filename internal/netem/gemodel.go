@@ -106,7 +106,7 @@ type Markov4State struct {
 // [0, 1], with P13+P14 <= 1 and P31+P32 <= 1.
 func NewMarkov4State(p13, p31, p32, p23, p14 float64) *Markov4State {
 	for _, v := range [5]float64{p13, p31, p32, p23, p14} {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) { // NaN included
 			panic(fmt.Sprintf("netem: 4-state parameter %v outside [0,1]", v))
 		}
 	}

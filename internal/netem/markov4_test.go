@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -97,6 +98,7 @@ func TestMarkov4StateValidation(t *testing.T) {
 		{0, 0, 0, -1, 0}, {0, 0, 0, 0, 2},
 		{0.7, 0, 0, 0, 0.7}, // p13+p14 > 1
 		{0, 0.7, 0.7, 0, 0}, // p31+p32 > 1
+		{math.NaN(), 0, 0, 0, 0}, {0, 0, 0, math.NaN(), 0},
 	}
 	for _, b := range bad {
 		func() {

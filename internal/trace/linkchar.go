@@ -15,19 +15,6 @@ import (
 // a generated trace and a recorded one are interchangeable everywhere a
 // *Trace is accepted.
 
-// emitStep appends delivery opportunities for one [start,end) window at the
-// given rate (bits/second), threading the fractional-packet accumulator.
-func emitStep(ms *[]int64, start, end int, rate float64, acc *float64) {
-	perMS := rate / bitsPerPacket / 1000.0
-	for t := start; t < end; t++ {
-		*acc += perMS
-		for *acc >= 1 {
-			*ms = append(*ms, int64(t))
-			*acc--
-		}
-	}
-}
-
 // LTE synthesizes a cellular trace with the signature of Mahimahi's
 // Verizon-LTE captures: a mean-reverting rate walk between minRate and
 // maxRate punctuated by deep fades — handovers or signal loss during which
@@ -35,45 +22,23 @@ func emitStep(ms *[]int64, start, end int, rate float64, acc *float64) {
 // recovers. Fades are where self-inflicted queueing delay explodes, which
 // is exactly the regime the bufferbloat experiments probe.
 func LTE(rng *sim.Rand, minRate, maxRate int64, periodMS int) (*Trace, error) {
-	if minRate <= 0 || maxRate < minRate {
-		return nil, fmt.Errorf("trace: invalid rate range [%d,%d]", minRate, maxRate)
+	rate, err := walk(rng, minRate, maxRate, 0.3, 0.25)
+	if err != nil {
+		return nil, err
 	}
-	if periodMS <= 0 {
-		return nil, fmt.Errorf("trace: non-positive period %d ms", periodMS)
-	}
-	const stepMS = 20
-	mid := float64(minRate+maxRate) / 2
-	rate := mid
-	span := float64(maxRate - minRate)
 	fadeLeft := 0 // remaining fade steps
-	var ms []int64
-	acc := 0.0
-	for start := 0; start < periodMS; start += stepMS {
-		rate += 0.3*(mid-rate) + 0.25*span*rng.NormFloat64()
-		if rate < float64(minRate) {
-			rate = float64(minRate)
-		}
-		if rate > float64(maxRate) {
-			rate = float64(maxRate)
-		}
-		eff := rate
+	return synthesize("lte", maxRate, 20, periodMS, func() float64 {
+		r := rate()
 		if fadeLeft > 0 {
 			fadeLeft--
-			eff = rate * 0.05
-		} else if rng.Float64() < 0.02 {
+			return r * 0.05
+		}
+		if rng.Float64() < 0.02 {
 			// Enter a fade lasting 200–600 ms.
 			fadeLeft = 10 + int(rng.Float64()*20)
 		}
-		end := start + stepMS
-		if end > periodMS {
-			end = periodMS
-		}
-		emitStep(&ms, start, end, eff, &acc)
-	}
-	if len(ms) == 0 {
-		ms = append(ms, int64(periodMS))
-	}
-	return New("lte", ms)
+		return r
+	})
 }
 
 // NR5G synthesizes a millimeter-wave 5G trace: very high rates with hard
@@ -82,45 +47,23 @@ func LTE(rng *sim.Rand, minRate, maxRate int64, periodMS int) (*Trace, error) {
 // path is blocked — an outage structure (complete stall, abrupt recovery)
 // that stresses RTO machinery rather than queue build-up.
 func NR5G(rng *sim.Rand, minRate, maxRate int64, periodMS int) (*Trace, error) {
-	if minRate <= 0 || maxRate < minRate {
-		return nil, fmt.Errorf("trace: invalid rate range [%d,%d]", minRate, maxRate)
+	rate, err := walk(rng, minRate, maxRate, 0.4, 0.3)
+	if err != nil {
+		return nil, err
 	}
-	if periodMS <= 0 {
-		return nil, fmt.Errorf("trace: non-positive period %d ms", periodMS)
-	}
-	const stepMS = 10
-	mid := float64(minRate+maxRate) / 2
-	rate := mid
-	span := float64(maxRate - minRate)
 	blockLeft := 0
-	var ms []int64
-	acc := 0.0
-	for start := 0; start < periodMS; start += stepMS {
-		rate += 0.4*(mid-rate) + 0.3*span*rng.NormFloat64()
-		if rate < float64(minRate) {
-			rate = float64(minRate)
-		}
-		if rate > float64(maxRate) {
-			rate = float64(maxRate)
-		}
-		eff := rate
+	return synthesize("5g", maxRate, 10, periodMS, func() float64 {
+		r := rate()
 		if blockLeft > 0 {
 			blockLeft--
-			eff = 0 // total blockage: no opportunities at all
-		} else if rng.Float64() < 0.015 {
+			return 0 // total blockage: no opportunities at all
+		}
+		if rng.Float64() < 0.015 {
 			// Blockage outage lasting 100–500 ms.
 			blockLeft = 10 + int(rng.Float64()*40)
 		}
-		end := start + stepMS
-		if end > periodMS {
-			end = periodMS
-		}
-		emitStep(&ms, start, end, eff, &acc)
-	}
-	if len(ms) == 0 {
-		ms = append(ms, int64(periodMS))
-	}
-	return New("5g", ms)
+		return r
+	})
 }
 
 // WiFi synthesizes an 802.11 trace: frame-aggregated service bursts
@@ -133,39 +76,20 @@ func WiFi(rng *sim.Rand, burstRate int64, periodMS int) (*Trace, error) {
 	if burstRate <= 0 {
 		return nil, fmt.Errorf("trace: non-positive rate %d", burstRate)
 	}
-	if periodMS <= 0 {
-		return nil, fmt.Errorf("trace: non-positive period %d ms", periodMS)
-	}
-	const stepMS = 5
 	on := true
-	var ms []int64
-	acc := 0.0
-	for start := 0; start < periodMS; start += stepMS {
+	return synthesize("wifi", burstRate, 5, periodMS, func() float64 {
 		if on {
 			// Keep the channel with p = 0.7; lose it to contention otherwise.
-			if rng.Float64() >= 0.7 {
-				on = false
-			}
+			on = rng.Float64() < 0.7
 		} else {
 			// Win the next backoff round with p = 0.4.
-			if rng.Float64() < 0.4 {
-				on = true
-			}
+			on = rng.Float64() < 0.4
 		}
-		eff := 0.0
 		if on {
-			eff = float64(burstRate)
+			return float64(burstRate)
 		}
-		end := start + stepMS
-		if end > periodMS {
-			end = periodMS
-		}
-		emitStep(&ms, start, end, eff, &acc)
-	}
-	if len(ms) == 0 {
-		ms = append(ms, int64(periodMS))
-	}
-	return New("wifi", ms)
+		return 0
+	})
 }
 
 // Corpus builds the standard link-character corpus for the linkchar

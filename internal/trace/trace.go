@@ -178,101 +178,38 @@ func (c *Cursor) Next(after sim.Time) sim.Time {
 	}
 }
 
-// MaxOpportunities bounds the delivery opportunities Constant and Cellular
-// generate, which they check before generating anything: an absurd rate
-// or period (a 1 Tbit/s link) would otherwise exhaust memory one
-// opportunity at a time. Two million is 20 times the largest trace any
-// driver or example in this repository builds (a 20 Mbit/s cellular
-// trace over 60 s) and 12 times a 1 Gbit/s link's two-second trace.
+// MaxOpportunities bounds the delivery opportunities any generator in this
+// package makes, which each checks at its largest rate before generating
+// anything: an absurd rate or period (a 1 Tbit/s link) would otherwise
+// exhaust memory one opportunity at a time. Two million is 20 times the
+// largest trace any experiment or example in this repository builds (a
+// 20 Mbit/s cellular trace over 60 s) and 12 times a 1 Gbit/s link's
+// two-second trace.
 const MaxOpportunities = 1 << 21
 
 // bitsPerPacket is the size of one delivery opportunity: an MTU, in bits.
 const bitsPerPacket = netem.MTU * 8
 
-// checkOpportunities refuses a generator whose rate, held for periodMS,
-// would yield more than MaxOpportunities opportunities.
-func checkOpportunities(bitsPerSec int64, periodMS int) error {
-	if n := float64(bitsPerSec) * float64(periodMS) / (bitsPerPacket * 1000); n > MaxOpportunities {
-		return fmt.Errorf("trace: %d bit/s over %d ms is %.0f delivery opportunities, more than the %d a generated trace may hold",
-			bitsPerSec, periodMS, n, MaxOpportunities)
-	}
-	return nil
-}
-
-// Constant builds a constant-rate trace: delivery opportunities spaced so
-// the mean rate is bitsPerSec, covering periodMS milliseconds. This is how
-// Mahimahi users create fixed-speed links for mm-link. A trace of more than
-// MaxOpportunities opportunities is refused.
-func Constant(bitsPerSec int64, periodMS int) (*Trace, error) {
-	if bitsPerSec <= 0 {
-		return nil, fmt.Errorf("trace: non-positive rate %d", bitsPerSec)
-	}
+// synthesize builds a generated trace over periodMS milliseconds. Every
+// stepMS milliseconds it draws the next rate (bits/second) from rate and
+// spreads it over the step's milliseconds, carrying the fractional packet
+// from one millisecond to the next so any rate is exact on average (1
+// Mbit/s is one packet every 12 ms). maxRate is the largest rate the
+// process draws: a trace that could hold more than MaxOpportunities at it
+// is refused. A trace with no opportunity gets one at the period.
+func synthesize(name string, maxRate int64, stepMS, periodMS int, rate func() float64) (*Trace, error) {
 	if periodMS <= 0 {
 		return nil, fmt.Errorf("trace: non-positive period %d ms", periodMS)
 	}
-	if err := checkOpportunities(bitsPerSec, periodMS); err != nil {
-		return nil, err
+	if n := float64(maxRate) * float64(periodMS) / (bitsPerPacket * 1000); n > MaxOpportunities {
+		return nil, fmt.Errorf("trace: %d bit/s over %d ms is %.0f delivery opportunities, more than the %d a generated trace may hold",
+			maxRate, periodMS, n, MaxOpportunities)
 	}
-	// packets per millisecond = rate / (MTU*8 bits) / 1000
-	var ms []int64
-	// Accumulate fractional packets-per-ms so arbitrary rates are exact on
-	// average (e.g. 1 Mbit/s => one packet every 12 ms).
-	acc := 0.0
-	perMS := float64(bitsPerSec) / bitsPerPacket / 1000.0
-	for t := 0; t < periodMS; t++ {
-		acc += perMS
-		for acc >= 1 {
-			ms = append(ms, int64(t))
-			acc--
-		}
-	}
-	if len(ms) == 0 {
-		// Rate below one packet per period: schedule a single opportunity
-		// at the interval implied by the rate.
-		interval := int64(float64(bitsPerPacket) / float64(bitsPerSec) * 1000.0)
-		if interval < 1 {
-			interval = 1
-		}
-		ms = append(ms, interval)
-	}
-	return New(fmt.Sprintf("constant-%dbps", bitsPerSec), ms)
-}
-
-// Cellular synthesizes a time-varying trace reminiscent of Mahimahi's
-// recorded LTE traces: the delivery rate follows a mean-reverting random
-// walk between minRate and maxRate bits/second, changing every stepMS
-// milliseconds, over periodMS milliseconds total. A trace that could exceed
-// MaxOpportunities opportunities (judged at maxRate) is refused.
-func Cellular(rng *sim.Rand, minRate, maxRate int64, stepMS, periodMS int) (*Trace, error) {
-	if minRate <= 0 || maxRate < minRate {
-		return nil, fmt.Errorf("trace: invalid rate range [%d,%d]", minRate, maxRate)
-	}
-	if stepMS <= 0 || periodMS < stepMS {
-		return nil, fmt.Errorf("trace: invalid step/period %d/%d", stepMS, periodMS)
-	}
-	if err := checkOpportunities(maxRate, periodMS); err != nil {
-		return nil, err
-	}
-	mid := float64(minRate+maxRate) / 2
-	rate := mid
-	span := float64(maxRate - minRate)
 	var ms []int64
 	acc := 0.0
 	for start := 0; start < periodMS; start += stepMS {
-		// Mean-reverting step with Gaussian innovation.
-		rate += 0.3*(mid-rate) + 0.25*span*rng.NormFloat64()
-		if rate < float64(minRate) {
-			rate = float64(minRate)
-		}
-		if rate > float64(maxRate) {
-			rate = float64(maxRate)
-		}
-		perMS := rate / bitsPerPacket / 1000.0
-		end := start + stepMS
-		if end > periodMS {
-			end = periodMS
-		}
-		for t := start; t < end; t++ {
+		perMS := rate() / bitsPerPacket / 1000.0
+		for t := start; t < min(start+stepMS, periodMS); t++ {
 			acc += perMS
 			for acc >= 1 {
 				ms = append(ms, int64(t))
@@ -283,5 +220,58 @@ func Cellular(rng *sim.Rand, minRate, maxRate int64, stepMS, periodMS int) (*Tra
 	if len(ms) == 0 {
 		ms = append(ms, int64(periodMS))
 	}
-	return New("cellular", ms)
+	return New(name, ms)
+}
+
+// walk returns a mean-reverting rate walk between minRate and maxRate
+// bits/second, starting at their midpoint: each draw pulls the rate toward
+// the midpoint by pull, adds Gaussian noise of noise times the span, and
+// clamps the result into the range.
+func walk(rng *sim.Rand, minRate, maxRate int64, pull, noise float64) (func() float64, error) {
+	if minRate <= 0 || maxRate < minRate {
+		return nil, fmt.Errorf("trace: invalid rate range [%d,%d]", minRate, maxRate)
+	}
+	mid := float64(minRate+maxRate) / 2
+	span := float64(maxRate - minRate)
+	rate := mid
+	return func() float64 {
+		rate += pull*(mid-rate) + noise*span*rng.NormFloat64()
+		rate = min(max(rate, float64(minRate)), float64(maxRate))
+		return rate
+	}, nil
+}
+
+// Constant builds a constant-rate trace: delivery opportunities spaced so
+// the mean rate is bitsPerSec, covering periodMS milliseconds. This is how
+// Mahimahi users create fixed-speed links for mm-link. A trace of more than
+// MaxOpportunities opportunities is refused.
+func Constant(bitsPerSec int64, periodMS int) (*Trace, error) {
+	if bitsPerSec <= 0 {
+		return nil, fmt.Errorf("trace: non-positive rate %d", bitsPerSec)
+	}
+	name := fmt.Sprintf("constant-%dbps", bitsPerSec)
+	tr, err := synthesize(name, bitsPerSec, periodMS, periodMS, func() float64 { return float64(bitsPerSec) })
+	if err != nil || tr.opportunities[0] < sim.Time(periodMS)*sim.Millisecond {
+		return tr, err
+	}
+	// Rate below one packet per period (synthesize's lone opportunity sits
+	// at the period): schedule it at the interval implied by the rate.
+	interval := max(1, int64(float64(bitsPerPacket)/float64(bitsPerSec)*1000.0))
+	return New(name, []int64{interval})
+}
+
+// Cellular synthesizes a time-varying trace reminiscent of Mahimahi's
+// recorded LTE traces: the delivery rate follows a mean-reverting random
+// walk between minRate and maxRate bits/second, changing every stepMS
+// milliseconds, over periodMS milliseconds total. A trace that could exceed
+// MaxOpportunities opportunities (judged at maxRate) is refused.
+func Cellular(rng *sim.Rand, minRate, maxRate int64, stepMS, periodMS int) (*Trace, error) {
+	rate, err := walk(rng, minRate, maxRate, 0.3, 0.25)
+	if err != nil {
+		return nil, err
+	}
+	if stepMS <= 0 || periodMS < stepMS {
+		return nil, fmt.Errorf("trace: invalid step/period %d/%d", stepMS, periodMS)
+	}
+	return synthesize("cellular", maxRate, stepMS, periodMS, rate)
 }

@@ -310,9 +310,10 @@ func TestMeanRateName(t *testing.T) {
 	}
 }
 
-// TestGeneratorsRefuseOversizedTraces holds both generators to
-// MaxOpportunities: a rate that yields exactly the cap over the period is
-// generated, one opportunity more is refused before anything is built.
+// TestGeneratorsRefuseOversizedTraces holds every generator to
+// MaxOpportunities at its largest rate: a rate that yields exactly the cap
+// over the period is generated, one opportunity more is refused before
+// anything is built.
 func TestGeneratorsRefuseOversizedTraces(t *testing.T) {
 	// bitsPerPacket bits per opportunity and a 1000 ms period: the rate
 	// below yields exactly n opportunities.
@@ -325,6 +326,9 @@ func TestGeneratorsRefuseOversizedTraces(t *testing.T) {
 		{"cellular", func(rate int64) (*Trace, error) {
 			return Cellular(sim.NewRand(1), rate/2, rate, 100, 1000)
 		}},
+		{"lte", func(rate int64) (*Trace, error) { return LTE(sim.NewRand(1), rate/2, rate, 1000) }},
+		{"5g", func(rate int64) (*Trace, error) { return NR5G(sim.NewRand(1), rate/2, rate, 1000) }},
+		{"wifi", func(rate int64) (*Trace, error) { return WiFi(sim.NewRand(1), rate, 1000) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
